@@ -15,10 +15,7 @@ Exit codes: 0 success, 1 numerical failure, 2 input error.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import io as rio
 from .checks import available_invariants, run_invariants
@@ -27,12 +24,10 @@ from .errors import (DomainError, GridAlignmentError, RadwigError,
 from .fock import end_to_end, load_fock_density
 from .grids import Grid1D
 from .states import default_vbar_grid, dilaton_coherent, dilaton_vacuum
-from .wigner import (WignerGrid, marginal_momentum, marginal_position,
-                     wigner_l0_closed, wigner_l0_grid)
+from .wigner import (GAMMA_GUARD, WignerGrid, marginal_momentum,
+                     marginal_position, wigner_l0_grid)
 
 __all__ = ["main", "RunConfig", "parse_axis"]
-
-_GAMMA_GUARD = (-6.0, 4.0)
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -49,17 +44,8 @@ class AxisSpec:
     max: float
     steps: int
 
-    @property
-    def degenerate(self) -> bool:
-        return self.steps == 1
-
     def grid(self) -> Grid1D:
         return Grid1D(self.min, self.max, self.steps)
-
-    def points(self) -> np.ndarray:
-        if self.degenerate:
-            return np.array([self.min])
-        return self.grid().points
 
 
 @dataclass
@@ -75,7 +61,6 @@ class RunConfig:
     input_path: str | None = None
     out_path: str | None = None
     out_format: str = "csv"
-    threads: int = 1
     allow_wide_gamma: bool = False
     plot_script: bool = True
     only: list = field(default_factory=list)
@@ -92,86 +77,33 @@ def parse_axis(spec: str) -> AxisSpec:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise CliInputError(f"cannot parse axis spec {spec!r}: {exc}") from None
-    if steps < 1:
-        raise CliInputError(f"axis spec {spec!r}: steps must be >= 1")
-    if steps == 1 and lo != hi:
-        raise CliInputError(
-            f"axis spec {spec!r}: a single step needs min == max")
-    if steps > 1 and hi <= lo:
-        raise CliInputError(f"axis spec {spec!r}: need max > min")
-    return AxisSpec(lo, hi, steps)
+    axis = AxisSpec(lo, hi, steps)
+    try:
+        axis.grid()
+    except ValidationError as exc:
+        raise CliInputError(f"axis spec {spec!r}: {exc}") from None
+    return axis
 
 
 def _check_gamma_window(axis: AxisSpec, allow_wide: bool):
     if allow_wide:
         return
-    lo, hi = _GAMMA_GUARD
+    lo, hi = GAMMA_GUARD
     if axis.min < lo or axis.max > hi:
         raise CliInputError(
             f"gamma range [{axis.min}, {axis.max}] outside the default guard "
             f"[{lo}, {hi}]; pass --allow-wide-gamma to override")
 
 
-def _wl_values(cfg: RunConfig) -> tuple:
-    gam = cfg.gamma.points()
-    del_ = cfg.delta.points()
-    if cfg.gamma.degenerate or cfg.delta.degenerate:
-        values = np.array([[wigner_l0_closed(cfg.l, g, d,
-                                             allow_deep_tail=cfg.allow_wide_gamma)
-                            for d in del_] for g in gam])
-        return gam, del_, values
-
-    if cfg.threads > 1:
-        # one ladder geometry for every chunk, so the result is
-        # bit-identical to the single-threaded evaluation
-        from .wigner import _closed_form_rows, _eps_cutoffs, _oscillation_step
-        cutoffs = _eps_cutoffs(cfg.l, np.exp(2.0 * gam))
-        step = _oscillation_step(float(np.abs(del_).max()))
-        n_nodes = int(np.ceil(cutoffs.max() / step)) + 1
-        values = np.empty((len(gam), len(del_)))
-        chunks = [c for c in np.array_split(np.arange(len(gam)), cfg.threads)
-                  if c.size]
-
-        def work(idx):
-            return idx, _closed_form_rows(cfg.l, gam[idx], del_, step,
-                                          cutoffs[idx], n_nodes)
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for idx, vals in pool.map(work, chunks):
-                values[idx] = vals
-        return gam, del_, values
-
-    w = wigner_l0_grid(cfg.l, cfg.gamma.grid(), cfg.delta.grid(),
-                       allow_deep_tail=cfg.allow_wide_gamma)
-    return gam, del_, w.values
-
-
-def _write_degenerate_csv(path, gam, del_, values):
-    rows = [(g, d, values[i, j]) for i, g in enumerate(gam)
-            for j, d in enumerate(del_)]
-    import csv as _csv
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["gamma", "delta", "w"])
-        for g, d, v in rows:
-            writer.writerow([repr(float(g)), repr(float(d)), repr(float(v))])
-
-
-def _emit_wigner(cfg: RunConfig, gam, del_, values, meta, title):
+def _emit_wigner(cfg: RunConfig, grid: WignerGrid, title):
     out = cfg.out_path
-    degenerate = cfg.gamma.degenerate or cfg.delta.degenerate
-    if degenerate:
-        _write_degenerate_csv(out, gam, del_, values)
-        plot_data = out
+    if cfg.out_format == "json":
+        rio.write_wigner_json(out, grid)
+        plot_data = _with_suffix(out, ".plot.csv")
+        rio.write_wigner_csv(plot_data, grid)
     else:
-        grid = WignerGrid(cfg.gamma.grid(), cfg.delta.grid(), values, meta=meta)
-        if cfg.out_format == "json":
-            rio.write_wigner_json(out, grid)
-            plot_data = _with_suffix(out, ".plot.csv")
-            rio.write_wigner_csv(plot_data, grid)
-        else:
-            rio.write_wigner_csv(out, grid)
-            plot_data = out
+        rio.write_wigner_csv(out, grid)
+        plot_data = out
     if cfg.plot_script:
         rio.write_gnuplot_script(_with_suffix(out, ".gp"), plot_data, title)
 
@@ -183,14 +115,17 @@ def _with_suffix(path: str, suffix: str) -> str:
 
 def cmd_wl(cfg: RunConfig) -> int:
     _check_gamma_window(cfg.gamma, cfg.allow_wide_gamma)
-    gam, del_, values = _wl_values(cfg)
-    meta = {"l": cfg.l, "route": "closed-form"}
-    _emit_wigner(cfg, gam, del_, values, meta, f"W_{cfg.l}")
+    w = wigner_l0_grid(cfg.l, cfg.gamma.grid(), cfg.delta.grid(),
+                       allow_deep_tail=cfg.allow_wide_gamma)
+    # the file metadata is the CLI's format contract, not the library's
+    grid = WignerGrid(w.gamma_grid, w.delta_grid, w.values,
+                      meta={"l": cfg.l, "route": "closed-form"})
+    _emit_wigner(cfg, grid, f"W_{cfg.l}")
     return EXIT_OK
 
 
 def cmd_vacuum(cfg: RunConfig) -> int:
-    pts = cfg.grid.points()
+    pts = cfg.grid.grid().points
     if cfg.basis == "r" and pts[0] <= 0:
         raise CliInputError("r-basis grid must be strictly positive")
     samples = dilaton_vacuum(cfg.basis, pts)
@@ -218,8 +153,7 @@ def cmd_fock(cfg: RunConfig) -> int:
     rho = load_fock_density(cfg.input_path)
     grid = end_to_end(rho, cfg.gamma.grid(), cfg.delta.grid(),
                       vbar_grid=default_vbar_grid())
-    _emit_wigner(cfg, cfg.gamma.points(), cfg.delta.points(),
-                 grid.values, grid.meta, "W (Fock pipeline)")
+    _emit_wigner(cfg, grid, "W (Fock pipeline)")
     # marginals need windows wide enough to hold the tails; a grid meant
     # only for the 2D map should not fail the whole command
     _write_marginals(cfg.out_path, grid, skip_narrow=True)
@@ -287,7 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     wl.add_argument("--delta", default="-4:4:321", help="axis spec min:max:steps")
     wl.add_argument("--out", required=True)
     wl.add_argument("--format", choices=("csv", "json"), default="csv")
-    wl.add_argument("--threads", type=int, default=1)
     wl.add_argument("--allow-wide-gamma", action="store_true")
     wl.add_argument("--no-plot-script", action="store_true")
 
@@ -330,14 +263,11 @@ def _config_from_args(args) -> RunConfig:
     if args.command == "wl":
         if not 0 <= args.l <= 64:
             raise CliInputError(f"l must be in [0, 64], got {args.l}")
-        if args.threads < 1:
-            raise CliInputError("threads must be >= 1")
         cfg.l = args.l
         cfg.gamma = parse_axis(args.gamma)
         cfg.delta = parse_axis(args.delta)
         cfg.out_path = args.out
         cfg.out_format = args.format
-        cfg.threads = args.threads
         cfg.allow_wide_gamma = args.allow_wide_gamma
         cfg.plot_script = not args.no_plot_script
     elif args.command == "vacuum":

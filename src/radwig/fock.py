@@ -20,7 +20,8 @@ from .errors import (DomainError, GridMismatchError, SchemaError,
 from .grids import Grid1D
 from .special import log_factorial
 from .states import SchwingerLabel, default_vbar_grid, radial_wavefunction
-from .wigner import DensityMatrixV, WignerGrid, wigner_from_density
+from .wigner import (DensityMatrixV, WignerGrid, validate_density_matrix,
+                     wigner_from_density)
 
 __all__ = [
     "FockDensityMatrix", "SchwingerDensityMatrix", "fock_to_schwinger",
@@ -35,8 +36,9 @@ class FockDensityMatrix:
     """Density matrix over the square cartesian Fock cutoff n_x, n_y <= n_max.
 
     Entries are stored as a dense matrix over the flattened index
-    ``nx * (n_max + 1) + ny``.  Hermiticity and unit trace are validated
-    at construction; positivity via :meth:`min_eigenvalue`.
+    ``nx * (n_max + 1) + ny``.  Hermiticity (the worst violating pair
+    named by its occupations) and unit trace are validated at
+    construction; positivity via :meth:`min_eigenvalue`.
     """
 
     def __init__(self, n_max: int, entries, *, meta=None):
@@ -45,20 +47,19 @@ class FockDensityMatrix:
         if n_max > MAX_FOCK_CUTOFF:
             raise DomainError(
                 f"n_max {n_max} exceeds the supported cutoff {MAX_FOCK_CUTOFF}")
-        dim = (int(n_max) + 1) ** 2
+        side = int(n_max) + 1
         entries = np.asarray(entries, dtype=complex)
-        if entries.shape != (dim, dim):
+        if entries.shape != (side ** 2, side ** 2):
             raise ValidationError(
-                f"entries shape {entries.shape} does not match cutoff dim {dim}")
-        if not np.all(np.isfinite(entries)):
-            raise ValidationError("density-matrix entries must be finite")
-        herm = np.abs(entries - entries.conj().T).max()
-        if herm > 1e-10 * max(1.0, float(np.abs(entries).max())):
-            raise ValidationError(
-                f"Fock density matrix is not Hermitian: max dev {herm:.3e}")
-        tr = float(np.trace(entries).real)
-        if abs(tr - 1.0) > 1e-10:
-            raise ValidationError(f"Fock density matrix trace {tr} is not 1")
+                f"entries shape {entries.shape} does not match cutoff dim "
+                f"{side ** 2}")
+
+        def label(row, col):
+            return "(nx={}, ny={}; nx'={}, ny'={})".format(
+                *divmod(row, side), *divmod(col, side))
+
+        validate_density_matrix(entries, label=label,
+                                what="Fock density matrix")
         self.n_max = int(n_max)
         self.entries = entries
         self.meta = dict(meta) if meta else {}
@@ -104,13 +105,7 @@ class SchwingerDensityMatrix:
         if entries.shape != (dim, dim):
             raise ValidationError(
                 f"entries shape {entries.shape} does not match dim {dim}")
-        herm = np.abs(entries - entries.conj().T).max()
-        if herm > 1e-10 * max(1.0, float(np.abs(entries).max())):
-            raise ValidationError(
-                f"Schwinger density matrix is not Hermitian: max dev {herm:.3e}")
-        tr = float(np.trace(entries).real)
-        if abs(tr - 1.0) > 1e-10:
-            raise ValidationError(f"Schwinger density matrix trace {tr} is not 1")
+        validate_density_matrix(entries, what="Schwinger density matrix")
         self.n_max = int(n_max)
         self.entries = entries
         self.meta = dict(meta) if meta else {}
@@ -264,9 +259,10 @@ def load_fock_density(source) -> FockDensityMatrix:
     """Parse the JSON interchange format for Fock density matrices.
 
     Schema: ``{"n_max": N, "entries": [{"nx", "ny", "nxp", "nyp", "re",
-    "im"}, ...]}``; omitted entries are zero.  Hermiticity is validated,
-    not assumed: the mirror of every stored entry must be stored too (or
-    both zero), and the worst violating pair is named in the error.
+    "im"}, ...]}``; omitted entries are zero.  Hermiticity is validated
+    by :class:`FockDensityMatrix`, not assumed: the mirror of every stored
+    entry must be stored too (or both zero), and the worst violating pair
+    is named in the error.
 
     ``source`` may be a path, an open file object or an already-parsed
     dictionary.
@@ -321,15 +317,4 @@ def load_fock_density(source) -> FockDensityMatrix:
         row = item["nx"] * (n_max + 1) + item["ny"]
         col = item["nxp"] * (n_max + 1) + item["nyp"]
         entries[row, col] = item["re"] + 1j * item["im"]
-
-    dev = np.abs(entries - entries.conj().T)
-    worst = float(dev.max())
-    if worst > 1e-10 * max(1.0, float(np.abs(entries).max())):
-        row, col = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        nx, ny = divmod(int(row), n_max + 1)
-        nxp, nyp = divmod(int(col), n_max + 1)
-        raise ValidationError(
-            "input violates Hermiticity: entry "
-            f"(nx={nx}, ny={ny}; nx'={nxp}, ny'={nyp}) = {entries[row, col]} "
-            f"but its mirror is {entries[col, row]} (deviation {worst:.3e})")
     return FockDensityMatrix(n_max, entries)

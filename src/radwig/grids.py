@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 __all__ = ["Grid1D"]
 
@@ -21,9 +21,12 @@ class Grid1D:
     min : float
         First sample point.
     max : float
-        Last sample point; must exceed ``min``.
+        Last sample point; must exceed ``min``, or equal it for a single
+        point.
     n_points : int
-        Number of samples, at least 2.
+        Number of samples, at least 1.  A one-point axis holds a single
+        phase-space cell: it has no spacing and nothing integrates over
+        it, so :attr:`spacing` and :meth:`trapezoid` raise DomainError.
     """
 
     min: float
@@ -31,18 +34,25 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 2:
-            raise ValidationError("Grid1D needs n_points >= 2")
+        if self.n_points < 1:
+            raise ValidationError("Grid1D needs n_points >= 1")
         if not (np.isfinite(self.min) and np.isfinite(self.max)):
             raise ValidationError("Grid1D bounds must be finite")
-        if self.max <= self.min:
+        if self.n_points == 1 and self.max != self.min:
+            raise ValidationError("a one-point Grid1D needs max == min")
+        if self.n_points > 1 and self.max <= self.min:
             raise ValidationError("Grid1D needs max > min")
         object.__setattr__(
             self, "_points", np.linspace(self.min, self.max, self.n_points)
         )
 
+    def _require_interval(self, what: str):
+        if self.n_points == 1:
+            raise DomainError(f"a one-point axis at {self.min} has no {what}")
+
     @property
     def spacing(self) -> float:
+        self._require_interval("spacing")
         return (self.max - self.min) / (self.n_points - 1)
 
     @property
@@ -51,6 +61,11 @@ class Grid1D:
         pts = self._points
         pts.flags.writeable = False
         return pts
+
+    def trapezoid(self, values, axis: int = -1) -> np.ndarray:
+        """Trapezoid integral of ``values`` over this axis along ``axis``."""
+        self._require_interval("integral")
+        return np.trapezoid(values, self._points, axis=axis)
 
     def __len__(self) -> int:
         return self.n_points

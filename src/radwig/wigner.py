@@ -44,7 +44,8 @@ __all__ = [
     "DensityMatrixV", "WignerGrid", "wigner_from_density",
     "wigner_l0_closed", "wigner_l0_grid", "marginal_position",
     "marginal_momentum", "overlap", "s_smooth", "schwinger_density",
-    "OVERLAP_FACTOR", "WIGNER_LOWER_BOUND",
+    "validate_density_matrix", "GAMMA_GUARD", "OVERLAP_FACTOR",
+    "WIGNER_LOWER_BOUND",
 ]
 
 # 2 pi * integral W1 W2 = trace(rho1 rho2); fixed by the purity oracle.
@@ -55,7 +56,36 @@ WIGNER_LOWER_BOUND = -1.0 / np.pi
 _LOG_CUTOFF = 45.0          # integrand ignored below peak * e^{-45}
 _PROBE_STEP = 0.01
 _PROBE_MAX = 30.0
-_GAMMA_GUARD = -6.0
+
+# default (lo, hi) window of gamma: below lo the integration window grows
+# like -gamma while the state mass is negligible
+GAMMA_GUARD = (-6.0, 4.0)
+
+
+def validate_density_matrix(entries: np.ndarray, *, spacing: float = 1.0,
+                            trace_tol: float = 1e-10, label=None,
+                            what: str = "density matrix"):
+    """Check that ``entries`` is finite, Hermitian and of unit trace.
+
+    Hermiticity holds to 1e-10 of the largest entry magnitude; the trace
+    is sum(diagonal) * spacing and must be within ``trace_tol`` of 1.
+    The worst violating pair is named in the error, through
+    ``label(row, col)`` when given.  Raises ValidationError.
+    """
+    if not np.all(np.isfinite(entries)):
+        raise ValidationError(f"{what} entries must be finite")
+    dev = np.abs(entries - entries.conj().T)
+    worst = float(dev.max())
+    if worst > 1e-10 * max(1.0, float(np.abs(entries).max())):
+        row, col = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        pair = label(row, col) if label else f"({row}, {col})"
+        raise ValidationError(
+            f"{what} violates Hermiticity: entry {pair} = {entries[row, col]} "
+            f"but its mirror is {entries[col, row]} (deviation {worst:.3e})")
+    tr = float(np.trace(entries).real) * spacing
+    if abs(tr - 1.0) > trace_tol:
+        raise ValidationError(
+            f"{what} trace {tr} deviates from 1 by more than {trace_tol}")
 
 
 class DensityMatrixV:
@@ -73,17 +103,8 @@ class DensityMatrixV:
         if entries.shape != (n, n):
             raise ValidationError(
                 f"entries shape {entries.shape} does not match grid size {n}")
-        if not np.all(np.isfinite(entries)):
-            raise ValidationError("density-matrix entries must be finite")
-        herm = np.abs(entries - entries.conj().T).max()
-        scale = max(1.0, float(np.abs(entries).max()))
-        if herm > 1e-10 * scale:
-            raise ValidationError(
-                f"density matrix is not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        tr = float(np.trace(entries).real) * grid.spacing
-        if abs(tr - 1.0) > trace_tol:
-            raise ValidationError(
-                f"density-matrix trace {tr} deviates from 1 by more than {trace_tol}")
+        validate_density_matrix(entries, spacing=grid.spacing,
+                                trace_tol=trace_tol)
         self.grid = grid
         self.entries = entries
         self.meta = dict(meta) if meta else {}
@@ -145,8 +166,8 @@ class WignerGrid:
 
     def total(self) -> float:
         """Phase-space integral of W (trace of the source state)."""
-        inner = np.trapezoid(self.values, self.delta_grid.points, axis=1)
-        return float(np.trapezoid(inner, self.gamma_grid.points))
+        inner = self.delta_grid.trapezoid(self.values, axis=1)
+        return float(self.gamma_grid.trapezoid(inner))
 
     def min_value(self) -> float:
         return float(self.values.min())
@@ -206,9 +227,10 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
 
 
 def _check_gamma_guard(gamma_min: float, allow_deep_tail: bool):
-    if gamma_min < _GAMMA_GUARD and not allow_deep_tail:
+    lo = GAMMA_GUARD[0]
+    if gamma_min < lo and not allow_deep_tail:
         raise DomainError(
-            f"gamma = {gamma_min} below the default guard {_GAMMA_GUARD}: the "
+            f"gamma = {gamma_min} below the default guard {lo}: the "
             "integration window there grows like -gamma while the state mass "
             "is negligible; pass allow_deep_tail=True to force it")
 
@@ -331,16 +353,25 @@ def wigner_l0_closed(l: int, gamma: float, delta: float, *,
 
 
 def _edge_mass(w: WignerGrid, axis: int) -> float:
-    """Mass of the outermost strip along the integrated axis."""
+    """Mass of the outermost strip along the integrated axis.
+
+    Needs two points on both axes: along a one-point axis the whole
+    window is its edge strip, and across one the strip mass has no
+    integral; both raise TruncationError.
+    """
+    if min(w.values.shape) == 1:
+        raise TruncationError(
+            "a marginal needs at least two points on each axis; this grid "
+            f"is {w.values.shape[0]} x {w.values.shape[1]}")
     if axis == 1:      # integrating over delta
         col0, col1 = np.abs(w.values[:, 0]), np.abs(w.values[:, -1])
-        other = w.gamma_grid.points
+        other = w.gamma_grid
         strip = w.delta_grid.spacing
     else:
         col0, col1 = np.abs(w.values[0, :]), np.abs(w.values[-1, :])
-        other = w.delta_grid.points
+        other = w.delta_grid
         strip = w.gamma_grid.spacing
-    return float(max(np.trapezoid(col0, other), np.trapezoid(col1, other)) * strip)
+    return float(max(other.trapezoid(col0), other.trapezoid(col1)) * strip)
 
 
 def marginal_position(w: WignerGrid) -> np.ndarray:
@@ -354,7 +385,7 @@ def marginal_position(w: WignerGrid) -> np.ndarray:
         raise TruncationError(
             f"delta window too narrow for a faithful marginal: outermost "
             f"strip holds ~{mass:.2e}", lost_mass=mass)
-    return np.trapezoid(w.values, w.delta_grid.points, axis=1)
+    return w.delta_grid.trapezoid(w.values, axis=1)
 
 
 def marginal_momentum(w: WignerGrid) -> np.ndarray:
@@ -364,7 +395,7 @@ def marginal_momentum(w: WignerGrid) -> np.ndarray:
         raise TruncationError(
             f"gamma window too narrow for a faithful marginal: outermost "
             f"strip holds ~{mass:.2e}", lost_mass=mass)
-    return np.trapezoid(w.values, w.gamma_grid.points, axis=0)
+    return w.gamma_grid.trapezoid(w.values, axis=0)
 
 
 def overlap(w1: WignerGrid, w2: WignerGrid) -> float:
@@ -375,8 +406,8 @@ def overlap(w1: WignerGrid, w2: WignerGrid) -> float:
     """
     if w1.gamma_grid != w2.gamma_grid or w1.delta_grid != w2.delta_grid:
         raise GridMismatchError("overlap requires identical grids")
-    inner = np.trapezoid(w1.values * w2.values, w1.delta_grid.points, axis=1)
-    return float(OVERLAP_FACTOR * np.trapezoid(inner, w1.gamma_grid.points))
+    inner = w1.delta_grid.trapezoid(w1.values * w2.values, axis=1)
+    return float(OVERLAP_FACTOR * w1.gamma_grid.trapezoid(inner))
 
 
 def s_smooth(w: WignerGrid, s: float) -> WignerGrid:

@@ -171,6 +171,32 @@ def test_fock_matrix_validation():
         FockDensityMatrix(1, bad)
 
 
+def test_fock_matrix_validation_names_pair_and_trace():
+    dim = 4
+    bad = np.zeros((dim, dim), dtype=complex)
+    bad[0, 0] = 1.0
+    bad[0, 1] = 0.5
+    with pytest.raises(ValidationError, match=r"nx'=0, ny'=1"):
+        FockDensityMatrix(1, bad)
+    with pytest.raises(ValidationError, match="trace"):
+        FockDensityMatrix(1, 2.0 * np.eye(dim) / dim)
+
+
+def test_schwinger_matrix_validation():
+    dim = 6                                   # n_max = 1: 2l <= 2
+    good = np.zeros((dim, dim), dtype=complex)
+    good[0, 0] = 1.0
+    assert SchwingerDensityMatrix(1, good).n_max == 1
+    bad = good.copy()
+    bad[1, 1] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        SchwingerDensityMatrix(1, bad)
+    bad = good.copy()
+    bad[0, 2] = 0.5
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        SchwingerDensityMatrix(1, bad)
+
+
 # ---------------------------------------------------------- JSON input
 
 def write_json(tmp_path, doc, name="rho.json"):

@@ -46,7 +46,7 @@ def test_wavefunction_csv_format(tmp_path):
 def test_parse_axis():
     ax = parse_axis("-3:2:251")
     assert (ax.min, ax.max, ax.steps) == (-3.0, 2.0, 251)
-    assert parse_axis("0:0:1").degenerate
+    assert parse_axis("0:0:1").grid().n_points == 1
     from radwig.cli import CliInputError
     with pytest.raises(CliInputError):
         parse_axis("1:2")
@@ -86,13 +86,43 @@ def test_wl_degenerate_single_cell(tmp_path):
 
 def test_wl_deterministic_across_runs_and_threads(tmp_path):
     args = ["wl", "--l", "2", "--gamma", "-2:1:61", "--delta", "-3:3:49"]
-    paths = [tmp_path / f"w{i}.csv" for i in range(3)]
+    paths = [tmp_path / f"w{i}.csv" for i in range(2)]
     assert main(args + ["--out", str(paths[0])]) == 0
     assert main(args + ["--out", str(paths[1])]) == 0
-    assert main(args + ["--out", str(paths[2]), "--threads", "3"]) == 0
-    blob = paths[0].read_bytes()
-    assert paths[1].read_bytes() == blob
-    assert paths[2].read_bytes() == blob
+    assert paths[1].read_bytes() == paths[0].read_bytes()
+
+
+def test_wl_single_cell_axis_json(tmp_path):
+    out = tmp_path / "c.json"
+    rc = main(["wl", "--l", "0", "--gamma", "0:0:1", "--delta", "-4:4:5",
+               "--format", "json", "--out", str(out)])
+    assert rc == 0
+    grid = read_wigner_json(out)
+    assert grid.values.shape == (1, 5)
+    assert grid.meta["l"] == 0
+    assert grid.values[0, 2] == pytest.approx(0.268032, abs=1e-6)
+    plot_data = tmp_path / "c.plot.csv"
+    assert read_wigner_csv(plot_data) == grid
+    assert str(plot_data) in (tmp_path / "c.gp").read_text()
+
+
+def test_wl_single_cell_axis_csv_round_trip(tmp_path):
+    out = tmp_path / "c.csv"
+    rc = main(["wl", "--l", "1", "--gamma", "-1:1:5", "--delta", "0:0:1",
+               "--out", str(out)])
+    assert rc == 0
+    grid = read_wigner_csv(out)
+    assert grid.values.shape == (5, 1)
+    assert grid == wigner_l0_grid(1, Grid1D(-1.0, 1.0, 5), Grid1D(0.0, 0.0, 1))
+
+
+def test_wl_single_cell_matches_grid_cell(tmp_path):
+    out = tmp_path / "c.csv"
+    assert main(["wl", "--l", "2", "--gamma", "0.5:0.5:1", "--delta",
+                 "-3:3:49", "--out", str(out)]) == 0
+    cell = read_wigner_csv(out).values[0]
+    full = wigner_l0_grid(2, Grid1D(-2.0, 1.0, 61), Grid1D(-3.0, 3.0, 49))
+    assert np.abs(cell - full.values[50]).max() < 1e-13
 
 
 def test_wl_json_output(tmp_path):
@@ -174,6 +204,20 @@ def test_fock_command_matches_wl(tmp_path, capsys):
     assert "skipping" in capsys.readouterr().err
 
 
+def test_fock_command_single_gamma_cell(tmp_path, capsys):
+    rho_path = tmp_path / "rho.json"
+    rho_path.write_text(json.dumps(vacuum_doc()))
+    out = tmp_path / "wf.csv"
+    rc = main(["fock", "--input", str(rho_path), "--gamma", "0:0:1",
+               "--delta", "-4:4:41", "--out", str(out)])
+    assert rc == 0
+    grid = read_wigner_csv(out)
+    assert grid.values.shape == (1, 41)
+    assert grid.values[0, 20] == pytest.approx(0.268032, abs=1e-5)
+    assert not (tmp_path / "wf_marginal_delta.csv").exists()
+    assert "skipping delta marginal" in capsys.readouterr().err
+
+
 def test_fock_command_wide_window_emits_marginals(tmp_path):
     rho_path = tmp_path / "rho.json"
     rho_path.write_text(json.dumps(vacuum_doc()))
@@ -238,6 +282,15 @@ def test_marginals_command(tmp_path):
     from radwig import vbar_schwinger_l0
     oracle = vbar_schwinger_l0(0, data[:, 0]) ** 2
     assert np.abs(data[:, 1] - oracle).max() < 1e-5
+
+
+def test_marginals_command_single_cell_axis(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["wl", "--l", "0", "--gamma", "0:0:1", "--delta", "-4:4:41",
+                 "--out", str(out), "--no-plot-script"]) == 0
+    assert main(["marginals", "--input", str(out), "--out-stem",
+                 str(tmp_path / "m")]) == 1
+    assert "numerical error" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- check

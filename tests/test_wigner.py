@@ -4,8 +4,9 @@ from scipy.integrate import quad
 from scipy.special import k0
 
 from radwig import (DensityMatrixV, DomainError, Grid1D, GridAlignmentError,
-                    GridMismatchError, TruncationError, UnsupportedOrderError,
-                    ValidationError, WavefunctionV, WignerGrid,
+                    GridMismatchError, RadwigError, TruncationError,
+                    UnsupportedOrderError, ValidationError, WavefunctionV,
+                    WignerGrid,
                     default_vbar_grid, dilaton_coherent, dilaton_vacuum,
                     marginal_momentum, marginal_position, momentum_transform,
                     overlap, s_smooth, schwinger_density, vbar_schwinger_l0,
@@ -102,6 +103,20 @@ def test_scalar_matches_grid():
             assert scalar == pytest.approx(w.values[i, j], abs=1e-8)
 
 
+# the adaptive quad side samples every 16th delta node (11 of 161, with
+# delta = 0 and both ends) to keep the test cheap; the ladder still runs
+# on the full axis, so its step is the one the CLI uses for this window
+@pytest.mark.parametrize("gamma", [-6.0, -3.0, 0.0, 1.5, 4.0])
+@pytest.mark.parametrize("l", [0, 1, 2, 4, 8])
+def test_single_cell_ladder_matches_adaptive(l, gamma):
+    delta = Grid1D(-4.0, 4.0, 161)
+    w = wigner_l0_grid(l, Grid1D(gamma, gamma, 1), delta)
+    assert w.values.shape == (1, 161)
+    for j in range(0, 161, 16):
+        scalar = wigner_l0_closed(l, gamma, delta.points[j])
+        assert abs(w.values[0, j] - scalar) < 1e-10
+
+
 def test_sine_component_vanishes():
     # even modulus in the integration variable: the sine transform is zero
     for gamma, delta in [(0.0, 1.0), (-0.5, 2.5), (0.7, 0.3)]:
@@ -144,6 +159,50 @@ def test_normalization_single_level():
 def test_degree_cap():
     with pytest.raises(DomainError):
         wigner_l0_closed(65, 0.0, 0.0)
+
+
+# ------------------------------------------------------ one-point axes
+
+def _one_point_grid(axis):
+    single = Grid1D(0.0, 0.0, 1)
+    wide = Grid1D(-4.0, 4.0, 41)
+    gamma, delta = (single, wide) if axis == "gamma" else (wide, single)
+    return wigner_l0_grid(0, gamma, delta)
+
+
+@pytest.mark.parametrize("axis", ["gamma", "delta"])
+@pytest.mark.parametrize("integral", [
+    lambda w: w.total(),
+    lambda w: overlap(w, w),
+    marginal_position,
+    marginal_momentum,
+    lambda w: s_smooth(w, -1.0),
+    lambda w: DensityMatrixV(Grid1D(0.0, 0.0, 1), [[1.0]]),
+], ids=["total", "overlap", "marginal_position", "marginal_momentum",
+        "s_smooth", "DensityMatrixV"])
+def test_one_point_axis_never_yields_a_number(integral, axis):
+    with pytest.raises(RadwigError):
+        integral(_one_point_grid(axis))
+
+
+def test_one_point_grid_has_no_spacing():
+    single = Grid1D(1.5, 1.5, 1)
+    assert single.points.tolist() == [1.5]
+    with pytest.raises(DomainError):
+        single.spacing
+    with pytest.raises(DomainError):
+        single.trapezoid(np.ones(1))
+    with pytest.raises(ValidationError):
+        Grid1D(0.0, 1.0, 1)
+    with pytest.raises(ValidationError):
+        Grid1D(0.0, 0.0, 0)
+
+
+def test_marginal_along_one_point_axis_is_truncation():
+    for axis, marginal in (("delta", marginal_position),
+                           ("gamma", marginal_momentum)):
+        with pytest.raises(TruncationError):
+            marginal(_one_point_grid(axis))
 
 
 # -------------------------------------------------------- marginals
