@@ -286,10 +286,15 @@ def _check_wigner_bound() -> float:
 
 
 def _check_wigner_negativity() -> float:
-    """Shallowest minimum among l = 1..3; must lie below -1e-3."""
+    """1e-3 over the shallowest negative depth among W_l, l = 1..3.
+
+    Passes (at most 1) while every minimum lies at or below -1e-3; a
+    level without negative values gives inf.
+    """
     gamma = Grid1D(-3.0, 2.0, 126)
     delta = Grid1D(-4.0, 4.0, 81)
-    return max(wigner_l0_grid(l, gamma, delta).min_value() for l in (1, 2, 3))
+    depth = -max(wigner_l0_grid(l, gamma, delta).min_value() for l in (1, 2, 3))
+    return 1e-3 / depth if depth > 0 else np.inf
 
 
 def _check_husimi_nonnegative() -> float:
@@ -354,8 +359,8 @@ _REGISTRY = [
      "W stays above -1/pi",
      1e-6, _check_wigner_bound),
     ("wigner-negativity",
-     "min of W_l for l = 1..3 (passes below -1e-3)",
-     -1e-3, _check_wigner_negativity),
+     "1e-3 over the shallowest negative depth of W_l, l = 1..3",
+     1.0, _check_wigner_negativity),
     ("husimi-nonnegativity",
      "ordering -1 smoothing is nonnegative (grid interior)",
      1e-9, _check_husimi_nonnegative),

@@ -183,7 +183,9 @@ def fock_to_schwinger(rho: FockDensityMatrix) -> SchwingerDensityMatrix:
                 for nx in range(max(0, total - n_max), min(total, n_max) + 1)]
         U[np.ix_(rows, cols)] = block
     entries = U @ rho.entries @ U.conj().T
-    entries = 0.5 * (entries + entries.conj().T)   # scrub rounding asymmetry
+    # scrub rounding asymmetry in place (no second dim_s^2 copy)
+    entries += entries.conj().T
+    entries *= 0.5
     out = SchwingerDensityMatrix(n_max, entries, meta=dict(rho.meta))
     out.meta["source"] = "fock"
     return out

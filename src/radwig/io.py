@@ -1,11 +1,18 @@
 """File formats: CSV and JSON for states and Wigner grids, gnuplot scripts.
 
-Floats are written with ``repr`` (shortest exact decimal), so both
-formats round-trip bit-exactly and identical computations yield
-byte-identical files.
+CSV contract: one header line (``gamma,delta,w`` for a Wigner grid), then
+one row per sample, fields separated by ``,``, every float written with
+``repr`` (shortest exact decimal, so ``-0.0`` and subnormals survive),
+every line ended by ``\\r\\n``.  These are the bytes :func:`csv.writer`
+gives for the same rows, but each file is written in bulk: the axes are
+formatted once and a Wigner grid is written one joined gamma row at a
+time.  Both formats round-trip bit-exactly, and identical computations
+yield byte-identical files.
+
+Importing this module (or :mod:`radwig.cli`) loads no scipy: only
+``to_vbar``, ``wigner_l0_closed`` and ``s_smooth`` import it, when called.
 """
 
-import csv
 import json
 
 import numpy as np
@@ -20,24 +27,39 @@ __all__ = [
     "write_gnuplot_script", "write_marginal_csv",
 ]
 
+_WIGNER_HEADER = ["gamma", "delta", "w"]
+_EOL = "\r\n"
 
-def _fmt(x) -> str:
-    return repr(float(x))
+
+def _write_csv(path, header, blocks):
+    """Write ``header`` then each ready-formatted block of whole lines."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + _EOL)
+        fh.writelines(blocks)
+
+
+def _write_columns_csv(path, header, *columns):
+    """One row per index across equal-length float ``columns``."""
+    rows = zip(*(np.asarray(c, float).tolist() for c in columns))
+    _write_csv(path, header, (",".join(map(repr, row)) + _EOL for row in rows))
 
 
 def write_wigner_csv(path, grid: WignerGrid):
     """``gamma,delta,w`` rows, row-major over gamma then delta."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma", "delta", "w"])
-        dpts = grid.delta_grid.points
-        for i, g in enumerate(grid.gamma_grid.points):
-            gs = _fmt(g)
-            for j in range(grid.delta_grid.n_points):
-                writer.writerow([gs, _fmt(dpts[j]), _fmt(grid.values[i, j])])
+    tails = [f",{d!r}," for d in grid.delta_grid.points.tolist()]
+
+    def gamma_row(gamma, values):
+        g = repr(gamma)
+        return "".join(f"{g}{t}{w!r}{_EOL}"
+                       for t, w in zip(tails, values.tolist()))
+
+    _write_csv(path, _WIGNER_HEADER,
+               map(gamma_row, grid.gamma_grid.points.tolist(), grid.values))
 
 
 def _grid_from_points(pts: np.ndarray, what: str) -> Grid1D:
+    if pts.ndim != 1 or not pts.size:
+        raise SchemaError(f"{what} axis must be a non-empty list of numbers")
     grid = Grid1D(float(pts[0]), float(pts[-1]), len(pts))
     if not np.array_equal(grid.points, pts) and not np.allclose(
             grid.points, pts, rtol=0.0, atol=1e-12 * max(1.0, np.abs(pts).max())):
@@ -47,14 +69,24 @@ def _grid_from_points(pts: np.ndarray, what: str) -> Grid1D:
 
 def read_wigner_csv(path) -> WignerGrid:
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["gamma", "delta", "w"]:
-            raise SchemaError(f"unexpected CSV header {header}")
-        rows = [(float(a), float(b), float(c)) for a, b, c in reader]
-    if not rows:
-        raise SchemaError("empty Wigner CSV")
-    gammas, deltas, w = (np.array(col) for col in zip(*rows))
+        header = fh.readline()
+        if header.rstrip("\r\n").split(",") != _WIGNER_HEADER:
+            raise SchemaError(f"unexpected CSV header {header!r}")
+        body = fh.tell()
+        if not fh.readline().strip():
+            raise SchemaError("empty Wigner CSV")
+        fh.seek(body)
+        try:
+            rows = np.loadtxt(fh, delimiter=",", comments=None,
+                              quotechar='"', ndmin=2)
+        except ValueError as exc:
+            # numpy appends advice on its own API after a ';'
+            reason = str(exc).split(";")[0]
+            raise SchemaError(f"malformed Wigner CSV: {reason}") from None
+    if rows.shape[1] != 3:
+        raise SchemaError(f"Wigner CSV rows have {rows.shape[1]} fields, "
+                          "expected 3")
+    gammas, deltas, w = rows.T
     # row-major layout: delta cycles fastest, so the block length is the
     # distance to the first reappearance of the leading delta value
     repeats = np.nonzero(deltas[1:] == deltas[0])[0]
@@ -67,17 +99,19 @@ def read_wigner_csv(path) -> WignerGrid:
     return WignerGrid(gamma_grid, delta_grid, w.reshape(n_gamma, n_delta))
 
 
+def _write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc) + "\n")
+
+
 def write_wigner_json(path, grid: WignerGrid):
     """Envelope ``{"meta": ..., "gamma": [...], "delta": [...], "w": [[...]]}``."""
-    doc = {
+    _write_json(path, {
         "meta": grid.meta,
         "gamma": grid.gamma_grid.points.tolist(),
         "delta": grid.delta_grid.points.tolist(),
         "w": grid.values.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    })
 
 
 def read_wigner_json(path) -> WignerGrid:
@@ -86,41 +120,35 @@ def read_wigner_json(path) -> WignerGrid:
     for key in ("gamma", "delta", "w"):
         if key not in doc:
             raise SchemaError(f"missing field '{key}' in Wigner JSON")
-    gamma_grid = _grid_from_points(np.array(doc["gamma"], dtype=float), "gamma")
-    delta_grid = _grid_from_points(np.array(doc["delta"], dtype=float), "delta")
-    return WignerGrid(gamma_grid, delta_grid,
-                      np.array(doc["w"], dtype=float), meta=doc.get("meta"))
+    try:
+        gamma, delta, w = (np.array(doc[key], dtype=float)
+                           for key in ("gamma", "delta", "w"))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed Wigner JSON: {exc}") from None
+    return WignerGrid(_grid_from_points(gamma, "gamma"),
+                      _grid_from_points(delta, "delta"), w,
+                      meta=doc.get("meta"))
 
 
 def write_wavefunction_csv(path, coordinates, samples):
     """``coordinate,re,im`` rows."""
     samples = np.asarray(samples, dtype=complex)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coordinate", "re", "im"])
-        for x, s in zip(np.asarray(coordinates, dtype=float), samples):
-            writer.writerow([_fmt(x), _fmt(s.real), _fmt(s.imag)])
+    _write_columns_csv(path, ["coordinate", "re", "im"], coordinates,
+                       samples.real, samples.imag)
 
 
 def write_wavefunction_json(path, coordinates, samples, meta=None):
     samples = np.asarray(samples, dtype=complex)
-    doc = {
+    _write_json(path, {
         "meta": dict(meta) if meta else {},
         "coordinate": np.asarray(coordinates, dtype=float).tolist(),
         "re": samples.real.tolist(),
         "im": samples.imag.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    })
 
 
 def write_marginal_csv(path, axis_name, coordinates, density):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([axis_name, "density"])
-        for x, d in zip(np.asarray(coordinates, float), np.asarray(density, float)):
-            writer.writerow([_fmt(x), _fmt(d)])
+    _write_columns_csv(path, [axis_name, "density"], coordinates, density)
 
 
 def write_gnuplot_script(path, data_path, title):

@@ -10,11 +10,11 @@ Conventions (hbar = 1 throughout):
   psi_vbar(vbar) = exp(vbar) * psi_r(exp(vbar)).
 """
 
+import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, TruncationWarning, ValidationError
 from .grids import Grid1D
@@ -256,13 +256,16 @@ def dilaton_coherent(alpha: complex, grid: Grid1D) -> WavefunctionV:
 
     with v0 = sqrt(2) Re alpha and p0 = sqrt(2) Im alpha, so
     <vbar> = v0, <P> = p0 and both spreads equal 1/sqrt(2).  Warns if the
-    grid holds less than 1 - 1e-8 of the probability.
+    grid holds less than 1 - 1e-8 of the probability; a one-point grid
+    holds no normalisable state and raises DomainError.
     """
+    if grid.n_points < 2:
+        raise DomainError(f"a coherent state needs at least two grid "
+                          f"points, got one at {grid.min}")
     alpha = complex(alpha)
     v0 = _SQRT2 * alpha.real
     p0 = _SQRT2 * alpha.imag
-    from scipy.special import erfc
-    lost = 0.5 * (erfc(grid.max - v0) + erfc(v0 - grid.min))
+    lost = 0.5 * (math.erfc(grid.max - v0) + math.erfc(v0 - grid.min))
     if lost > 1e-8:
         warnings.warn(
             f"grid [{grid.min}, {grid.max}] holds only {1 - lost:.10f} of the "
@@ -309,6 +312,7 @@ def to_vbar(psi_r, target: Grid1D) -> WavefunctionV:
             f"{int(np.sum(~inside))} target points fall outside the sampled "
             "radii and were set to zero", TruncationWarning, stacklevel=2)
         meta["clipped"] = True
+    from scipy.interpolate import PchipInterpolator
     interp_re = PchipInterpolator(psi_r.r, psi_r.samples.real)
     interp_im = PchipInterpolator(psi_r.r, psi_r.samples.imag)
     samples = np.zeros(target.n_points, dtype=complex)

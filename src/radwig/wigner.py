@@ -30,8 +30,6 @@ density, |W| <= 1/pi, and  2 pi * integral W1 W2 = trace(rho1 rho2).
 """
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.ndimage import gaussian_filter
 
 from .errors import (AccuracyError, DomainError, GridAlignmentError,
                      GridMismatchError, TruncationError, UnsupportedOrderError,
@@ -74,7 +72,12 @@ def validate_density_matrix(entries: np.ndarray, *, spacing: float = 1.0,
     """
     if not np.all(np.isfinite(entries)):
         raise ValidationError(f"{what} entries must be finite")
-    dev = np.abs(entries - entries.conj().T)
+    # rho - rho^dagger formed in the one copy np.conjugate makes (the
+    # method .conj() returns a real array itself): a 1891^2 complex
+    # Schwinger matrix (n_max 30) is 57 MB
+    dev = np.conjugate(entries).T
+    np.subtract(entries, dev, out=dev)
+    dev = np.abs(dev)
     worst = float(dev.max())
     if worst > 1e-10 * max(1.0, float(np.abs(entries).max())):
         row, col = np.unravel_index(int(np.argmax(dev)), dev.shape)
@@ -339,6 +342,7 @@ def wigner_l0_closed(l: int, gamma: float, delta: float, *,
         phi = -z * np.cosh(2.0 * eps) + log_p[0] + log_m[0]
         return float(sign_p[0] * sign_m[0] * np.exp(phi))
 
+    from scipy.integrate import quad
     if delta == 0.0:
         result = quad(even_part, 0.0, cutoff, epsabs=1e-10, epsrel=1e-8,
                       limit=200, full_output=True)
@@ -428,6 +432,7 @@ def s_smooth(w: WignerGrid, s: float) -> WignerGrid:
         return WignerGrid(w.gamma_grid, w.delta_grid, w.values.copy(), meta=meta)
     sigma = np.sqrt(-s / 2.0)
     pix = (sigma / w.gamma_grid.spacing, sigma / w.delta_grid.spacing)
+    from scipy.ndimage import gaussian_filter
     smoothed = gaussian_filter(w.values, sigma=pix, mode="constant",
                                truncate=10.0)
     meta["s"] = float(meta.get("s", 0.0) + s)

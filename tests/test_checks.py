@@ -32,3 +32,10 @@ def test_full_registry_passes():
     failing = [r.name for r in results if not r.passed]
     assert not failing, f"invariants out of tolerance: {failing}"
     assert {r.name for r in results} == set(available_invariants())
+
+
+def test_wigner_negativity_obeys_tolerance_scale():
+    passing, = run_invariants(["wigner-negativity"])
+    assert passing.passed and 0.0 < passing.measured < 1.0
+    failing, = run_invariants(["wigner-negativity"], tolerance_scale=0.0)
+    assert not failing.passed

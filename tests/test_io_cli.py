@@ -1,13 +1,20 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from radwig import Grid1D, wigner_l0_grid
+import radwig
+from radwig import Grid1D, TruncationWarning, WignerGrid, wigner_l0_grid
 from radwig.cli import main, parse_axis
 from radwig.io import (read_wigner_csv, read_wigner_json,
-                       write_wavefunction_csv, write_wigner_csv,
-                       write_wigner_json)
+                       write_marginal_csv, write_wavefunction_csv,
+                       write_wigner_csv, write_wigner_json)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +46,52 @@ def test_wavefunction_csv_format(tmp_path):
     assert lines[0] == "coordinate,re,im"
     assert lines[1].split(",") == ["0.0", "1.0", "2.0"]
     assert lines[2].split(",") == ["0.5", "3.0", "-4.0"]
+
+
+def _csv_reference(header, rows) -> bytes:
+    """The same rows through the stdlib writer, floats as ``repr``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([repr(float(x)) for x in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_csv_bytes_match_stdlib_writer(tmp_path):
+    # -0.0, a subnormal and 17 significant digits pin the repr contract;
+    # the stdlib writer pins the \r\n line ends
+    awkward = [-0.0, 5e-324, 2.2250738585072014e-309, 0.30000000000000004,
+               -1.2345678901234567e-300, 1e16, 1 / 3, 0.0]
+    gamma = Grid1D(-1.0, 1.0, 2)
+    delta = Grid1D(-0.5, 0.7, 4)
+    grid = WignerGrid(gamma, delta, np.reshape(awkward, (2, 4)))
+    path = tmp_path / "w.csv"
+    write_wigner_csv(path, grid)
+    rows = [(g, d, grid.values[i, j]) for i, g in enumerate(gamma.points)
+            for j, d in enumerate(delta.points)]
+    assert path.read_bytes() == _csv_reference(["gamma", "delta", "w"], rows)
+    assert read_wigner_csv(path) == grid
+
+    coords = np.linspace(-0.5, 0.7, 8)
+    samples = np.array(awkward) + 1j * np.array(awkward[::-1])
+    write_wavefunction_csv(path, coords, samples)
+    assert path.read_bytes() == _csv_reference(
+        ["coordinate", "re", "im"], zip(coords, samples.real, samples.imag))
+    write_marginal_csv(path, "delta", coords, awkward)
+    assert path.read_bytes() == _csv_reference(
+        ["delta", "density"], zip(coords, awkward))
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(radwig.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, radwig, radwig.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ------------------------------------------------------------ axis spec
@@ -173,6 +226,16 @@ def test_coherent_command_json(tmp_path):
     assert len(doc["re"]) == 801
 
 
+def test_coherent_one_point_grid_rejected_without_warning(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["coherent", "--grid", "0:0:1",
+                   "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, TruncationWarning)]
+
+
 def test_coherent_bad_alpha(tmp_path):
     assert main(["coherent", "--alpha", "nope", "--grid", "-5:5:11",
                  "--out", str(tmp_path / "c.csv")]) == 2
@@ -291,6 +354,28 @@ def test_marginals_command_single_cell_axis(tmp_path, capsys):
     assert main(["marginals", "--input", str(out), "--out-stem",
                  str(tmp_path / "m")]) == 1
     assert "numerical error" in capsys.readouterr().err
+
+
+_MALFORMED = {
+    "non-numeric.csv": "gamma,delta,w\r\n0.0,0.0,1.0\r\n0.0,1.0,abc\r\n",
+    "short-row.csv": "gamma,delta,w\r\n0.0,0.0,1.0\r\n0.0,1\r\n",
+    "only-short-rows.csv": "gamma,delta,w\r\n0,1\r\n",
+    "extra-field.csv": "gamma,delta,w\r\n0.0,0.0,1.0\r\n0.0,1.0,2.0,3.0\r\n",
+    "header-only.csv": "gamma,delta,w\r\n",
+    "ragged.json": '{"gamma": [0.0, 1.0], "delta": [0.0, 1.0], '
+                   '"w": [[1.0, 2.0], [3.0]]}',
+    "empty-axis.json": '{"gamma": [], "delta": [0.0, 1.0], "w": []}',
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_marginals_malformed_input_is_input_error(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(_MALFORMED[name].encode("utf-8"))
+    rc = main(["marginals", "--input", str(path), "--out-stem",
+               str(tmp_path / "m")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # ----------------------------------------------------------------- check

@@ -38,6 +38,17 @@ def test_density_matrix_validation():
         DensityMatrixV(grid, 2.0 * good)
 
 
+def test_validate_density_matrix_leaves_real_input_intact():
+    from radwig.wigner import validate_density_matrix
+    good = np.array([[0.5, 0.1], [0.1, 0.5]])
+    validate_density_matrix(good)
+    assert np.array_equal(good, [[0.5, 0.1], [0.1, 0.5]])
+    bad = np.array([[0.5, 0.1], [0.3, 0.5]])
+    with pytest.raises(ValidationError, match=r"entry \(0, 1\) = 0.1"):
+        validate_density_matrix(bad)
+    assert np.array_equal(bad, [[0.5, 0.1], [0.3, 0.5]])
+
+
 def test_density_matrix_mixture_is_psd():
     grid = Grid1D(-8.0, 8.0, 401)
     states = [
