@@ -11,12 +11,11 @@ radial kernel on a log-radius grid.  The result feeds straight into
 import json
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DomainError, GridMismatchError, SchemaError,
-                     TruncationWarning, ValidationError)
+from .errors import (DomainError, SchemaError, TruncationWarning,
+                     ValidationError)
 from .grids import Grid1D
 from .special import log_factorial
 from .states import SchwingerLabel, default_vbar_grid, radial_wavefunction

@@ -66,35 +66,25 @@ def laguerre_assoc(n: int, alpha: float, x: float,
     LaguerreEval
         Plain value plus the sign / log-magnitude pair.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"degree must be a nonnegative integer, got {n}")
-    if n > max_degree:
-        raise DegreeOverflowError(
-            f"degree {n} exceeds the configured maximum {max_degree}")
-    if alpha < 0:
-        raise DomainError(f"order must be nonnegative, got {alpha}")
+    _check_degree_order(n, alpha, max_degree)
     if not np.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
     if x < 0:
         raise DomainError(f"argument must be nonnegative, got {x}")
 
     n = int(n)
-    if n == 0:
-        return LaguerreEval(n, alpha, 1.0, 0.0, 1)
-
-    # Plain recurrence for the direct value (may overflow to inf, which is
-    # the documented behaviour), scaled recurrence for the log/sign form.
-    prev, cur = 1.0, 1.0 + alpha - x
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2*k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
-    value = cur
-
-    log_abs, sign = laguerre_log(n, alpha, np.array([x]))
-    la, sg = float(log_abs[0]), int(sign[0])
-    if not np.isfinite(value):
-        value = math.inf * sg
-    elif sg == 0:
-        value = 0.0
+    cur, offset = _scaled_recurrence(n, alpha, np.array([x], dtype=float))
+    with np.errstate(divide="ignore"):
+        log_abs = offset + np.log(np.abs(cur))
+    la, sg = float(log_abs[0]), int(np.sign(cur[0]))
+    if offset[0] == 0.0:
+        # no rescale: exactly the plain recurrence's value
+        value = float(cur[0])
+    else:
+        # |L| passed 1e100 on the way: the value comes from the log form,
+        # and is +-inf past the double range
+        with np.errstate(over="ignore"):
+            value = float(sg * np.exp(log_abs[0]))
     return LaguerreEval(n, alpha, value, la, sg)
 
 
@@ -107,6 +97,18 @@ def laguerre_log(n: int, alpha: float, x: np.ndarray,
     value.  Returns ``(log_abs, sign)`` arrays; zeros are reported as
     ``(-inf, 0)``.
     """
+    _check_degree_order(n, alpha, max_degree)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise DomainError("argument must be nonnegative")
+
+    cur, offset = _scaled_recurrence(int(n), alpha, x)
+    with np.errstate(divide="ignore"):
+        log_abs = offset + np.log(np.abs(cur))
+    return log_abs, np.sign(cur)
+
+
+def _check_degree_order(n, alpha, max_degree):
     if n < 0 or n != int(n):
         raise DomainError(f"degree must be a nonnegative integer, got {n}")
     if n > max_degree:
@@ -114,15 +116,18 @@ def laguerre_log(n: int, alpha: float, x: np.ndarray,
             f"degree {n} exceeds the configured maximum {max_degree}")
     if alpha < 0:
         raise DomainError(f"order must be nonnegative, got {alpha}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("argument must be nonnegative")
 
-    n = int(n)
+
+def _scaled_recurrence(n: int, alpha: float, x: np.ndarray):
+    """L_n^alpha(x) as ``cur * exp(offset)``.
+
+    Wherever |L_k| passes ``_RESCALE_THRESHOLD`` the pair (L_k, L_{k-1}) is
+    divided by |L_k| and ``offset`` gains its log; where it never does,
+    ``offset`` is 0 and ``cur`` is the plain recurrence's value.
+    """
     offset = np.zeros_like(x)
     if n == 0:
-        return offset, np.ones_like(x)
-
+        return np.ones_like(x), offset
     prev = np.ones_like(x)
     cur = 1.0 + alpha - x
     for k in range(2, n + 1):
@@ -134,9 +139,7 @@ def laguerre_log(n: int, alpha: float, x: np.ndarray,
             cur = cur / scale
             prev = prev / scale
             offset = offset + np.log(scale)
-    with np.errstate(divide="ignore"):
-        log_abs = offset + np.log(np.abs(cur))
-    return log_abs, np.sign(cur)
+    return cur, offset
 
 
 def log_factorial(n: int) -> float:

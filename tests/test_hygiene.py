@@ -1,0 +1,65 @@
+"""Static hygiene of the package source: exported names exist, imports are used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import radwig
+
+MODULES = sorted(Path(radwig.__file__).parent.glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _import_bindings(node):
+    """Names an Import/ImportFrom node binds in its scope."""
+    for alias in node.names:
+        yield alias.asname or alias.name.split(".")[0]
+
+
+def _top_level_names(tree):
+    """Names bound by the module's top-level statements."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_import_bindings(node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def _dunder_all(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_dunder_all_names_resolve(path):
+    tree = _parse(path)
+    exported = _dunder_all(tree) or []
+    assert len(exported) == len(set(exported)), "duplicate __all__ entries"
+    missing = set(exported) - _top_level_names(tree)
+    assert not missing, f"{path.name} exports undefined {sorted(missing)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _parse(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(_dunder_all(tree) or ())
+    imported = {name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in _import_bindings(node)}
+    unused = imported - used
+    assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"

@@ -82,24 +82,28 @@ def test_csv_bytes_match_stdlib_writer(tmp_path):
         ["delta", "density"], zip(coords, awkward))
 
 
-def test_import_loads_no_scipy():
+def _run_python(*args, check=True):
+    """Run a fresh interpreter that imports this radwig checkout."""
     src = os.path.dirname(os.path.dirname(radwig.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, check=check,
+                          capture_output=True, text=True)
+
+
+def test_import_loads_no_scipy():
     code = ("import sys, radwig, radwig.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = _run_python("-c", code).stdout
     assert out.strip() == "[]"
 
 
 # ------------------------------------------------------------ axis spec
 
 def test_parse_axis():
-    ax = parse_axis("-3:2:251")
-    assert (ax.min, ax.max, ax.steps) == (-3.0, 2.0, 251)
-    assert parse_axis("0:0:1").grid().n_points == 1
+    assert parse_axis("-3:2:251") == Grid1D(-3.0, 2.0, 251)
+    assert parse_axis("0:0:1").n_points == 1
     from radwig.cli import CliInputError
     with pytest.raises(CliInputError):
         parse_axis("1:2")
@@ -239,6 +243,39 @@ def test_coherent_one_point_grid_rejected_without_warning(tmp_path, capsys):
 def test_coherent_bad_alpha(tmp_path):
     assert main(["coherent", "--alpha", "nope", "--grid", "-5:5:11",
                  "--out", str(tmp_path / "c.csv")]) == 2
+
+
+def test_library_warning_prints_one_warning_line(tmp_path):
+    proc = _run_python("-m", "radwig.cli", "coherent", "--alpha",
+                       "-0.5+0.3j", "--grid", "-3:3:101",
+                       "--out", str(tmp_path / "c.csv"))
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: grid [-3.0, 3.0] holds only")
+    assert ".py:" not in proc.stderr
+
+
+# ---------------------------------------------------------- input errors
+
+@pytest.mark.parametrize("argv", [
+    ["wl", "--gamma", "1:2"],
+    ["wl", "--delta", "1:2"],
+    ["fock", "--input", "rho.json", "--gamma", "1:2"],
+    ["fock", "--input", "rho.json", "--delta", "1:2"],
+    ["vacuum", "--grid", "1:2"],
+    ["coherent", "--grid", "1:2"],
+    ["wl", "--l", "99"],
+    ["coherent", "--alpha", "nope"],
+], ids=" ".join)
+def test_input_error_is_one_error_line(tmp_path, argv):
+    (tmp_path / "rho.json").write_text(json.dumps(vacuum_doc()))
+    argv = [str(tmp_path / a) if a == "rho.json" else a for a in argv]
+    proc = _run_python("-m", "radwig.cli", *argv,
+                       "--out", str(tmp_path / "out.csv"), check=False)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert sorted(os.listdir(tmp_path)) == ["rho.json"]
 
 
 # ------------------------------------------------------------------ fock
