@@ -26,7 +26,7 @@ from .operators import (OperatorAction, apply_displacement, apply_pd,
 from .wigner import (OVERLAP_FACTOR, WIGNER_LOWER_BOUND, DensityMatrixV,
                      WignerGrid, marginal_momentum, marginal_position,
                      overlap, s_smooth, schwinger_density,
-                     wigner_from_density, wigner_l0_closed, wigner_l0_grid)
+                     wigner_from_density, wigner_l0_grid)
 from .fock import (FockDensityMatrix, SchwingerDensityMatrix, end_to_end,
                    fock_to_schwinger, load_fock_density, radial_reduce,
                    sector_isometry)
@@ -47,8 +47,7 @@ __all__ = [
     "expectation", "momentum_transform",
     "OVERLAP_FACTOR", "WIGNER_LOWER_BOUND", "DensityMatrixV", "WignerGrid",
     "marginal_momentum", "marginal_position", "overlap", "s_smooth",
-    "schwinger_density", "wigner_from_density", "wigner_l0_closed",
-    "wigner_l0_grid",
+    "schwinger_density", "wigner_from_density", "wigner_l0_grid",
     "FockDensityMatrix", "SchwingerDensityMatrix", "end_to_end",
     "fock_to_schwinger", "load_fock_density", "radial_reduce",
     "sector_isometry",

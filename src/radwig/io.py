@@ -10,7 +10,7 @@ time.  Both formats round-trip bit-exactly, and identical computations
 yield byte-identical files.
 
 Importing this module (or :mod:`radwig.cli`) loads no scipy: only
-``to_vbar``, ``wigner_l0_closed`` and ``s_smooth`` import it, when called.
+``to_vbar`` and ``s_smooth`` import it, when called.
 """
 
 import json

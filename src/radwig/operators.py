@@ -42,24 +42,19 @@ _KINDS = frozenset({"PD", "Pr", "V", "R", "D"})
 
 @dataclass(frozen=True)
 class OperatorAction:
-    """Named operator with its parameters and discretisation choice.
+    """Named operator with its parameters.
 
     kind: one of "PD", "Pr", "V", "R", "D"; "D" takes the scale
-    displacement parameters ``lam`` and ``mu``.  ``representation``
-    selects spectral or finite-difference derivatives where both exist.
+    displacement parameters ``lam`` and ``mu``.
     """
 
     kind: str
     lam: float = 0.0
     mu: float = 0.0
-    representation: str = "spectral"
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown operator kind {self.kind!r}")
-        if self.representation not in ("spectral", "finite-difference"):
-            raise DomainError(
-                f"unknown representation {self.representation!r}")
         if not (np.isfinite(self.lam) and np.isfinite(self.mu)):
             raise DomainError("displacement parameters must be finite")
 
@@ -129,18 +124,15 @@ def apply_pd(psi: WavefunctionR) -> np.ndarray:
     return -1j * (_fd_derivative(psi.samples, h) + psi.samples / (2.0 * psi.r))
 
 
-def apply_pr(psi, representation: str = "spectral") -> np.ndarray:
+def apply_pr(psi) -> np.ndarray:
     """Apply the dilation momentum and return raw samples.
 
-    Log-radius states get -i d/dvbar (spectral by default, with a
-    finite-difference fallback); r-basis states get the equivalent
-    -i (r d/dr + 1) via finite differences.
+    Log-radius states get the spectral -i d/dvbar; r-basis states get the
+    equivalent -i (r d/dr + 1) via finite differences.
     """
     if isinstance(psi, WavefunctionV):
-        if representation == "spectral":
-            _warn_edges(psi.samples, psi.grid.spacing, "apply_pr")
-            return -1j * _spectral_derivative(psi)
-        return -1j * _fd_derivative(psi.samples, psi.grid.spacing)
+        _warn_edges(psi.samples, psi.grid.spacing, "apply_pr")
+        return -1j * _spectral_derivative(psi)
     if isinstance(psi, WavefunctionR):
         dpsi = _fd_derivative(psi.samples, psi.spacing)
         return -1j * (psi.r * dpsi + psi.samples)
@@ -207,7 +199,7 @@ def _apply(op: OperatorAction, psi):
         if op.kind == "R":
             return np.exp(v) * psi.samples
         if op.kind == "Pr":
-            return apply_pr(psi, op.representation)
+            return apply_pr(psi)
         if op.kind == "D":
             return apply_displacement(op.lam, op.mu, psi).samples
         raise BasisMismatchError("PD acts on r-basis states only")

@@ -40,8 +40,7 @@ class LaguerreEval:
     sign: int
 
 
-def laguerre_assoc(n: int, alpha: float, x: float,
-                   max_degree: int = MAX_DEGREE) -> LaguerreEval:
+def laguerre_assoc(n: int, alpha: float, x: float) -> LaguerreEval:
     """Evaluate the associated Laguerre polynomial L_n^alpha(x).
 
     Uses the three-term recurrence
@@ -55,7 +54,7 @@ def laguerre_assoc(n: int, alpha: float, x: float,
     Parameters
     ----------
     n : int
-        Degree, ``0 <= n <= max_degree``.
+        Degree, ``0 <= n <= MAX_DEGREE``.
     alpha : float
         Order, ``alpha >= 0``.
     x : float
@@ -66,7 +65,7 @@ def laguerre_assoc(n: int, alpha: float, x: float,
     LaguerreEval
         Plain value plus the sign / log-magnitude pair.
     """
-    _check_degree_order(n, alpha, max_degree)
+    _check_degree_order(n, alpha)
     if not np.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
     if x < 0:
@@ -88,8 +87,7 @@ def laguerre_assoc(n: int, alpha: float, x: float,
     return LaguerreEval(n, alpha, value, la, sg)
 
 
-def laguerre_log(n: int, alpha: float, x: np.ndarray,
-                 max_degree: int = MAX_DEGREE):
+def laguerre_log(n: int, alpha: float, x: np.ndarray):
     """Vectorized log-magnitude/sign form of L_n^alpha over an array.
 
     Runs the three-term recurrence with periodic rescaling so the result
@@ -97,7 +95,7 @@ def laguerre_log(n: int, alpha: float, x: np.ndarray,
     value.  Returns ``(log_abs, sign)`` arrays; zeros are reported as
     ``(-inf, 0)``.
     """
-    _check_degree_order(n, alpha, max_degree)
+    _check_degree_order(n, alpha)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("argument must be nonnegative")
@@ -108,12 +106,12 @@ def laguerre_log(n: int, alpha: float, x: np.ndarray,
     return log_abs, np.sign(cur)
 
 
-def _check_degree_order(n, alpha, max_degree):
+def _check_degree_order(n, alpha):
     if n < 0 or n != int(n):
         raise DomainError(f"degree must be a nonnegative integer, got {n}")
-    if n > max_degree:
+    if n > MAX_DEGREE:
         raise DegreeOverflowError(
-            f"degree {n} exceeds the configured maximum {max_degree}")
+            f"degree {n} exceeds the configured maximum {MAX_DEGREE}")
     if alpha < 0:
         raise DomainError(f"order must be nonnegative, got {alpha}")
 

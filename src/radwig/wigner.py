@@ -11,18 +11,20 @@ Two independent routes produce the same distribution:
   by gathering anti-diagonal slices of the sampled kernel and Fourier
   transforming in eps.
 
-* :func:`wigner_l0_closed` / :func:`wigner_l0_grid` evaluate the closed
-  form for the zero-angular-momentum oscillator levels l,
+* :func:`wigner_l0_grid` evaluates the closed form for the
+  zero-angular-momentum oscillator levels l,
 
       W_l(gamma, delta) = (2 e^{2 gamma} / pi) integral d_eps
           e^{-2 i eps delta} exp(-e^{2 gamma} cosh 2 eps)
           L_l(e^{2(gamma+eps)}) L_l(e^{2(gamma-eps)}),
 
-  with the integrand assembled in the log domain (the Laguerre values
-  overflow long before the damping wins) and truncated where it has
-  dropped 45 e-folds below its peak.  The substitution eps -> 2 eps maps
-  one form onto the other; the cross-route test suite is the arbiter
-  that both agree.
+  by the trapezoid rule on one ladder of nodes, with the integrand
+  assembled in the log domain (the Laguerre values overflow long before
+  the damping wins).  The ladder is cut where the closed-form bound
+  -u/2 + l ln(1 + u), u = e^{2(gamma+eps)}, on the log integrand has
+  fallen 45 e-folds below the integrand at the first two nodes.  The
+  substitution eps -> 2 eps maps one form onto the other; the
+  cross-route test suite is the arbiter that both agree.
 
 With this normalisation  integral W dgamma ddelta = trace(rho),  the
 delta-marginal is the position density, the gamma-marginal the momentum
@@ -31,19 +33,17 @@ density, |W| <= 1/pi, and  2 pi * integral W1 W2 = trace(rho1 rho2).
 
 import numpy as np
 
-from .errors import (AccuracyError, DomainError, GridAlignmentError,
-                     GridMismatchError, TruncationError, UnsupportedOrderError,
-                     ValidationError)
+from .errors import (DomainError, GridAlignmentError, GridMismatchError,
+                     TruncationError, UnsupportedOrderError, ValidationError)
 from .grids import Grid1D
 from .special import MAX_DEGREE, laguerre_log
 from .states import WavefunctionV, default_vbar_grid, vbar_schwinger_l0
 
 __all__ = [
-    "DensityMatrixV", "WignerGrid", "wigner_from_density",
-    "wigner_l0_closed", "wigner_l0_grid", "marginal_position",
-    "marginal_momentum", "overlap", "s_smooth", "schwinger_density",
-    "validate_density_matrix", "GAMMA_GUARD", "OVERLAP_FACTOR",
-    "WIGNER_LOWER_BOUND",
+    "DensityMatrixV", "WignerGrid", "wigner_from_density", "wigner_l0_grid",
+    "marginal_position", "marginal_momentum", "overlap", "s_smooth",
+    "schwinger_density", "validate_density_matrix", "GAMMA_GUARD",
+    "OVERLAP_FACTOR", "WIGNER_LOWER_BOUND",
 ]
 
 # 2 pi * integral W1 W2 = trace(rho1 rho2); fixed by the purity oracle.
@@ -52,8 +52,6 @@ OVERLAP_FACTOR = 2.0 * np.pi
 WIGNER_LOWER_BOUND = -1.0 / np.pi
 
 _LOG_CUTOFF = 45.0          # integrand ignored below peak * e^{-45}
-_PROBE_STEP = 0.01
-_PROBE_MAX = 30.0
 
 # default (lo, hi) window of gamma: below lo the integration window grows
 # like -gamma while the state mass is negligible
@@ -229,131 +227,83 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     return WignerGrid(gamma_grid, delta_grid, w_complex.real, meta=meta)
 
 
-def _check_gamma_guard(gamma_min: float, allow_deep_tail: bool):
-    lo = GAMMA_GUARD[0]
-    if gamma_min < lo and not allow_deep_tail:
-        raise DomainError(
-            f"gamma = {gamma_min} below the default guard {lo}: the "
-            "integration window there grows like -gamma while the state mass "
-            "is negligible; pass allow_deep_tail=True to force it")
+def _log_integrand(l: int, z: np.ndarray, eps: np.ndarray):
+    """Log magnitude and sign of the closed-form integrand.
 
-
-def _eps_cutoffs(l: int, z: np.ndarray) -> np.ndarray:
-    """Truncation points where the log envelope drops 45 below its peak.
-
-    The envelope -z cosh(2 eps) + l ln(1 + x_+) + l ln(1 + x_-) bounds the
-    log integrand from above (|L_l(x)| <= (1 + x)^l) and has no spurious
-    dips at Laguerre roots.
+    Rows are z = e^{2 gamma} (a column), columns the nodes ``eps``:
+    phi = -z cosh(2 eps) + ln|L_l(z e^{2 eps})| + ln|L_l(z e^{-2 eps})|.
     """
-    probe = np.arange(0.0, _PROBE_MAX + 1e-12, _PROBE_STEP)[None, :]
-    zc = z[:, None]
-    with np.errstate(over="ignore"):
-        env = (-zc * np.cosh(2.0 * probe)
-               + l * np.log1p(zc * np.exp(2.0 * probe))
-               + l * np.log1p(zc * np.exp(-2.0 * probe)))
-    env = np.where(np.isfinite(env), env, -np.inf)
-    peak = env.max(axis=1, keepdims=True)
-    keep = env >= peak - _LOG_CUTOFF
-    last = probe[0, keep.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)]
-    return last + _PROBE_STEP
-
-
-def _oscillation_step(delta_max: float) -> float:
-    return min(0.04, np.pi / (10.0 * (1.0 + 2.0 * delta_max)))
-
-
-def _closed_form_rows(l: int, gammas: np.ndarray, deltas: np.ndarray,
-                      step: float, cutoffs: np.ndarray,
-                      n_nodes: int) -> np.ndarray:
-    """Closed-form W_l rows on a fixed ladder of integration nodes.
-
-    The ladder geometry (step, node count) is supplied by the caller so
-    that evaluating the same rows in different batches reproduces the
-    same bits; each row is truncated at its own cutoff and assembled in
-    the log domain around its own peak.
-    """
-    eps = np.arange(n_nodes) * step
-    zc = np.exp(2.0 * gammas)[:, None]
     ep = eps[None, :]
     with np.errstate(over="ignore"):
-        log_plus, sign_plus = laguerre_log(l, 0.0, zc * np.exp(2.0 * ep))
-        log_minus, sign_minus = laguerre_log(l, 0.0, zc * np.exp(-2.0 * ep))
-        phi = -zc * np.cosh(2.0 * ep) + log_plus + log_minus
-    phi = np.where(np.isfinite(phi), phi, -np.inf)
-    peak = phi.max(axis=1, keepdims=True)
-    integrand = sign_plus * sign_minus * np.exp(phi - peak)
-    integrand[ep > cutoffs[:, None]] = 0.0
-    integrand[:, 0] *= 0.5                          # trapezoid end weight
+        log_plus, sign_plus = laguerre_log(l, 0.0, z * np.exp(2.0 * ep))
+        log_minus, sign_minus = laguerre_log(l, 0.0, z * np.exp(-2.0 * ep))
+        phi = -z * np.cosh(2.0 * ep) + log_plus + log_minus
+    return np.where(np.isfinite(phi), phi, -np.inf), sign_plus * sign_minus
 
-    kernel = np.cos(2.0 * np.outer(eps, deltas))
-    # even integrand: full-line integral is twice the cosine half-line sum
-    return (4.0 / np.pi) * np.exp(peak + 2.0 * gammas[:, None]) * step \
-        * (integrand @ kernel)
+
+def _ladder(l: int, gammas: np.ndarray, delta_max: float) -> np.ndarray:
+    """Integration nodes eps_k = k * step shared by every gamma row.
+
+    With u = z e^{2 eps}, |L_l(x)| <= (1 + x)^l and e^{-x/2} |L_l(x)| <= 1
+    bound the log integrand by  -u/2 + l ln(1 + u),  which falls for
+    u > 2l.  A row ends where that bound drops 45 below the larger of its
+    log integrand at the first two nodes (two, since a row on a Laguerre
+    root has phi(0) = -inf); the ladder runs to the last row end.  The
+    step resolves the cosine weight and the Laguerre phase rate 4l + 2.
+    """
+    step = min(0.04, np.pi / (10.0 * (1.0 + 2.0 * delta_max)),
+               np.pi / (4.0 * l + 2.0 + 2.0 * delta_max))
+    z = np.exp(2.0 * gammas)
+    phi, _ = _log_integrand(l, z[:, None], np.array([0.0, step]))
+    floor = phi.max(axis=1) - _LOG_CUTOFF
+    # u -> 2 (l ln(1 + u) - floor) climbs to where the bound meets the
+    # floor; it contracts by 2l / (1 + u) < 1/2 there (l <= 64), so 60
+    # rounds converge
+    u = np.maximum(2.0 * l, z)
+    for _ in range(60):
+        u = np.maximum(z, 2.0 * (l * np.log1p(u) - floor))
+    end = 0.5 * np.log(u / z).max()
+    return np.arange(int(np.ceil(end / step)) + 1) * step
 
 
 def wigner_l0_grid(l: int, gamma_grid: Grid1D, delta_grid: Grid1D, *,
                    allow_deep_tail: bool = False) -> WignerGrid:
     """Closed-form W_l evaluated on a full phase-space grid.
 
-    All gamma rows share one ladder of integration nodes (step bounded by
-    the fastest requested oscillation), each row truncated at its own
-    cutoff; a single cosine matrix then maps the log-assembled integrand
-    to every delta.  The node step is far inside the spectral-accuracy
-    regime of the trapezoid rule for this entire, double-exponentially
-    decaying integrand, which is what lets a fixed ladder match the
-    adaptive scalar evaluator to ~1e-10.
+    All gamma rows share one ladder of integration nodes (see
+    :func:`_ladder`); each row is assembled in the log domain around its
+    own peak, and a single cosine matrix maps it to every delta.  The
+    trapezoid rule converges exponentially for this entire,
+    double-exponentially decaying integrand, so the fixed ladder matches
+    an adaptive quadrature of the same integral to ~1e-10.
     """
     if l < 0 or l > MAX_DEGREE:
         raise DomainError(f"l must be in [0, {MAX_DEGREE}], got {l}")
-    _check_gamma_guard(gamma_grid.min, allow_deep_tail)
+    lo = GAMMA_GUARD[0]
+    if gamma_grid.min < lo and not allow_deep_tail:
+        raise DomainError(
+            f"gamma = {gamma_grid.min} below the default guard {lo}: the "
+            "integration window there grows like -gamma while the state mass "
+            "is negligible; pass allow_deep_tail=True to force it")
+    if gamma_grid.max > 0.5 * np.log(np.finfo(float).max):
+        raise DomainError(
+            f"gamma = {gamma_grid.max} too large: e^(2 gamma) overflows")
 
     gammas = gamma_grid.points
     deltas = delta_grid.points
-    cutoffs = _eps_cutoffs(l, np.exp(2.0 * gammas))
-    step = _oscillation_step(float(np.abs(deltas).max()))
-    n_nodes = int(np.ceil(cutoffs.max() / step)) + 1
-    values = _closed_form_rows(l, gammas, deltas, step, cutoffs, n_nodes)
+    eps = _ladder(l, gammas, float(np.abs(deltas).max()))
+    phi, sign = _log_integrand(l, np.exp(2.0 * gammas)[:, None], eps)
+    peak = phi.max(axis=1, keepdims=True)
+    integrand = sign * np.exp(phi - peak)
+    integrand[:, 0] *= 0.5                          # trapezoid end weight
+
+    kernel = np.cos(2.0 * np.outer(eps, deltas))
+    # even integrand: full-line integral is twice the cosine half-line sum
+    values = (4.0 / np.pi) * np.exp(peak + 2.0 * gammas[:, None]) * eps[1] \
+        * (integrand @ kernel)
     meta = {"route": "closed-form", "l": int(l),
             "overlap_factor": OVERLAP_FACTOR}
     return WignerGrid(gamma_grid, delta_grid, values, meta=meta)
-
-
-def wigner_l0_closed(l: int, gamma: float, delta: float, *,
-                     allow_deep_tail: bool = False) -> float:
-    """Closed-form W_l at a single phase-space point.
-
-    Adaptive Gauss-Kronrod refinement (oscillatory cosine weight for
-    delta != 0) of the even part on [0, cutoff], absolute tolerance
-    1e-10, relative 1e-8.  Raises AccuracyError with the residual
-    estimate if refinement fails to converge.
-    """
-    if l < 0 or l > MAX_DEGREE:
-        raise DomainError(f"l must be in [0, {MAX_DEGREE}], got {l}")
-    if not (np.isfinite(gamma) and np.isfinite(delta)):
-        raise DomainError("gamma and delta must be finite")
-    _check_gamma_guard(gamma, allow_deep_tail)
-
-    z = np.exp(2.0 * gamma)
-    cutoff = float(_eps_cutoffs(l, np.array([z]))[0])
-
-    def even_part(eps):
-        log_p, sign_p = laguerre_log(l, 0.0, np.array([z * np.exp(2.0 * eps)]))
-        log_m, sign_m = laguerre_log(l, 0.0, np.array([z * np.exp(-2.0 * eps)]))
-        phi = -z * np.cosh(2.0 * eps) + log_p[0] + log_m[0]
-        return float(sign_p[0] * sign_m[0] * np.exp(phi))
-
-    from scipy.integrate import quad
-    if delta == 0.0:
-        result = quad(even_part, 0.0, cutoff, epsabs=1e-10, epsrel=1e-8,
-                      limit=200, full_output=True)
-    else:
-        result = quad(even_part, 0.0, cutoff, weight="cos", wvar=2.0 * delta,
-                      epsabs=1e-10, epsrel=1e-8, limit=200, full_output=True)
-    if len(result) > 3:
-        raise AccuracyError(
-            f"quadrature for W_{l}({gamma}, {delta}) did not converge: "
-            f"{result[3]}", residual=float(result[1]))
-    return float((4.0 * np.exp(2.0 * gamma) / np.pi) * result[0])
 
 
 def _edge_mass(w: WignerGrid, axis: int) -> float:

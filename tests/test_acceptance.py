@@ -18,7 +18,7 @@ from radwig import (DensityMatrixV, FockDensityMatrix, Grid1D, WavefunctionV,
                     dilaton_vacuum, end_to_end, marginal_momentum,
                     marginal_position, momentum_transform, overlap,
                     schwinger_density, sector_isometry, vbar_schwinger_l0,
-                    wigner_from_density, wigner_l0_closed, wigner_l0_grid)
+                    wigner_from_density, wigner_l0_grid)
 from radwig.checks import run_invariants
 
 GAMMA = Grid1D(-3.0, 2.0, 251)
@@ -67,7 +67,8 @@ def test_criterion_1_cross_route_agreement(closed_grids, density_grids):
 
 
 def test_criterion_2_point_value():
-    ours = wigner_l0_closed(0, 0.0, 0.0)
+    origin = Grid1D(0.0, 0.0, 1)
+    ours = wigner_l0_grid(0, origin, origin).values[0, 0]
     bessel = 2.0 / np.pi * k0(1.0)
     brute, _ = quad(lambda u: np.exp(-np.cosh(u)), 0.0, 40.0, limit=300)
     brute *= 2.0 / np.pi

@@ -92,11 +92,18 @@ def _run_python(*args, check=True):
                           capture_output=True, text=True)
 
 
-def test_import_loads_no_scipy():
-    code = ("import sys, radwig, radwig.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = _run_python("-c", code).stdout
+def test_import_loads_no_scipy(tmp_path):
+    listing = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = _run_python("-c", "import sys, radwig, radwig.cli; " + listing).stdout
     assert out.strip() == "[]"
+    # nor does a wl run, which evaluates the closed form
+    out_csv = tmp_path / "w3.csv"
+    argv = ["wl", "--l", "3", "--out", str(out_csv)]
+    run_wl = (f"import sys, radwig.cli; assert radwig.cli.main({argv!r}) == 0; "
+              + listing)
+    out = _run_python("-c", run_wl).stdout
+    assert out.strip() == "[]"
+    assert out_csv.exists()
 
 
 # ------------------------------------------------------------ axis spec

@@ -95,13 +95,6 @@ def test_pr_expectation_on_boosted_coherent():
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
-def test_pr_finite_difference_fallback():
-    psi = make_vacuum()
-    v = psi.grid.points
-    out = apply_pr(psi, representation="finite-difference")
-    assert np.abs(out - 1j * v * psi.samples).max() < 1e-6
-
-
 def test_pr_r_basis_form():
     # -i (r d/dr + 1) on the scale-invariant profile 1/r gives zero
     r = np.linspace(0.1, 5.0, 1000)
@@ -224,8 +217,6 @@ def test_expectation_basis_mismatch():
 def test_operator_action_validation():
     with pytest.raises(DomainError):
         OperatorAction("Q")
-    with pytest.raises(DomainError):
-        OperatorAction("Pr", representation="symbolic")
     act = OperatorAction("D", lam=0.5, mu=-0.25)
     psi = make_vacuum()
     out = expectation(act, psi)

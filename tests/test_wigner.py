@@ -10,7 +10,8 @@ from radwig import (DensityMatrixV, DomainError, Grid1D, GridAlignmentError,
                     default_vbar_grid, dilaton_coherent, dilaton_vacuum,
                     marginal_momentum, marginal_position, momentum_transform,
                     overlap, s_smooth, schwinger_density, vbar_schwinger_l0,
-                    wigner_from_density, wigner_l0_closed, wigner_l0_grid)
+                    wigner_from_density, wigner_l0_grid)
+from reference import wigner_l0_closed
 
 GAMMA = Grid1D(-3.0, 2.0, 126)
 DELTA = Grid1D(-4.0, 4.0, 81)
@@ -94,7 +95,8 @@ def test_alignment_error_without_interpolation():
 # ------------------------------------------------------ closed form
 
 def test_point_value_bessel_oracle():
-    ours = wigner_l0_closed(0, 0.0, 0.0)
+    origin = Grid1D(0.0, 0.0, 1)
+    ours = wigner_l0_grid(0, origin, origin).values[0, 0]
     bessel = 2.0 / np.pi * k0(1.0)
     brute, _ = quad(lambda u: np.exp(-np.cosh(u)), 0, 30, limit=200)
     brute *= 2.0 / np.pi  # full line, and the overall 1/pi
@@ -154,8 +156,6 @@ def test_gamma_guard():
     deep = Grid1D(-8.0, 2.0, 201)
     with pytest.raises(DomainError):
         wigner_l0_grid(0, deep, DELTA)
-    with pytest.raises(DomainError):
-        wigner_l0_closed(0, -7.0, 0.0)
     w = wigner_l0_grid(0, deep, DELTA, allow_deep_tail=True)
     assert np.isfinite(w.values).all()
 
@@ -168,8 +168,34 @@ def test_normalization_single_level():
 
 
 def test_degree_cap():
+    origin = Grid1D(0.0, 0.0, 1)
     with pytest.raises(DomainError):
-        wigner_l0_closed(65, 0.0, 0.0)
+        wigner_l0_grid(65, origin, origin)
+
+
+def test_gamma_overflow_is_a_domain_error():
+    far = Grid1D(360.0, 360.0, 1)
+    with pytest.raises(DomainError, match="overflows"):
+        wigner_l0_grid(0, far, Grid1D(0.0, 0.0, 1))
+
+
+# the ladder step resolves the Laguerre phase rate 4l + 2, and its cut
+# bounds the true log integrand, so high levels need no looser tolerance
+@pytest.mark.parametrize("l", [24, 32, 48, 64])
+def test_high_level_ladder_matches_density_route(l):
+    w_dens = wigner_from_density(schwinger_density(l), GAMMA, DELTA)
+    w_closed = wigner_l0_grid(l, GAMMA, DELTA)
+    assert np.abs(w_dens.values - w_closed.values).max() < 1e-8
+
+
+def test_deep_gamma_point_value_bessel_oracle():
+    # W_0(gamma, 0) = (2z/pi) K0(z), z = e^{2 gamma}: the ladder must reach
+    # eps ~ -gamma, where the integrand is still at its peak value
+    z = np.exp(-64.0)
+    w = wigner_l0_grid(0, Grid1D(-32.0, -32.0, 1), Grid1D(0.0, 0.0, 1),
+                       allow_deep_tail=True)
+    exact = 2.0 * z / np.pi * k0(z)
+    assert w.values[0, 0] == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 # ------------------------------------------------------ one-point axes
