@@ -2,25 +2,31 @@
 
 The chain is: rotate the (n_x, n_y) Fock basis into the circular-mode
 basis labelled by angular momentum (a beam-splitter-type unitary, block
-diagonal in the total quantum number), trace out the angle (which kills
-every coherence between different angular momenta m), and accumulate the
-radial kernel on a log-radius grid.  The result feeds straight into
+diagonal in the total quantum number, applied one sector block at a
+time), trace out the angle (which kills every coherence between
+different angular momenta m), and accumulate the radial kernel on a
+log-radius grid with two real matrix products over the stacked radial
+basis of every m.  The result feeds straight into
 :func:`radwig.wigner.wigner_from_density`.
+
+The sector blocks are built from exact integer coefficients, so the
+whole chain holds to rounding at every cutoff up to ``MAX_FOCK_CUTOFF``.
 """
 
 import json
 import math
 import warnings
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import (DomainError, SchemaError, TruncationWarning,
                      ValidationError)
 from .grids import Grid1D
-from .special import log_factorial
-from .states import SchwingerLabel, default_vbar_grid, radial_wavefunction
-from .wigner import (DensityMatrixV, WignerGrid, validate_density_matrix,
-                     wigner_from_density)
+from .special import _scaled_recurrence, log_factorial
+from .states import SchwingerLabel, default_vbar_grid
+from .wigner import (_STRIP, DensityMatrixV, WignerGrid,
+                     validate_density_matrix, wigner_from_density)
 
 __all__ = [
     "FockDensityMatrix", "SchwingerDensityMatrix", "fock_to_schwinger",
@@ -64,9 +70,7 @@ class FockDensityMatrix:
         self.meta = dict(meta) if meta else {}
 
     def index(self, nx: int, ny: int) -> int:
-        if not (0 <= nx <= self.n_max and 0 <= ny <= self.n_max):
-            raise DomainError(f"occupation ({nx}, {ny}) outside cutoff {self.n_max}")
-        return nx * (self.n_max + 1) + ny
+        return _fock_index(self.n_max, nx, ny)
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])
@@ -77,9 +81,22 @@ class FockDensityMatrix:
         dim = (n_max + 1) ** 2
         vec = np.zeros(dim, dtype=complex)
         for (nx, ny), a in amplitudes.items():
-            vec[nx * (n_max + 1) + ny] = a
+            vec[_fock_index(n_max, nx, ny)] = a
         vec = vec / np.linalg.norm(vec)
         return cls(n_max, np.outer(vec, vec.conj()))
+
+
+def _fock_index(n_max: int, nx: int, ny: int) -> int:
+    if not (0 <= nx <= n_max and 0 <= ny <= n_max):
+        raise DomainError(f"occupation ({nx}, {ny}) outside cutoff {n_max}")
+    return nx * (n_max + 1) + ny
+
+
+def _schwinger_index(n_max: int, label: SchwingerLabel) -> int:
+    total = label.n_plus + label.n_minus
+    if total > 2 * n_max:
+        raise DomainError(f"label {label} outside cutoff 2l <= {2 * n_max}")
+    return _schwinger_flat(total, label.n_plus)
 
 
 def _schwinger_dim(n_max: int) -> int:
@@ -118,10 +135,7 @@ class SchwingerDensityMatrix:
         return out
 
     def index(self, label: SchwingerLabel) -> int:
-        total = label.n_plus + label.n_minus
-        if total > 2 * self.n_max:
-            raise DomainError(f"label {label} outside cutoff 2l <= {2 * self.n_max}")
-        return _schwinger_flat(total, label.n_plus)
+        return _schwinger_index(self.n_max, label)
 
     def coefficient(self, bra: SchwingerLabel, ket: SchwingerLabel) -> complex:
         """C_{lm;l'm'} = <bra| rho |ket>."""
@@ -131,7 +145,7 @@ class SchwingerDensityMatrix:
     def pure(cls, label: SchwingerLabel, n_max: int) -> "SchwingerDensityMatrix":
         dim = _schwinger_dim(n_max)
         vec = np.zeros(dim, dtype=complex)
-        vec[_schwinger_flat(label.n_plus + label.n_minus, label.n_plus)] = 1.0
+        vec[_schwinger_index(n_max, label)] = 1.0
         return cls(n_max, np.outer(vec, vec.conj()))
 
 
@@ -143,51 +157,99 @@ def sector_isometry(total: int, n_max: int) -> np.ndarray:
     to min(total, n_max)).  Obtained by expanding the cartesian creation
     monomial in circular modes:  a_x^dag = (A_+^dag + A_-^dag)/sqrt(2),
     a_y^dag = -i (A_+^dag - A_-^dag)/sqrt(2),  so the coefficient of
-    u^{n_+} w^{n_-} in (u + w)^{n_x} (u - w)^{n_y} carries the whole
-    combinatorial content.  Columns are orthonormal.
+    u^{n_+} w^{n_-} in P_{n_x, n_y} = (u + w)^{n_x} (u - w)^{n_y} carries
+    the whole combinatorial content.
+
+    The coefficients are integers past 2^53 at large totals, where their
+    signs cancel, so they are kept exact in Python ints and rounded once.
+    Column to column, P_{n_x+1, n_y-1} = P_{n_x, n_y} (u + w) / (u - w):
+    one exact synthetic division and one multiplication.  Columns are
+    orthonormal to ~1e-14 at every cutoff up to ``MAX_FOCK_CUTOFF``.
     """
-    nx_values = range(max(0, total - n_max), min(total, n_max) + 1)
-    cols = []
-    for nx in nx_values:
-        ny = total - nx
-        p1 = np.array([math.comb(nx, j) for j in range(nx + 1)], dtype=float)
-        p2 = np.array([math.comb(ny, k) * (-1.0) ** (ny - k)
-                       for k in range(ny + 1)], dtype=float)
-        conv = np.convolve(p1, p2)
-        n_plus = np.arange(total + 1)
-        log_norm = 0.5 * np.array(
-            [log_factorial(p) + log_factorial(total - p) for p in n_plus]) \
-            - 0.5 * (log_factorial(nx) + log_factorial(ny)) \
-            - total * 0.5 * np.log(2.0)
-        cols.append((-1j) ** ny * conv * np.exp(log_norm))
-    return np.array(cols, dtype=complex).T
+    if not 0 <= total <= 2 * n_max:
+        raise DomainError(f"total {total} outside the sectors 0..{2 * n_max}")
+    nx0 = max(0, total - n_max)
+    nx = np.arange(nx0, min(total, n_max) + 1)
+    ny0 = total - nx0
+    # coefficient of u^p (w = 1) in (1 + u)^nx0 (u - 1)^ny0
+    poly = [sum(math.comb(nx0, j) * math.comb(ny0, p - j) * (-1) ** (ny0 - p + j)
+                for j in range(max(0, p - ny0), min(nx0, p) + 1))
+            for p in range(total + 1)]
+    cols = [poly]
+    for _ in nx[1:]:
+        # q = P / (u - 1) has q_i = -S_i, with S the prefix sums of P;
+        # then (u + 1) q has coefficient q_{i-1} + q_i
+        sums = list(accumulate(poly))
+        poly = [-(a + b) for a, b in zip([0] + sums[:-1], sums)]
+        cols.append(poly)
+    conv = np.array(cols, dtype=float).T
+    lf = np.array([log_factorial(k) for k in range(total + 1)])
+    ny = total - nx
+    log_norm = (0.5 * (lf + lf[::-1]))[:, None] \
+        - 0.5 * (lf[nx] + lf[ny]) \
+        - total * 0.5 * np.log(2.0)
+    phase = np.array([(-1j) ** int(k) for k in ny])
+    return phase * conv * np.exp(log_norm)
 
 
 def fock_to_schwinger(rho: FockDensityMatrix) -> SchwingerDensityMatrix:
     """Rotate a cartesian Fock density matrix into angular-momentum labels.
 
-    The change of basis is block diagonal in the total quantum number, so
-    the full map is assembled sector by sector; coherences between
-    different totals are carried along unchanged in structure.  Trace and
-    spectrum are preserved because every sector map is an isometry.
+    The change of basis B is block diagonal in the total quantum number T,
+    with the blocks B_T of :func:`sector_isometry`.  The Fock matrix is
+    gathered once into total-sorted order (the Schwinger labels are
+    stored in that order already), one sector's rows at a time; B_T acts
+    on the row strip of sector T, then B_T^dag on its column strip, so
+    no dense map is formed.
+    Coherences between different totals are carried along unchanged in
+    structure.  Trace and spectrum are preserved because every B_T is an
+    isometry.  Rounding asymmetry is averaged away one row strip at a
+    time.
     """
     n_max = rho.n_max
-    dim_f = (n_max + 1) ** 2
+    blocks = [sector_isometry(t, n_max) for t in range(2 * n_max + 1)]
+    order = np.array([nx * (n_max + 1) + t - nx for t in range(2 * n_max + 1)
+                      for nx in range(max(0, t - n_max), min(t, n_max) + 1)])
+    f_off = np.cumsum([0] + [b.shape[1] for b in blocks])
+    s_off = np.cumsum([0] + [b.shape[0] for b in blocks])
     dim_s = _schwinger_dim(n_max)
-    U = np.zeros((dim_s, dim_f), dtype=complex)
-    for total in range(2 * n_max + 1):
-        block = sector_isometry(total, n_max)
-        rows = [_schwinger_flat(total, p) for p in range(total + 1)]
-        cols = [nx * (n_max + 1) + (total - nx)
-                for nx in range(max(0, total - n_max), min(total, n_max) + 1)]
-        U[np.ix_(rows, cols)] = block
-    entries = U @ rho.entries @ U.conj().T
-    # scrub rounding asymmetry in place (no second dim_s^2 copy)
-    entries += entries.conj().T
-    entries *= 0.5
+
+    left = np.empty((dim_s, order.size), dtype=complex)      # B rho
+    for t, b in enumerate(blocks):
+        rows = rho.entries[np.ix_(order[f_off[t]:f_off[t + 1]], order)]
+        np.matmul(b, rows, out=left[s_off[t]:s_off[t + 1]])
+    entries = np.empty((dim_s, dim_s), dtype=complex)        # B rho B^dag
+    for t, b in enumerate(blocks):
+        entries[:, s_off[t]:s_off[t + 1]] = \
+            left[:, f_off[t]:f_off[t + 1]] @ b.conj().T
+    del left
+    for a, b in zip(s_off[:-1], s_off[1:]):
+        strip = entries[a:b, a:] + entries[a:, a:b].conj().T
+        strip *= 0.5
+        entries[a:b, a:] = strip
+        entries[a:, a:b] = strip.conj().T
     out = SchwingerDensityMatrix(n_max, entries, meta=dict(rho.meta))
     out.meta["source"] = "fock"
     return out
+
+
+def _radial_rows(two_m: int, count: int, v: np.ndarray, out: np.ndarray):
+    """Write e^v R_{l,m}(e^v) for k = l - |m| = 0..count-1 into ``out``.
+
+    One Laguerre recurrence in k at fixed alpha = 2|m| gives every row;
+    each is assembled in the log domain as in
+    :func:`radwig.states.radial_wavefunction` (beta = 1).
+    """
+    alpha = abs(two_m)
+    x = np.exp(v) ** 2
+    base = (alpha + 1.0) * v - x / 2.0
+    rows = zip(range(count), _scaled_recurrence(count - 1, float(alpha), x))
+    for k, (cur, offset) in rows:
+        log_pref = 0.5 * (np.log(2.0) + log_factorial(k)
+                          - log_factorial(k + alpha))
+        with np.errstate(divide="ignore"):
+            np.exp(base + (log_pref + offset) + np.log(np.abs(cur)), out=out[k])
+        out[k] *= np.sign(cur) * (-1.0) ** k
 
 
 def radial_reduce(rho_s: SchwingerDensityMatrix,
@@ -200,30 +262,57 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
                        [e^v R_{l,m}(e^v)] [e^{v'} R_{l',m}(e^{v'})]
 
     with the radial eigenfunctions rescaled into the log-radius basis.
-    The sum over m runs over every label the input cutoff admits; the
-    range actually included is recorded in the result metadata.  Warns if
-    grid truncation loses more than 1e-8 of the trace.
+    The basis rows of all m are stacked into one real matrix Phi
+    (N labels x grid points), and with C = blockdiag(C_m) the kernel is
+    Phi^T (Re C) Phi + i Phi^T (Im C) Phi: two real products, through one
+    real buffer that holds a column strip of (Re C) Phi and then of
+    (Im C) Phi.  The first product is symmetric and the second
+    antisymmetric, so each forms only the upper triangle, one column
+    strip at a time, and the lower one is mirrored from it.  The
+    sum over m runs over every label the input cutoff admits, skipping
+    all-zero blocks; the range actually included is recorded in the
+    result metadata.  Warns if grid truncation loses more than 1e-8 of
+    the trace.
     """
     if grid is None:
         grid = default_vbar_grid()
     v = grid.points
-    r = np.exp(v)
-    labels = rho_s.labels
-    by_m = {}
-    for idx, lab in enumerate(labels):
-        by_m.setdefault(lab.n_plus - lab.n_minus, []).append(idx)
-
-    kernel = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-    included = []
-    for two_m in sorted(by_m):
-        idx = by_m[two_m]
+    n_max = rho_s.n_max
+    blocks = []
+    for two_m in range(-2 * n_max, 2 * n_max + 1):
+        # labels of this m in stored order: k = l - |m| at total 2k + |2m|
+        idx = [_schwinger_flat(abs(two_m) + 2 * k, k + max(two_m, 0))
+               for k in range((2 * n_max - abs(two_m)) // 2 + 1)]
         block = rho_s.entries[np.ix_(idx, idx)]
-        if np.abs(block).max() == 0.0:
-            continue
-        included.append(two_m / 2.0)
-        basis = np.array([np.exp(v) * radial_wavefunction(labels[i], r)
-                          for i in idx])
-        kernel += basis.T @ block @ basis
+        if np.abs(block).max() != 0.0:
+            blocks.append((two_m, block))
+
+    g = grid.n_points
+    phi = np.empty((sum(len(block) for _, block in blocks), g))
+    start = 0
+    for two_m, block in blocks:
+        _radial_rows(two_m, len(block), v, phi[start:start + len(block)])
+        start += len(block)
+
+    kernel = np.empty((g, g), dtype=complex)
+    y = np.empty((len(phi), _STRIP))
+    for target, part in ((kernel.real, np.real), (kernel.imag, np.imag)):
+        coeffs = [np.ascontiguousarray(part(block)) for _, block in blocks]
+        for a in range(0, g, _STRIP):
+            cols = slice(a, min(a + _STRIP, g))
+            ys = y[:, :cols.stop - a]
+            start = 0
+            for c in coeffs:
+                np.matmul(c, phi[start:start + len(c), cols],
+                          out=ys[start:start + len(c)])
+                start += len(c)
+            # rows up to the diagonal block only: the product is symmetric
+            # (real part) or antisymmetric (imaginary part)
+            target[:cols.stop, cols] = phi[:, :cols.stop].T @ ys
+    del phi, y
+    for a in range(0, g, _STRIP):
+        kernel[a + _STRIP:, a:a + _STRIP] = \
+            kernel[a:a + _STRIP, a + _STRIP:].conj().T
 
     trace = float(np.trace(kernel).real) * grid.spacing
     loss = abs(trace - 1.0)
@@ -232,7 +321,8 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
             f"radial grid truncation lost {loss:.2e} of the trace "
             f"(measured {trace})", TruncationWarning, stacklevel=2)
     out = DensityMatrixV(grid, kernel, trace_tol=max(1e-8, 10.0 * loss))
-    out.meta.update({"m_values": included, "measured_trace": trace})
+    out.meta.update({"m_values": [two_m / 2.0 for two_m, _ in blocks],
+                     "measured_trace": trace})
     return out
 
 

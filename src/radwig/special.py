@@ -72,7 +72,8 @@ def laguerre_assoc(n: int, alpha: float, x: float) -> LaguerreEval:
         raise DomainError(f"argument must be nonnegative, got {x}")
 
     n = int(n)
-    cur, offset = _scaled_recurrence(n, alpha, np.array([x], dtype=float))
+    for cur, offset in _scaled_recurrence(n, alpha, np.array([x], dtype=float)):
+        pass
     with np.errstate(divide="ignore"):
         log_abs = offset + np.log(np.abs(cur))
     la, sg = float(log_abs[0]), int(np.sign(cur[0]))
@@ -100,7 +101,8 @@ def laguerre_log(n: int, alpha: float, x: np.ndarray):
     if np.any(x < 0):
         raise DomainError("argument must be nonnegative")
 
-    cur, offset = _scaled_recurrence(int(n), alpha, x)
+    for cur, offset in _scaled_recurrence(int(n), alpha, x):
+        pass
     with np.errstate(divide="ignore"):
         log_abs = offset + np.log(np.abs(cur))
     return log_abs, np.sign(cur)
@@ -117,17 +119,22 @@ def _check_degree_order(n, alpha):
 
 
 def _scaled_recurrence(n: int, alpha: float, x: np.ndarray):
-    """L_n^alpha(x) as ``cur * exp(offset)``.
+    """Yield L_k^alpha(x) as ``cur * exp(offset)`` for k = 0..n in turn.
 
     Wherever |L_k| passes ``_RESCALE_THRESHOLD`` the pair (L_k, L_{k-1}) is
     divided by |L_k| and ``offset`` gains its log; where it never does,
-    ``offset`` is 0 and ``cur`` is the plain recurrence's value.
+    ``offset`` is 0 and ``cur`` is the plain recurrence's value.  Each
+    yielded pair is a fresh array that later steps leave alone, so a
+    caller may keep every degree (the radial basis rows of
+    :func:`radwig.fock.radial_reduce`) or only the last.
     """
     offset = np.zeros_like(x)
-    if n == 0:
-        return np.ones_like(x), offset
     prev = np.ones_like(x)
+    yield prev, offset
+    if n == 0:
+        return
     cur = 1.0 + alpha - x
+    yield cur, offset
     for k in range(2, n + 1):
         prev, cur = cur, ((2*k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
         mag = np.abs(cur)
@@ -137,7 +144,7 @@ def _scaled_recurrence(n: int, alpha: float, x: np.ndarray):
             cur = cur / scale
             prev = prev / scale
             offset = offset + np.log(scale)
-    return cur, offset
+        yield cur, offset
 
 
 def log_factorial(n: int) -> float:

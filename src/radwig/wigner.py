@@ -53,6 +53,10 @@ WIGNER_LOWER_BOUND = -1.0 / np.pi
 
 _LOG_CUTOFF = 45.0          # integrand ignored below peak * e^{-45}
 
+# rows per strip where an n x n matrix is processed strip by strip to keep
+# its temporaries small
+_STRIP = 128
+
 # default (lo, hi) window of gamma: below lo the integration window grows
 # like -gamma while the state mass is negligible
 GAMMA_GUARD = (-6.0, 4.0)
@@ -70,15 +74,17 @@ def validate_density_matrix(entries: np.ndarray, *, spacing: float = 1.0,
     """
     if not np.all(np.isfinite(entries)):
         raise ValidationError(f"{what} entries must be finite")
-    # rho - rho^dagger formed in the one copy np.conjugate makes (the
-    # method .conj() returns a real array itself): a 1891^2 complex
-    # Schwinger matrix (n_max 30) is 57 MB
-    dev = np.conjugate(entries).T
-    np.subtract(entries, dev, out=dev)
-    dev = np.abs(dev)
-    worst = float(dev.max())
-    if worst > 1e-10 * max(1.0, float(np.abs(entries).max())):
-        row, col = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    # rho - rho^dagger one row strip at a time, so no temporary has the
+    # full size (a 1891^2 complex Schwinger matrix, n_max 30, is 57 MB)
+    worst, (row, col), scale = 0.0, (0, 0), 0.0
+    for a in range(0, entries.shape[0], _STRIP):
+        rows = entries[a:a + _STRIP]
+        dev = np.abs(rows - entries[:, a:a + _STRIP].T.conj())
+        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        if dev[i, j] > worst:
+            worst, row, col = float(dev[i, j]), a + i, j
+        scale = max(scale, float(np.abs(rows).max()))
+    if worst > 1e-10 * max(1.0, scale):
         pair = label(row, col) if label else f"({row}, {col})"
         raise ValidationError(
             f"{what} violates Hermiticity: entry {pair} = {entries[row, col]} "

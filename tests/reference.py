@@ -1,16 +1,22 @@
-"""Adaptive-quadrature reference for the closed-form Wigner ladder.
+"""Test references: slower, plainer forms of library computations.
 
 :func:`wigner_l0_closed` integrates the same closed form as
 ``radwig.wigner_l0_grid`` by scipy's adaptive Gauss-Kronrod ``quad``
 instead of the trapezoid rule, so it checks the ladder's step and its
 cosine transform.  It cuts the integral where the library's ladder ends,
 so there is one cut rule.
+
+:func:`dense_u_rotation` and :func:`per_block_radial_kernel` are the Fock
+pipeline's first two stages in their direct form: one dense unitary
+U rho U^dag over every sector, and one complex ``basis.T @ block @ basis``
+update per angular momentum m, with basis rows from
+``radwig.radial_wavefunction``.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
-from radwig import AccuracyError, laguerre_log
+from radwig import AccuracyError, laguerre_log, radial_wavefunction, sector_isometry
 from radwig.wigner import _ladder
 
 
@@ -42,3 +48,36 @@ def wigner_l0_closed(l: int, gamma: float, delta: float) -> float:
             f"quadrature for W_{l}({gamma}, {delta}) did not converge: "
             f"{result[3]}", residual=float(result[1]))
     return float((4.0 * np.exp(2.0 * gamma) / np.pi) * result[0])
+
+
+def dense_u_rotation(rho) -> np.ndarray:
+    """Schwinger entries U rho U^dag of a FockDensityMatrix, U assembled
+    densely from the sector isometries, then symmetrised."""
+    n_max = rho.n_max
+    dim_s = (2 * n_max + 1) * (2 * n_max + 2) // 2
+    u = np.zeros((dim_s, (n_max + 1) ** 2), dtype=complex)
+    for total in range(2 * n_max + 1):
+        rows = [total * (total + 1) // 2 + p for p in range(total + 1)]
+        cols = [nx * (n_max + 1) + (total - nx)
+                for nx in range(max(0, total - n_max), min(total, n_max) + 1)]
+        u[np.ix_(rows, cols)] = sector_isometry(total, n_max)
+    entries = u @ rho.entries @ u.conj().T
+    return 0.5 * (entries + entries.conj().T)
+
+
+def per_block_radial_kernel(rho_s, grid) -> np.ndarray:
+    """Radial kernel of a SchwingerDensityMatrix on ``grid``, one m block
+    at a time."""
+    v = grid.points
+    r = np.exp(v)
+    labels = rho_s.labels
+    by_m = {}
+    for idx, lab in enumerate(labels):
+        by_m.setdefault(lab.n_plus - lab.n_minus, []).append(idx)
+    kernel = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+    for idx in by_m.values():
+        block = rho_s.entries[np.ix_(idx, idx)]
+        basis = np.array([np.exp(v) * radial_wavefunction(labels[i], r)
+                          for i in idx])
+        kernel += basis.T @ block @ basis
+    return kernel

@@ -1,13 +1,18 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from radwig import (DomainError, FockDensityMatrix, Grid1D, SchemaError,
                     SchwingerDensityMatrix, SchwingerLabel, TruncationWarning,
-                    ValidationError, end_to_end, fock_to_schwinger,
-                    load_fock_density, radial_reduce, sector_isometry,
-                    vbar_schwinger_l0, wigner_l0_grid)
+                    ValidationError, default_vbar_grid, end_to_end,
+                    fock_to_schwinger, load_fock_density, radial_reduce,
+                    radial_wavefunction, sector_isometry, vbar_schwinger_l0,
+                    wigner_l0_grid)
+from radwig.fock import _radial_rows
+
+from reference import dense_u_rotation, per_block_radial_kernel
 
 GAMMA = Grid1D(-3.0, 2.0, 126)
 DELTA = Grid1D(-4.0, 4.0, 81)
@@ -28,11 +33,52 @@ def test_one_quantum_sector_explicit_unitary():
 
 
 def test_sector_isometry_columns_orthonormal():
-    for n_max in (3, 10):
+    for n_max in (3, 10, 40):
         for total in range(2 * n_max + 1):
             u = sector_isometry(total, n_max)
             gram = u.conj().T @ u
-            assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-12
+            assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-13
+
+
+def test_sector_isometry_rejects_total_outside_cutoff():
+    for total in (-1, 5):
+        with pytest.raises(DomainError, match="outside the sectors"):
+            sector_isometry(total, 2)
+
+
+def dense_state(n_max, seed, rank=3):
+    """Seeded low-rank mixed state with every entry nonzero."""
+    rng = np.random.default_rng(seed)
+    dim = (n_max + 1) ** 2
+    nx, ny = np.divmod(np.arange(dim), n_max + 1)
+    vecs = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    vecs *= np.exp(-(nx + ny) / (0.5 * n_max))[:, None]
+    rho = (vecs * rng.dirichlet(np.ones(rank))) @ vecs.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return FockDensityMatrix(n_max, rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("n_max", [3, 10, 20])
+def test_block_pipeline_matches_dense_reference(n_max):
+    rho = dense_state(n_max, seed=700 + n_max)
+    rho_s = fock_to_schwinger(rho)
+    assert np.abs(rho_s.entries - dense_u_rotation(rho)).max() < 1e-12
+    grid = default_vbar_grid()
+    kernel = radial_reduce(rho_s, grid).entries
+    assert np.abs(kernel - per_block_radial_kernel(rho_s, grid)).max() < 1e-12
+
+
+def test_recurrence_rows_match_radial_wavefunction():
+    v = default_vbar_grid().points
+    for two_m in range(-80, 81):
+        count = (80 - abs(two_m)) // 2 + 1
+        rows = np.empty((count, v.size))
+        _radial_rows(two_m, count, v, rows)
+        for k in range(count):
+            label = SchwingerLabel.from_occupations(k + max(two_m, 0),
+                                                    k + max(-two_m, 0))
+            ref = np.exp(v) * radial_wavefunction(label, np.exp(v))
+            assert np.abs(rows[k] - ref).max() < 1e-12, (two_m, k)
 
 
 def test_vacuum_maps_to_vacuum():
@@ -132,6 +178,15 @@ def test_radial_reduce_narrow_grid_warns():
 
 # ------------------------------------------------------------ pipeline
 
+@pytest.mark.parametrize("occupation", [(30, 36), (40, 40)])
+def test_end_to_end_at_the_largest_cutoff(occupation):
+    rho = FockDensityMatrix.from_pure(40, {occupation: 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        w = end_to_end(rho, Grid1D(-3.0, 2.0, 26), Grid1D(-4.0, 4.0, 33))
+    assert abs(w.meta["radial_trace"] - 1.0) < 1e-8
+
+
 def test_end_to_end_matches_closed_form_l1():
     rho = FockDensityMatrix.from_pure(
         2, {(2, 0): 1.0 / np.sqrt(2.0), (0, 2): 1.0 / np.sqrt(2.0)})
@@ -180,6 +235,17 @@ def test_fock_matrix_validation_names_pair_and_trace():
         FockDensityMatrix(1, bad)
     with pytest.raises(ValidationError, match="trace"):
         FockDensityMatrix(1, 2.0 * np.eye(dim) / dim)
+
+
+@pytest.mark.parametrize("occupation", [(0, 3), (-1, 0)])
+def test_from_pure_rejects_occupation_outside_cutoff(occupation):
+    with pytest.raises(DomainError, match="outside cutoff"):
+        FockDensityMatrix.from_pure(2, {occupation: 1.0})
+
+
+def test_schwinger_pure_rejects_label_outside_cutoff():
+    with pytest.raises(DomainError, match="outside cutoff"):
+        SchwingerDensityMatrix.pure(SchwingerLabel(3, 0), 1)
 
 
 def test_schwinger_matrix_validation():

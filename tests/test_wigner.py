@@ -50,6 +50,22 @@ def test_validate_density_matrix_leaves_real_input_intact():
     assert np.array_equal(bad, [[0.5, 0.1], [0.3, 0.5]])
 
 
+def test_validate_density_matrix_names_worst_pair_past_first_strip():
+    # the Hermiticity check runs in row strips: the worst pair, its first
+    # occurrence and the scale must come out as from the whole matrix
+    from radwig.wigner import validate_density_matrix
+    rho = np.eye(300, dtype=complex) / 300
+    rho[5, 200] = 3e-3
+    rho[250, 7] = 1e-3j
+    with pytest.raises(ValidationError, match=r"entry \(5, 200\) = \(0.003"):
+        validate_density_matrix(rho)
+    rho[200, 5] = 3e-3
+    with pytest.raises(ValidationError, match=r"entry \(7, 250\) = 0j"):
+        validate_density_matrix(rho)
+    rho[7, 250] = -1e-3j
+    validate_density_matrix(rho)
+
+
 def test_density_matrix_mixture_is_psd():
     grid = Grid1D(-8.0, 8.0, 401)
     states = [
