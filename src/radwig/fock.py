@@ -6,7 +6,8 @@ diagonal in the total quantum number, applied one sector block at a
 time), trace out the angle (which kills every coherence between
 different angular momenta m), and accumulate the radial kernel on a
 log-radius grid with two real matrix products over the stacked radial
-basis of every m.  The result feeds straight into
+basis of every m, whose rows come from the one radial-eigenfunction
+producer of :mod:`radwig.states`.  The result feeds straight into
 :func:`radwig.wigner.wigner_from_density`.
 
 The sector blocks are built from exact integer coefficients, so the
@@ -16,15 +17,15 @@ whole chain holds to rounding at every cutoff up to ``MAX_FOCK_CUTOFF``.
 import json
 import math
 import warnings
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .errors import (DomainError, SchemaError, TruncationWarning,
                      ValidationError)
 from .grids import Grid1D
-from .special import _scaled_recurrence, log_factorial
-from .states import SchwingerLabel, default_vbar_grid
+from .special import log_factorial
+from .states import SchwingerLabel, _radial_rows, default_vbar_grid
 from .wigner import (_STRIP, DensityMatrixV, WignerGrid,
                      validate_density_matrix, wigner_from_density)
 
@@ -233,25 +234,6 @@ def fock_to_schwinger(rho: FockDensityMatrix) -> SchwingerDensityMatrix:
     return out
 
 
-def _radial_rows(two_m: int, count: int, v: np.ndarray, out: np.ndarray):
-    """Write e^v R_{l,m}(e^v) for k = l - |m| = 0..count-1 into ``out``.
-
-    One Laguerre recurrence in k at fixed alpha = 2|m| gives every row;
-    each is assembled in the log domain as in
-    :func:`radwig.states.radial_wavefunction` (beta = 1).
-    """
-    alpha = abs(two_m)
-    x = np.exp(v) ** 2
-    base = (alpha + 1.0) * v - x / 2.0
-    rows = zip(range(count), _scaled_recurrence(count - 1, float(alpha), x))
-    for k, (cur, offset) in rows:
-        log_pref = 0.5 * (np.log(2.0) + log_factorial(k)
-                          - log_factorial(k + alpha))
-        with np.errstate(divide="ignore"):
-            np.exp(base + (log_pref + offset) + np.log(np.abs(cur)), out=out[k])
-        out[k] *= np.sign(cur) * (-1.0) ** k
-
-
 def radial_reduce(rho_s: SchwingerDensityMatrix,
                   grid: Grid1D | None = None) -> DensityMatrixV:
     """Trace out the angle and sample the radial kernel on a log-radius grid.
@@ -262,17 +244,17 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
                        [e^v R_{l,m}(e^v)] [e^{v'} R_{l',m}(e^{v'})]
 
     with the radial eigenfunctions rescaled into the log-radius basis.
-    The basis rows of all m are stacked into one real matrix Phi
-    (N labels x grid points), and with C = blockdiag(C_m) the kernel is
-    Phi^T (Re C) Phi + i Phi^T (Im C) Phi: two real products, through one
-    real buffer that holds a column strip of (Re C) Phi and then of
-    (Im C) Phi.  The first product is symmetric and the second
-    antisymmetric, so each forms only the upper triangle, one column
-    strip at a time, and the lower one is mirrored from it.  The
-    sum over m runs over every label the input cutoff admits, skipping
-    all-zero blocks; the range actually included is recorded in the
-    result metadata.  Warns if grid truncation loses more than 1e-8 of
-    the trace.
+    The basis rows of all m are exponentiated from the log-domain
+    producer straight into one real matrix Phi (N labels x grid points),
+    and with C = blockdiag(C_m) the kernel is Phi^T (Re C) Phi
+    + i Phi^T (Im C) Phi: two real products, through one real buffer
+    that holds a column strip of (Re C) Phi and then of (Im C) Phi.
+    The first product is symmetric and the second antisymmetric, so each
+    forms only the upper triangle, one column strip at a time, and the
+    lower one is mirrored from it.  The sum over m runs over every label
+    the input cutoff admits, skipping all-zero blocks; the range actually
+    included is recorded in the result metadata.  Warns if grid
+    truncation loses more than 1e-8 of the trace.
     """
     if grid is None:
         grid = default_vbar_grid()
@@ -289,10 +271,12 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
 
     g = grid.n_points
     phi = np.empty((sum(len(block) for _, block in blocks), g))
-    start = 0
-    for two_m, block in blocks:
-        _radial_rows(two_m, len(block), v, phi[start:start + len(block)])
-        start += len(block)
+    rows = chain.from_iterable(_radial_rows(abs(two_m), len(block), v)
+                               for two_m, block in blocks)
+    for row, (cur, offset) in zip(phi, rows):
+        with np.errstate(divide="ignore"):
+            np.exp(offset + np.log(np.abs(cur)), out=row)
+        row *= np.sign(cur)
 
     kernel = np.empty((g, g), dtype=complex)
     y = np.empty((len(phi), _STRIP))

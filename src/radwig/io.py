@@ -117,6 +117,10 @@ def write_wigner_json(path, grid: WignerGrid):
 def read_wigner_json(path) -> WignerGrid:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise SchemaError("Wigner JSON top level must be an object")
+    if not isinstance(doc.get("meta", {}), dict):
+        raise SchemaError("'meta' in Wigner JSON must be an object")
     for key in ("gamma", "delta", "w"):
         if key not in doc:
             raise SchemaError(f"missing field '{key}' in Wigner JSON")

@@ -72,10 +72,8 @@ def laguerre_assoc(n: int, alpha: float, x: float) -> LaguerreEval:
         raise DomainError(f"argument must be nonnegative, got {x}")
 
     n = int(n)
-    for cur, offset in _scaled_recurrence(n, alpha, np.array([x], dtype=float)):
-        pass
-    with np.errstate(divide="ignore"):
-        log_abs = offset + np.log(np.abs(cur))
+    cur, offset, log_abs = _last_log(
+        _scaled_recurrence(n, alpha, np.array([x], dtype=float)))
     la, sg = float(log_abs[0]), int(np.sign(cur[0]))
     if offset[0] == 0.0:
         # no rescale: exactly the plain recurrence's value
@@ -101,10 +99,7 @@ def laguerre_log(n: int, alpha: float, x: np.ndarray):
     if np.any(x < 0):
         raise DomainError("argument must be nonnegative")
 
-    for cur, offset in _scaled_recurrence(int(n), alpha, x):
-        pass
-    with np.errstate(divide="ignore"):
-        log_abs = offset + np.log(np.abs(cur))
+    cur, _, log_abs = _last_log(_scaled_recurrence(int(n), alpha, x))
     return log_abs, np.sign(cur)
 
 
@@ -125,8 +120,8 @@ def _scaled_recurrence(n: int, alpha: float, x: np.ndarray):
     divided by |L_k| and ``offset`` gains its log; where it never does,
     ``offset`` is 0 and ``cur`` is the plain recurrence's value.  Each
     yielded pair is a fresh array that later steps leave alone, so a
-    caller may keep every degree (the radial basis rows of
-    :func:`radwig.fock.radial_reduce`) or only the last.
+    caller may use every degree (the radial rows of
+    :func:`radwig.states._radial_rows`) or only the last.
     """
     offset = np.zeros_like(x)
     prev = np.ones_like(x)
@@ -145,6 +140,15 @@ def _scaled_recurrence(n: int, alpha: float, x: np.ndarray):
             prev = prev / scale
             offset = offset + np.log(scale)
         yield cur, offset
+
+
+def _last_log(pairs):
+    """Run a ``(cur, offset)`` generator to its last degree: that degree's
+    ``(cur, offset, offset + ln|cur|)``, the log -inf where ``cur`` is 0."""
+    for cur, offset in pairs:
+        pass
+    with np.errstate(divide="ignore"):
+        return cur, offset, offset + np.log(np.abs(cur))
 
 
 def log_factorial(n: int) -> float:

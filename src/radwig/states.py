@@ -8,6 +8,10 @@ Conventions (hbar = 1 throughout):
   kets such that the inner product is a plain delta(vbar - vbar') and the
   measure is ``dvbar``.  A state converts between the two pictures via
   psi_vbar(vbar) = exp(vbar) * psi_r(exp(vbar)).
+
+Every oscillator eigenfunction comes from one log-domain producer,
+``_radial_rows``: :func:`radial_wavefunction` and :func:`vbar_schwinger_l0`
+read its last row, :func:`radwig.fock.radial_reduce` every row.
 """
 
 import math
@@ -18,7 +22,8 @@ import numpy as np
 
 from .errors import DomainError, TruncationWarning, ValidationError
 from .grids import Grid1D
-from .special import laguerre_log, log_factorial
+from .special import (_check_degree_order, _last_log, _scaled_recurrence,
+                      log_factorial)
 
 __all__ = [
     "WavefunctionV", "WavefunctionR", "SchwingerLabel",
@@ -168,6 +173,27 @@ class SchwingerLabel:
         return f"SchwingerLabel(l={self.l}, m={self.m}, beta={self.beta})"
 
 
+def _radial_rows(alpha: int, count: int, v: np.ndarray):
+    """Yield the log-radius eigenfunctions psi_k(v) for k = 0..count-1.
+
+        psi_k(v) = sqrt(2 k! / (k+alpha)!) e^{(alpha+1) v} e^{-e^{2v}/2}
+                   L_k^alpha(e^{2v}) (-1)^k
+
+    is e^v R_{l,m}(e^v) at beta = 1, for k = l - |m| and alpha = 2|m|.
+    One Laguerre recurrence in k at fixed alpha gives every row as a pair
+    ``(cur, offset)`` with psi_k = cur * exp(offset), the magnitude kept
+    in the log domain so that no row overflows.
+    """
+    _check_degree_order(count - 1, alpha)
+    x = np.exp(v) ** 2
+    base = (alpha + 1.0) * v - x / 2.0
+    laguerre = _scaled_recurrence(count - 1, float(alpha), x)
+    for k, (cur, offset) in enumerate(laguerre):
+        log_pref = 0.5 * (np.log(2.0) + log_factorial(k)
+                          - log_factorial(k + alpha))
+        yield (-cur if k % 2 else cur), base + (log_pref + offset)
+
+
 def radial_wavefunction(label: SchwingerLabel, r):
     """Radial eigenfunction R_{l,m}(r) of the 2D isotropic oscillator.
 
@@ -175,30 +201,19 @@ def radial_wavefunction(label: SchwingerLabel, r):
                  * exp(-beta^2 r^2 / 2) * L_{l-|m|}^{2|m|}(beta^2 r^2)
                  * (-1)^{l-|m|}
 
-    normalised so that  integral r R^2 dr = 1.  Assembled in the log
-    domain so large degrees and radii never overflow.  Accepts a scalar
-    or an array of radii; r must be strictly positive.
+    normalised so that  integral r R^2 dr = 1.  Read off the last row of
+    the log-radius producer as R(r) = psi(ln beta r) / r, with ln r taken
+    off in the log domain, so large degrees and radii never overflow.
+    Accepts a scalar or an array of radii; r must be strictly positive.
     """
     r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
     if np.any(r_arr <= 0) or not np.all(np.isfinite(r_arr)):
         raise DomainError("radius must be strictly positive and finite")
-
-    degree = min(label.n_plus, label.n_minus)      # l - |m|
-    m2 = abs(label.n_plus - label.n_minus)         # 2 |m|
-    beta = label.beta
-    x = (beta * r_arr) ** 2
-
-    lag_log, lag_sign = laguerre_log(degree, float(m2), x)
-    log_pref = (np.log(beta)
-                + 0.5 * (np.log(2.0) + log_factorial(degree)
-                         - log_factorial(degree + m2)))
-    exponent = log_pref + m2 * np.log(beta * r_arr) - x / 2.0 + lag_log
-    sign = lag_sign * (-1.0) ** degree
-    with np.errstate(over="ignore"):
-        out = sign * np.exp(exponent)
-    return float(out[0]) if scalar else out
+    cur, _, log_psi = _last_log(_radial_rows(
+        abs(label.n_plus - label.n_minus), min(label.n_plus, label.n_minus) + 1,
+        np.log(label.beta * r_arr)))
+    out = np.sign(cur) * np.exp(log_psi - np.log(r_arr))
+    return float(out) if r_arr.ndim == 0 else out
 
 
 def vbar_schwinger_l0(l: int, vbar):
@@ -206,20 +221,16 @@ def vbar_schwinger_l0(l: int, vbar):
 
     <vbar | l, 0> = sqrt(2) e^{vbar} e^{-e^{2 vbar}/2} L_l(e^{2 vbar}) (-1)^l
 
-    (hbar = 1, beta = 1).  Evaluated log-safely, so arguments up to
-    vbar ~ +10 simply underflow to 0 instead of overflowing.  Accepts a
-    scalar or array.
+    (hbar = 1, beta = 1): the alpha = 0 row of the log-radius producer.
+    Evaluated log-safely, so arguments up to vbar ~ +10 simply underflow
+    to 0 instead of overflowing.  Accepts a scalar or array.
     """
     if l < 0 or l != int(l):
         raise DomainError(f"l must be a nonnegative integer, got {l}")
     v = np.asarray(vbar, dtype=float)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v)
-    x = np.exp(2.0 * v)
-    lag_log, lag_sign = laguerre_log(int(l), 0.0, x)
-    exponent = 0.5 * np.log(2.0) + v - x / 2.0 + lag_log
-    out = lag_sign * (-1.0) ** int(l) * np.exp(exponent)
-    return float(out[0]) if scalar else out
+    cur, _, log_psi = _last_log(_radial_rows(0, int(l) + 1, v))
+    out = np.sign(cur) * np.exp(log_psi)
+    return float(out) if v.ndim == 0 else out
 
 
 def dilaton_vacuum(basis: str, point):

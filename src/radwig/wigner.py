@@ -312,50 +312,38 @@ def wigner_l0_grid(l: int, gamma_grid: Grid1D, delta_grid: Grid1D, *,
     return WignerGrid(gamma_grid, delta_grid, values, meta=meta)
 
 
-def _edge_mass(w: WignerGrid, axis: int) -> float:
-    """Mass of the outermost strip along the integrated axis.
+def _marginal(w: WignerGrid, axis: int) -> np.ndarray:
+    """Trapezoid of W over ``axis`` (1: delta, 0: gamma).
 
-    Needs two points on both axes: along a one-point axis the whole
-    window is its edge strip, and across one the strip mass has no
-    integral; both raise TruncationError.
+    Requires the integrated window to be wide enough that its outermost
+    strip carries less than 1e-6 of |W|, and two points on both axes:
+    along a one-point axis the whole window is its edge strip, and across
+    one the strip mass has no integral.  Raises TruncationError otherwise.
     """
     if min(w.values.shape) == 1:
         raise TruncationError(
             "a marginal needs at least two points on each axis; this grid "
             f"is {w.values.shape[0]} x {w.values.shape[1]}")
-    if axis == 1:      # integrating over delta
-        col0, col1 = np.abs(w.values[:, 0]), np.abs(w.values[:, -1])
-        other = w.gamma_grid
-        strip = w.delta_grid.spacing
-    else:
-        col0, col1 = np.abs(w.values[0, :]), np.abs(w.values[-1, :])
-        other = w.delta_grid
-        strip = w.gamma_grid.spacing
-    return float(max(other.trapezoid(col0), other.trapezoid(col1)) * strip)
+    name, along, across = (("delta", w.delta_grid, w.gamma_grid) if axis == 1
+                           else ("gamma", w.gamma_grid, w.delta_grid))
+    strips = np.moveaxis(w.values, axis, 0)
+    mass = float(max(across.trapezoid(np.abs(strips[0])),
+                     across.trapezoid(np.abs(strips[-1]))) * along.spacing)
+    if mass > 1e-6:
+        raise TruncationError(
+            f"{name} window too narrow for a faithful marginal: outermost "
+            f"strip holds ~{mass:.2e}", lost_mass=mass)
+    return along.trapezoid(w.values, axis=axis)
 
 
 def marginal_position(w: WignerGrid) -> np.ndarray:
-    """Position (gamma) density: trapezoid of W over delta.
-
-    Requires the delta window to be wide enough that the outermost strip
-    carries less than 1e-6 of |W|; raises TruncationError otherwise.
-    """
-    mass = _edge_mass(w, axis=1)
-    if mass > 1e-6:
-        raise TruncationError(
-            f"delta window too narrow for a faithful marginal: outermost "
-            f"strip holds ~{mass:.2e}", lost_mass=mass)
-    return w.delta_grid.trapezoid(w.values, axis=1)
+    """Position (gamma) density: trapezoid of W over delta."""
+    return _marginal(w, axis=1)
 
 
 def marginal_momentum(w: WignerGrid) -> np.ndarray:
     """Momentum (delta) density: trapezoid of W over gamma."""
-    mass = _edge_mass(w, axis=0)
-    if mass > 1e-6:
-        raise TruncationError(
-            f"gamma window too narrow for a faithful marginal: outermost "
-            f"strip holds ~{mass:.2e}", lost_mass=mass)
-    return w.gamma_grid.trapezoid(w.values, axis=0)
+    return _marginal(w, axis=0)
 
 
 def overlap(w1: WignerGrid, w2: WignerGrid) -> float:

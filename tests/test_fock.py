@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 from radwig import (DomainError, FockDensityMatrix, Grid1D, SchemaError,
                     SchwingerDensityMatrix, SchwingerLabel, TruncationWarning,
@@ -10,7 +11,7 @@ from radwig import (DomainError, FockDensityMatrix, Grid1D, SchemaError,
                     fock_to_schwinger, load_fock_density, radial_reduce,
                     radial_wavefunction, sector_isometry, vbar_schwinger_l0,
                     wigner_l0_grid)
-from radwig.fock import _radial_rows
+from radwig.states import _radial_rows
 
 from reference import dense_u_rotation, per_block_radial_kernel
 
@@ -68,17 +69,34 @@ def test_block_pipeline_matches_dense_reference(n_max):
     assert np.abs(kernel - per_block_radial_kernel(rho_s, grid)).max() < 1e-12
 
 
+def scipy_psi(k, alpha, v):
+    """psi_k(v) = e^v R(e^v) from scipy's Laguerre values and log-gamma."""
+    x = np.exp(2.0 * v)
+    lag = eval_genlaguerre(k, alpha, x)
+    with np.errstate(divide="ignore"):
+        log_abs = (0.5 * (np.log(2.0) + gammaln(k + 1.0) - gammaln(k + alpha + 1.0))
+                   + (alpha + 1.0) * v - x / 2.0 + np.log(np.abs(lag)))
+    return (-1.0) ** k * np.sign(lag) * np.exp(log_abs)
+
+
 def test_recurrence_rows_match_radial_wavefunction():
+    """The radial rows, radial_wavefunction and vbar_schwinger_l0 all
+    match an independent scipy assembly for every label of total <= 80."""
     v = default_vbar_grid().points
+    worst = 0.0
     for two_m in range(-80, 81):
-        count = (80 - abs(two_m)) // 2 + 1
-        rows = np.empty((count, v.size))
-        _radial_rows(two_m, count, v, rows)
-        for k in range(count):
+        alpha = abs(two_m)
+        rows = _radial_rows(alpha, (80 - alpha) // 2 + 1, v)
+        for k, (cur, offset) in enumerate(rows):
+            ref = scipy_psi(k, alpha, v)
             label = SchwingerLabel.from_occupations(k + max(two_m, 0),
                                                     k + max(-two_m, 0))
-            ref = np.exp(v) * radial_wavefunction(label, np.exp(v))
-            assert np.abs(rows[k] - ref).max() < 1e-12, (two_m, k)
+            found = [cur * np.exp(offset),
+                     np.exp(v) * radial_wavefunction(label, np.exp(v))]
+            if two_m == 0:
+                found.append(vbar_schwinger_l0(k, v))
+            worst = max(worst, *(np.abs(f - ref).max() for f in found))
+    assert worst < 1e-12
 
 
 def test_vacuum_maps_to_vacuum():

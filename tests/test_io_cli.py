@@ -409,6 +409,11 @@ _MALFORMED = {
     "ragged.json": '{"gamma": [0.0, 1.0], "delta": [0.0, 1.0], '
                    '"w": [[1.0, 2.0], [3.0]]}',
     "empty-axis.json": '{"gamma": [], "delta": [0.0, 1.0], "w": []}',
+    "meta-list.json": '{"meta": [1], "gamma": [0.0, 1.0], "delta": [0.0, 1.0], '
+                      '"w": [[1.0, 2.0], [3.0, 4.0]]}',
+    "meta-string.json": '{"meta": "x", "gamma": [0.0, 1.0], "delta": [0.0, 1.0], '
+                        '"w": [[1.0, 2.0], [3.0, 4.0]]}',
+    "top-level-number.json": "5",
 }
 
 
