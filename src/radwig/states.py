@@ -203,7 +203,8 @@ def radial_wavefunction(label: SchwingerLabel, r):
 
     normalised so that  integral r R^2 dr = 1.  Read off the last row of
     the log-radius producer as R(r) = psi(ln beta r) / r, with ln r taken
-    off in the log domain, so large degrees and radii never overflow.
+    off in the log domain, so neither large degrees nor radii up to
+    ~1e150 overflow.
     Accepts a scalar or an array of radii; r must be strictly positive.
     """
     r_arr = np.asarray(r, dtype=float)
