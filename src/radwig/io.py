@@ -119,7 +119,8 @@ def read_wigner_json(path) -> WignerGrid:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise SchemaError("Wigner JSON top level must be an object")
-    if not isinstance(doc.get("meta", {}), dict):
+    meta = doc.get("meta")
+    if meta is not None and not isinstance(meta, dict):
         raise SchemaError("'meta' in Wigner JSON must be an object")
     for key in ("gamma", "delta", "w"):
         if key not in doc:
@@ -131,7 +132,7 @@ def read_wigner_json(path) -> WignerGrid:
         raise SchemaError(f"malformed Wigner JSON: {exc}") from None
     return WignerGrid(_grid_from_points(gamma, "gamma"),
                       _grid_from_points(delta, "delta"), w,
-                      meta=doc.get("meta"))
+                      meta=meta)
 
 
 def write_wavefunction_csv(path, coordinates, samples):

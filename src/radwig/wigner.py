@@ -315,10 +315,9 @@ def wigner_l0_grid(l: int, gamma_grid: Grid1D, delta_grid: Grid1D, *,
 def _marginal(w: WignerGrid, axis: int) -> np.ndarray:
     """Trapezoid of W over ``axis`` (1: delta, 0: gamma).
 
-    Requires the integrated window to be wide enough that its outermost
-    strip carries less than 1e-6 of |W|, and two points on both axes:
-    along a one-point axis the whole window is its edge strip, and across
-    one the strip mass has no integral.  Raises TruncationError otherwise.
+    Needs two points on both axes: along a one-point axis the whole
+    window is its edge strip, and across one the strip mass has no
+    integral; both raise TruncationError, as does an edge strip over 1e-6.
     """
     if min(w.values.shape) == 1:
         raise TruncationError(
@@ -337,12 +336,14 @@ def _marginal(w: WignerGrid, axis: int) -> np.ndarray:
 
 
 def marginal_position(w: WignerGrid) -> np.ndarray:
-    """Position (gamma) density: trapezoid of W over delta."""
+    """Position (gamma) density: trapezoid of W over delta.  Raises
+    TruncationError if the outermost delta strip holds more than 1e-6 of |W|."""
     return _marginal(w, axis=1)
 
 
 def marginal_momentum(w: WignerGrid) -> np.ndarray:
-    """Momentum (delta) density: trapezoid of W over gamma."""
+    """Momentum (delta) density: trapezoid of W over gamma.  Raises
+    TruncationError if the outermost gamma strip holds more than 1e-6 of |W|."""
     return _marginal(w, axis=0)
 
 

@@ -9,14 +9,18 @@ so there is one cut rule.
 :func:`dense_u_rotation` and :func:`per_block_radial_kernel` are the Fock
 pipeline's first two stages in their direct form: one dense unitary
 U rho U^dag over every sector, and one complex ``basis.T @ block @ basis``
-update per angular momentum m, with basis rows from
-``radwig.radial_wavefunction``.
+update per angular momentum m, with basis rows from :func:`scipy_psi`.
+
+:func:`scipy_psi` assembles the rescaled radial eigenfunction psi_k(v)
+from scipy's Laguerre values and log-gamma, independent of the library's
+recurrence.
 """
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import eval_genlaguerre, gammaln
 
-from radwig import AccuracyError, laguerre_log, radial_wavefunction, sector_isometry
+from radwig import AccuracyError, laguerre_log, sector_isometry
 from radwig.wigner import _ladder
 
 
@@ -50,6 +54,16 @@ def wigner_l0_closed(l: int, gamma: float, delta: float) -> float:
     return float((4.0 * np.exp(2.0 * gamma) / np.pi) * result[0])
 
 
+def scipy_psi(k, alpha, v):
+    """psi_k(v) = e^v R(e^v) from scipy's Laguerre values and log-gamma."""
+    x = np.exp(2.0 * v)
+    lag = eval_genlaguerre(k, alpha, x)
+    with np.errstate(divide="ignore"):
+        log_abs = (0.5 * (np.log(2.0) + gammaln(k + 1.0) - gammaln(k + alpha + 1.0))
+                   + (alpha + 1.0) * v - x / 2.0 + np.log(np.abs(lag)))
+    return (-1.0) ** k * np.sign(lag) * np.exp(log_abs)
+
+
 def dense_u_rotation(rho) -> np.ndarray:
     """Schwinger entries U rho U^dag of a FockDensityMatrix, U assembled
     densely from the sector isometries, then symmetrised."""
@@ -69,7 +83,6 @@ def per_block_radial_kernel(rho_s, grid) -> np.ndarray:
     """Radial kernel of a SchwingerDensityMatrix on ``grid``, one m block
     at a time."""
     v = grid.points
-    r = np.exp(v)
     labels = rho_s.labels
     by_m = {}
     for idx, lab in enumerate(labels):
@@ -77,7 +90,8 @@ def per_block_radial_kernel(rho_s, grid) -> np.ndarray:
     kernel = np.zeros((grid.n_points, grid.n_points), dtype=complex)
     for idx in by_m.values():
         block = rho_s.entries[np.ix_(idx, idx)]
-        basis = np.array([np.exp(v) * radial_wavefunction(labels[i], r)
+        basis = np.array([scipy_psi(min(labels[i].n_plus, labels[i].n_minus),
+                                    abs(labels[i].n_plus - labels[i].n_minus), v)
                           for i in idx])
         kernel += basis.T @ block @ basis
     return kernel

@@ -39,6 +39,14 @@ def test_wigner_json_round_trip(tmp_path, small_grid):
     assert back.meta == small_grid.meta
 
 
+def test_wigner_json_null_meta_loads(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text('{"meta": null, "gamma": [0.0, 1.0], "delta": [0.0, 1.0], '
+                    '"w": [[1.0, 2.0], [3.0, 4.0]]}')
+    grid = read_wigner_json(path)
+    assert grid.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_wavefunction_csv_format(tmp_path):
     path = tmp_path / "psi.csv"
     write_wavefunction_csv(path, [0.0, 0.5], np.array([1 + 2j, 3 - 4j]))
