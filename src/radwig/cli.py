@@ -89,8 +89,6 @@ def cmd_wl(args) -> int:
 
 def cmd_vacuum(args) -> int:
     pts = parse_axis(args.grid).points
-    if args.basis == "r" and pts[0] <= 0:
-        raise CliInputError("r-basis grid must be strictly positive")
     samples = dilaton_vacuum(args.basis, pts)
     _write_state(args, pts, samples, {"state": "vacuum", "basis": args.basis})
     return EXIT_OK

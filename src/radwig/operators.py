@@ -142,11 +142,11 @@ def apply_pr(psi) -> np.ndarray:
 def apply_displacement(lam: float, mu: float, psi: WavefunctionV) -> WavefunctionV:
     """Scale displacement D(lam, mu) on a log-radius state.
 
-    Implemented exactly as the operator factorises: a spectral
-    half-translation by mu/2, multiplication by exp(i lam vbar) (the
-    phase r^{i lam} becomes in the log coordinate), and a second
-    half-translation.  Translations are unitary spectral shifts, so
-    repeated displacements compose without dispersive grid error.
+    Applied as the action of exp(i mu Pr/2) r^{i lam} exp(i mu Pr/2): one
+    spectral translation psi(vbar) -> psi(vbar + mu), times the exact
+    phase exp(i lam (vbar + mu/2)) at the grid points.  The translation is
+    a unitary spectral shift, so repeated displacements compose without
+    dispersive grid error.
 
     Raises TruncationError (with the estimated lost mass) if the state
     carries more than 1e-8 of its probability within |mu| of the grid
@@ -171,9 +171,8 @@ def apply_displacement(lam: float, mu: float, psi: WavefunctionV) -> Wavefunctio
                 f"displacement by mu={mu} pushes ~{lost:.3e} of the "
                 "probability across the grid edge", lost_mass=lost)
 
-    out = _spectral_translate(psi.grid, psi.samples, mu / 2.0)
-    out = np.exp(1j * lam * psi.grid.points) * out
-    out = _spectral_translate(psi.grid, out, mu / 2.0)
+    out = np.exp(1j * lam * (psi.grid.points + mu / 2.0)) \
+        * _spectral_translate(psi.grid, psi.samples, mu)
     return WavefunctionV(psi.grid, out, norm_tol=None, meta=dict(psi.meta))
 
 

@@ -125,10 +125,7 @@ class SchwingerLabel:
     Stored internally as the circular-mode occupation numbers
     ``n_plus = l + m`` and ``n_minus = l - m`` so that half-integer labels
     stay exact; ``l`` and ``m`` are exposed as `fractions.Fraction`.
-
-    Half-integer labels (odd total quanta) are valid inputs everywhere but
-    are exercised far less by the closed-form cross-checks, which only
-    reach integer l at m = 0; ``experimental`` flags them.
+    Half-integer labels (odd total quanta) are valid inputs everywhere.
     """
 
     def __init__(self, l, m, beta: float = 1.0):
@@ -156,11 +153,6 @@ class SchwingerLabel:
     def m(self) -> Fraction:
         return Fraction(self.n_plus - self.n_minus, 2)
 
-    @property
-    def experimental(self) -> bool:
-        """True for half-integer (l, m), which only the Fock pipeline reaches."""
-        return (self.n_plus + self.n_minus) % 2 == 1
-
     def __eq__(self, other):
         return (isinstance(other, SchwingerLabel)
                 and (self.n_plus, self.n_minus, self.beta)
@@ -182,12 +174,16 @@ def _radial_rows(alpha: int, count: int, v: np.ndarray):
     is e^v R_{l,m}(e^v) at beta = 1, for k = l - |m| and alpha = 2|m|.
     One Laguerre recurrence in k at fixed alpha gives every row as a pair
     ``(cur, offset)`` with psi_k = cur * exp(offset), the magnitude kept
-    in the log domain so that no row overflows.
+    in the log domain so that no row overflows.  Past x = e^{2v} = 1e150
+    every row is 0, and the recurrence, which would overflow there, runs
+    at x = 0 under the offset -x/2.
     """
     _check_degree_order(count - 1, alpha)
-    x = np.exp(v) ** 2
+    with np.errstate(over="ignore"):
+        x = np.exp(v) ** 2
     base = (alpha + 1.0) * v - x / 2.0
-    laguerre = _scaled_recurrence(count - 1, float(alpha), x)
+    laguerre = _scaled_recurrence(count - 1, float(alpha),
+                                  np.where(x < 1e150, x, 0.0))
     for k, (cur, offset) in enumerate(laguerre):
         log_pref = 0.5 * (np.log(2.0) + log_factorial(k)
                           - log_factorial(k + alpha))

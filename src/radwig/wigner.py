@@ -8,8 +8,8 @@ Two independent routes produce the same distribution:
       W(gamma, delta) = (1/2pi) integral d_eps e^{-i eps delta}
                         <gamma + eps/2| rho |gamma - eps/2>,
 
-  by gathering anti-diagonal slices of the sampled kernel and Fourier
-  transforming in eps.
+  by gathering anti-diagonal slices of the sampled kernel, folding each
+  Hermitian slice onto eps >= 0 and transforming it in real products.
 
 * :func:`wigner_l0_grid` evaluates the closed form for the
   zero-angular-momentum oscillator levels l,
@@ -70,7 +70,8 @@ def validate_density_matrix(entries: np.ndarray, *, spacing: float = 1.0,
     Hermiticity holds to 1e-10 of the largest entry magnitude; the trace
     is sum(diagonal) * spacing and must be within ``trace_tol`` of 1.
     The worst violating pair is named in the error, through
-    ``label(row, col)`` when given.  Raises ValidationError.
+    ``label(row, col)`` when given.  Raises ValidationError, else returns
+    the Hermiticity residual max |rho - rho^dagger| (the one such check).
     """
     if not np.all(np.isfinite(entries)):
         raise ValidationError(f"{what} entries must be finite")
@@ -93,6 +94,7 @@ def validate_density_matrix(entries: np.ndarray, *, spacing: float = 1.0,
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError(
             f"{what} trace {tr} deviates from 1 by more than {trace_tol}")
+    return worst
 
 
 class DensityMatrixV:
@@ -100,8 +102,9 @@ class DensityMatrixV:
 
     ``entries[i, j]`` holds <vbar_i| rho |vbar_j>; the trace convention is
     sum(diagonal) * spacing == 1.  Construction validates Hermiticity
-    (to 1e-10) and the trace (to 1e-8); positive semidefiniteness is
-    checked on demand via :meth:`min_eigenvalue`.
+    (to 1e-10, keeping the residual as ``meta["hermiticity_residual"]``)
+    and the trace (to 1e-8); positive semidefiniteness is checked on
+    demand via :meth:`min_eigenvalue`.
     """
 
     def __init__(self, grid: Grid1D, entries, *, trace_tol=1e-8, meta=None):
@@ -110,11 +113,11 @@ class DensityMatrixV:
         if entries.shape != (n, n):
             raise ValidationError(
                 f"entries shape {entries.shape} does not match grid size {n}")
-        validate_density_matrix(entries, spacing=grid.spacing,
-                                trace_tol=trace_tol)
+        self.meta = dict(meta) if meta else {}
+        self.meta["hermiticity_residual"] = validate_density_matrix(
+            entries, spacing=grid.spacing, trace_tol=trace_tol)
         self.grid = grid
         self.entries = entries
-        self.meta = dict(meta) if meta else {}
 
     @property
     def trace(self) -> float:
@@ -193,9 +196,12 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     Every requested gamma must sit on a half-integer multiple of the
     density grid spacing so the pair (gamma + eps/2, gamma - eps/2) hits
     stored samples exactly; anything else raises GridAlignmentError
-    rather than silently interpolating.  For each gamma the anti-diagonal
-    slice over all available eps is zero-padded onto a common ladder and
-    one Fourier matrix maps it to every delta at once.
+    rather than silently interpolating.  Each anti-diagonal slice
+    f(tau) = <gamma + tau/2| rho |gamma - tau/2> is folded onto tau >= 0 as
+    g = f(tau) + f(-tau)^* (g(0) halved) on one ladder of n columns, and
+    Re g cos(tau delta) + Im g sin(tau delta) is summed by two real
+    products: the real part of the two-sided sum.  Hermiticity was checked
+    at construction; its residual is copied into ``meta``.
     """
     v0 = rho.grid.min
     h = rho.grid.spacing
@@ -212,25 +218,20 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     if s_idx.min() < 0 or s_idx.max() > 2 * (n - 1):
         raise GridAlignmentError("gamma grid extends outside the density grid")
 
-    ntau = 2 * n - 1
-    gather = np.zeros((gamma_grid.n_points, ntau), dtype=complex)
+    gather = np.zeros((gamma_grid.n_points, n), dtype=complex)
     for k, s in enumerate(s_idx):
-        a = np.arange(max(0, s - (n - 1)), min(n - 1, s) + 1)
+        a = np.arange((s + 1) // 2, min(n - 1, s) + 1)
         b = s - a
-        gather[k, 2 * a - s + (n - 1)] = rho.entries[a, b]
+        gather[k, a - b] = rho.entries[a, b] + rho.entries[b, a].conj()
+    gather[:, 0] *= 0.5
 
-    tau = (np.arange(ntau) - (n - 1)) * h
-    kernel = np.exp(-1j * np.outer(tau, delta_grid.points))
-    w_complex = (h / np.pi) * (gather @ kernel)
-
-    max_imag = float(np.abs(w_complex.imag).max())
-    if max_imag > 1e-8:
-        raise ValidationError(
-            f"Wigner transform of Hermitian input has |Im| = {max_imag:.3e}")
-    meta = {"route": "density-matrix", "max_imag": max_imag,
-            "overlap_factor": OVERLAP_FACTOR}
-    meta.update({k: rho.meta[k] for k in ("l",) if k in rho.meta})
-    return WignerGrid(gamma_grid, delta_grid, w_complex.real, meta=meta)
+    arg = np.outer(np.arange(n) * h, delta_grid.points)
+    values = (h / np.pi) * (gather.real @ np.cos(arg)
+                            + gather.imag @ np.sin(arg))
+    meta = {"route": "density-matrix", "overlap_factor": OVERLAP_FACTOR}
+    meta.update({k: rho.meta[k] for k in ("hermiticity_residual", "l")
+                 if k in rho.meta})
+    return WignerGrid(gamma_grid, delta_grid, values, meta=meta)
 
 
 def _log_integrand(l: int, z: np.ndarray, eps: np.ndarray):

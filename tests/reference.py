@@ -14,6 +14,10 @@ update per angular momentum m, with basis rows from :func:`scipy_psi`.
 :func:`scipy_psi` assembles the rescaled radial eigenfunction psi_k(v)
 from scipy's Laguerre values and log-gamma, independent of the library's
 recurrence.
+
+:func:`wigner_two_sided` is the density route's transform in its direct
+form: every anti-diagonal slice over both signs of tau, one complex
+exponential kernel, no Hermitian fold.
 """
 
 import numpy as np
@@ -95,3 +99,19 @@ def per_block_radial_kernel(rho_s, grid) -> np.ndarray:
                           for i in idx])
         kernel += basis.T @ block @ basis
     return kernel
+
+
+def wigner_two_sided(rho, gamma_grid, delta_grid) -> np.ndarray:
+    """Complex (h/pi) sum_tau f(tau) e^{-i tau delta} of a DensityMatrixV
+    over the full anti-diagonal slice f(tau), tau of both signs; its real
+    part is the Wigner function, its imaginary part 0 for Hermitian input.
+    ``gamma_grid`` must sit on the density grid's half-spacings."""
+    v0, h, n = rho.grid.min, rho.grid.spacing, rho.grid.n_points
+    s_idx = np.rint(2.0 * (gamma_grid.points - v0) / h).astype(int)
+    ntau = 2 * n - 1
+    gather = np.zeros((gamma_grid.n_points, ntau), dtype=complex)
+    for k, s in enumerate(s_idx):
+        a = np.arange(max(0, s - (n - 1)), min(n - 1, s) + 1)
+        gather[k, 2 * a - s + (n - 1)] = rho.entries[a, s - a]
+    tau = (np.arange(ntau) - (n - 1)) * h
+    return (h / np.pi) * (gather @ np.exp(-1j * np.outer(tau, delta_grid.points)))

@@ -9,10 +9,11 @@ from radwig import (DomainError, FockDensityMatrix, Grid1D, SchemaError,
                     ValidationError, default_vbar_grid, end_to_end,
                     fock_to_schwinger, load_fock_density, radial_reduce,
                     radial_wavefunction, sector_isometry, vbar_schwinger_l0,
-                    wigner_l0_grid)
+                    wigner_from_density, wigner_l0_grid)
 from radwig.states import _radial_rows
 
-from reference import dense_u_rotation, per_block_radial_kernel, scipy_psi
+from reference import (dense_u_rotation, per_block_radial_kernel, scipy_psi,
+                       wigner_two_sided)
 
 GAMMA = Grid1D(-3.0, 2.0, 126)
 DELTA = Grid1D(-4.0, 4.0, 81)
@@ -56,6 +57,16 @@ def dense_state(n_max, seed, rank=3):
     rho = (vecs * rng.dirichlet(np.ones(rank))) @ vecs.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return FockDensityMatrix(n_max, rho / np.trace(rho).real)
+
+
+def test_folded_route_matches_two_sided_on_fock_kernel():
+    rho_v = radial_reduce(fock_to_schwinger(dense_state(3, seed=903)),
+                          default_vbar_grid())
+    w = wigner_from_density(rho_v, GAMMA, DELTA)
+    assert np.abs(w.values - wigner_two_sided(rho_v, GAMMA, DELTA).real
+                  ).max() <= 1e-14
+    assert w.meta["hermiticity_residual"] == \
+        rho_v.meta["hermiticity_residual"] <= 1e-10
 
 
 @pytest.mark.parametrize("n_max", [3, 10, 20])

@@ -278,6 +278,7 @@ def test_library_warning_prints_one_warning_line(tmp_path):
     ["fock", "--input", "rho.json", "--gamma", "1:2"],
     ["fock", "--input", "rho.json", "--delta", "1:2"],
     ["vacuum", "--grid", "1:2"],
+    ["vacuum", "--basis", "r", "--grid", "-1:2:11"],
     ["coherent", "--grid", "1:2"],
     ["wl", "--l", "99"],
     ["coherent", "--alpha", "nope"],

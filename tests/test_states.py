@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -18,10 +20,8 @@ SQRT2 = np.sqrt(2.0)
 def test_label_validation():
     lab = SchwingerLabel(2, 1)
     assert (lab.n_plus, lab.n_minus) == (3, 1)
-    assert not lab.experimental
     half = SchwingerLabel("1/2", "1/2")
     assert (half.n_plus, half.n_minus) == (1, 0)
-    assert half.experimental
     with pytest.raises(DomainError):
         SchwingerLabel(1, 0.4)
     with pytest.raises(DomainError):
@@ -41,6 +41,18 @@ def test_radial_wavefunction_at_origin_limits():
         radial_wavefunction(SchwingerLabel(0, 0), 0.0)
     with pytest.raises(DomainError):
         radial_wavefunction(SchwingerLabel(0, 0), -1.0)
+
+
+def test_eigenfunctions_past_overflow_are_exactly_zero():
+    # e^{2v} overflows at vbar ~ 354.9 (r ~ 1.3e154), and the degree-64
+    # recurrence overflows from vbar ~ 177.4 on; the true value is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert radial_wavefunction(SchwingerLabel(2, 1), 1e200) == 0.0
+        assert vbar_schwinger_l0(2, 400.0) == 0.0
+        pair = vbar_schwinger_l0(1, np.array([0.0, 400.0]))
+        assert pair[1] == 0.0
+        assert vbar_schwinger_l0(64, 180.0) == 0.0
 
 
 @pytest.mark.parametrize("l,m", [(0, 0), (1, 0), (1, 1), (2, 1), (3, 2),

@@ -11,7 +11,7 @@ from radwig import (DensityMatrixV, DomainError, Grid1D, GridAlignmentError,
                     marginal_momentum, marginal_position, momentum_transform,
                     overlap, s_smooth, schwinger_density, vbar_schwinger_l0,
                     wigner_from_density, wigner_l0_grid)
-from reference import wigner_l0_closed
+from reference import wigner_l0_closed, wigner_two_sided
 
 GAMMA = Grid1D(-3.0, 2.0, 126)
 DELTA = Grid1D(-4.0, 4.0, 81)
@@ -88,7 +88,32 @@ def test_vacuum_wigner_is_gaussian(vacuum_rho):
     gg, dd = np.meshgrid(gamma.points, delta.points, indexing="ij")
     oracle = np.exp(-gg ** 2 - dd ** 2) / np.pi
     assert np.abs(w.values - oracle).max() < 1e-6
-    assert w.meta["max_imag"] < 1e-8
+    assert w.meta["hermiticity_residual"] <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def boosted_rho():
+    return DensityMatrixV.from_pure(
+        dilaton_coherent(0.5 + 0.8j, Grid1D(-8.0, 8.0, 1601)))
+
+
+@pytest.mark.parametrize("gamma", [Grid1D(-3.0, 3.0, 601),
+                                   Grid1D(-3.005, 2.995, 601)],
+                         ids=["even-index", "odd-index"])
+def test_folded_route_matches_two_sided_and_exact(boosted_rho, gamma):
+    # a momentum boost p0 != 0 makes Im f(tau) != 0, so the sine half of
+    # the fold carries weight; the two gamma grids hit even and odd
+    # anti-diagonals of the density grid
+    delta = Grid1D(-4.0, 4.0, 161)
+    w = wigner_from_density(boosted_rho, gamma, delta)
+    assert np.abs(w.values - wigner_two_sided(boosted_rho, gamma, delta).real
+                  ).max() <= 1e-14
+    v0, p0 = np.sqrt(2.0) * 0.5, np.sqrt(2.0) * 0.8
+    gg, dd = np.meshgrid(gamma.points, delta.points, indexing="ij")
+    exact = np.exp(-(gg - v0) ** 2 - (dd - p0) ** 2) / np.pi
+    assert np.abs(w.values - exact).max() <= 1e-12
+    assert w.meta["hermiticity_residual"] == \
+        boosted_rho.meta["hermiticity_residual"] <= 1e-10
 
 
 def test_density_route_matches_closed_form():
