@@ -8,12 +8,14 @@ delta-normalisation of the displacement trace kernel (measured in smeared
 form, since delta functions are not grid objects).
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .grids import Grid1D
-from .operators import apply_displacement, apply_pr, expectation
+from .operators import _displace, apply_displacement, apply_pr, expectation
 from .special import laguerre_assoc
 from .states import (SchwingerLabel, WavefunctionR, WavefunctionV,
                      dilaton_coherent, dilaton_vacuum, radial_wavefunction,
@@ -31,6 +33,7 @@ class InvariantResult:
     measured: float
     tolerance: float
     passed: bool
+    seconds: float
 
     def as_dict(self) -> dict:
         return {
@@ -39,6 +42,7 @@ class InvariantResult:
             "measured": self.measured,
             "tolerance": self.tolerance,
             "pass": self.passed,
+            "seconds": self.seconds,
         }
 
 
@@ -206,6 +210,27 @@ def _check_pr_self_adjoint() -> float:
     return worst
 
 
+_PACKET_WIDTH = 0.05
+
+
+def _trace_packets():
+    """The trace-kernel probe: normalised Gaussian packets of width 0.05,
+    centred 0.2 apart on [-2, 2], one per row; returns the grid, the
+    (21, 2001) packet stack and the centre spacing."""
+    grid = Grid1D(-10.0, 10.0, 2001)
+    centers = np.arange(-2.0, 2.0001, 0.2)
+    g = (np.pi * _PACKET_WIDTH ** 2) ** -0.25 * np.exp(
+        -((grid.points - centers[:, None]) ** 2) / (2 * _PACKET_WIDTH ** 2))
+    g = g / np.sqrt(np.sum(g ** 2, axis=1, keepdims=True) * grid.spacing)
+    return grid, g.astype(complex), centers[1] - centers[0]
+
+
+def _smeared_adjoint(grid, left, packets, lam_p, mu_p) -> complex:
+    """sum_g <D^dag(lam, mu) g | D^dag(lam', mu') g> over the rows g of
+    ``packets``, given ``left`` = conj(D^dag(lam, mu) packets)."""
+    return np.sum(left * _displace(grid, packets, -lam_p, -mu_p)) * grid.spacing
+
+
 def _check_trace_kernel() -> float:
     """Smeared delta-normalisation of the displacement trace.
 
@@ -215,36 +240,29 @@ def _check_trace_kernel() -> float:
     double integral must equal 2 pi times the packet autocorrelation
     area, independent of m.  Returns the relative deviation from that
     prediction (worst over two mu values).
+
+    Each matrix element is taken in adjoint form,
+    <g|D(l, m) D^dag(l', m')|g> = <D^dag(l, m) g | D^dag(l', m') g>, with
+    D^dag(l, m) = D(-l, -m) applied to the whole packet stack, so the
+    left factor is formed once per m.  This is not the composition law:
+    every displacement is still applied numerically to every packet, and
+    the kernel does not rest on ``displacement-composition``.
     """
-    grid = Grid1D(-10.0, 10.0, 2001)
-    v = grid.points
-    h = grid.spacing
-    width = 0.05
-    centers = np.arange(-2.0, 2.0001, 0.2)
-    packets = []
-    for c in centers:
-        g = (np.pi * width ** 2) ** -0.25 * np.exp(-((v - c) ** 2) / (2 * width ** 2))
-        g = g / np.sqrt(np.sum(g ** 2) * h)
-        packets.append(WavefunctionV(grid, g))
-    c_step = centers[1] - centers[0]
-
-    def smeared(lam, mu, lam_p, mu_p):
-        total = 0.0 + 0.0j
-        for g in packets:
-            x = apply_displacement(-lam_p, -mu_p, g)       # D^dag(lam', mu')
-            x = apply_displacement(lam, mu, x)
-            total += np.sum(np.conj(g.samples) * x.samples) * h
-        return total * c_step
-
-    expected = 2.0 * np.pi * 2.0 * width * np.sqrt(np.pi)
+    grid, packets, c_step = _trace_packets()
+    expected = 2.0 * np.pi * 2.0 * _PACKET_WIDTH * np.sqrt(np.pi)
     lam0 = 0.7
     worst = 0.0
     for mu0 in (0.2, 0.6):
+        left = np.conj(_displace(grid, packets, -lam0, -mu0))
+
+        def smeared(lam_p, mu_p):
+            return _smeared_adjoint(grid, left, packets, lam_p, mu_p) * c_step
+
         etas = np.linspace(-2.5 * np.pi, 2.5 * np.pi, 158)
-        t_eta = np.array([smeared(lam0, mu0, lam0 + e, mu0) for e in etas])
+        t_eta = np.array([smeared(lam0 + e, mu0) for e in etas])
         gaps = np.linspace(-0.4, 0.4, 41)
-        t_gap = np.array([smeared(lam0, mu0, lam0, mu0 - d) for d in gaps])
-        peak = smeared(lam0, mu0, lam0, mu0)
+        t_gap = np.array([smeared(lam0, mu0 - d) for d in gaps])
+        peak = smeared(lam0, mu0)
         measured = (np.trapezoid(t_eta, etas) * np.trapezoid(t_gap, gaps) / peak).real
         worst = max(worst, abs(measured / expected - 1.0))
     return worst
@@ -375,8 +393,13 @@ def run_invariants(names=None, tolerance_scale: float = 1.0) -> list:
     """Measure the selected invariants (all by default).
 
     ``tolerance_scale`` multiplies every tolerance, which is mainly a
-    hook for forcing the failure path.
+    hook for forcing the failure path; it must be finite and at least 0
+    (0 fails every invariant with a nonzero residual).  Each result
+    records the wall-clock seconds its measurement took.
     """
+    if not (np.isfinite(tolerance_scale) and tolerance_scale >= 0):
+        raise DomainError(
+            f"tolerance scale must be finite and >= 0, got {tolerance_scale}")
     selected = set(names) if names is not None else None
     unknown = (selected or set()) - set(available_invariants())
     if unknown:
@@ -385,9 +408,11 @@ def run_invariants(names=None, tolerance_scale: float = 1.0) -> list:
     for name, description, tol, fn in _REGISTRY:
         if selected is not None and name not in selected:
             continue
+        start = time.perf_counter()
         measured = float(fn())
+        seconds = time.perf_counter() - start
         tol_eff = tol * tolerance_scale
         results.append(InvariantResult(
             name=name, description=description, measured=measured,
-            tolerance=tol_eff, passed=measured <= tol_eff))
+            tolerance=tol_eff, passed=measured <= tol_eff, seconds=seconds))
     return results

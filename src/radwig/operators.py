@@ -89,12 +89,6 @@ def _spectral_derivative(psi: WavefunctionV) -> np.ndarray:
     return np.fft.ifft(1j * k * np.fft.fft(psi.samples))
 
 
-def _spectral_translate(grid: Grid1D, samples: np.ndarray, shift: float) -> np.ndarray:
-    """Band-limited evaluation of psi(v + shift) on the same grid."""
-    k = _wavenumbers(grid)
-    return np.fft.ifft(np.exp(1j * k * shift) * np.fft.fft(samples))
-
-
 def _warn_edges(samples: np.ndarray, spacing: float, what: str):
     edge = max(abs(samples[0]), abs(samples[-1]))
     if edge > _EDGE_DECAY:
@@ -139,6 +133,27 @@ def apply_pr(psi) -> np.ndarray:
     raise BasisMismatchError(f"cannot apply Pr to {type(psi).__name__}")
 
 
+def _displace(grid: Grid1D, samples: np.ndarray, lam: float, mu: float) -> np.ndarray:
+    """D(lam, mu) along the last axis of a (..., n) stack of samples.
+
+    One band-limited shift psi(vbar) -> psi(vbar + mu) of every row, then
+    the phase exp(i lam (vbar + mu/2)).  Raises TruncationError with the
+    lost mass of the worst row.
+    """
+    v = grid.points
+    if mu != 0.0:
+        strip = v < grid.min + mu if mu > 0 else v > grid.max + mu
+        lost = float(np.max(np.sum(np.abs(samples[..., strip]) ** 2 * grid.spacing,
+                                   axis=-1)))
+        if lost > 1e-8:
+            raise TruncationError(
+                f"displacement by mu={mu} pushes ~{lost:.3e} of the "
+                "probability across the grid edge", lost_mass=lost)
+
+    shifted = np.fft.ifft(np.exp(1j * _wavenumbers(grid) * mu) * np.fft.fft(samples))
+    return np.exp(1j * lam * (v + mu / 2.0)) * shifted
+
+
 def apply_displacement(lam: float, mu: float, psi: WavefunctionV) -> WavefunctionV:
     """Scale displacement D(lam, mu) on a log-radius state.
 
@@ -158,21 +173,7 @@ def apply_displacement(lam: float, mu: float, psi: WavefunctionV) -> Wavefunctio
     if not (np.isfinite(lam) and np.isfinite(mu)):
         raise DomainError("displacement parameters must be finite")
 
-    if mu != 0.0:
-        v = psi.grid.points
-        density = np.abs(psi.samples) ** 2 * psi.grid.spacing
-        if mu > 0:
-            strip = v < psi.grid.min + mu
-        else:
-            strip = v > psi.grid.max + mu
-        lost = float(np.sum(density[strip]))
-        if lost > 1e-8:
-            raise TruncationError(
-                f"displacement by mu={mu} pushes ~{lost:.3e} of the "
-                "probability across the grid edge", lost_mass=lost)
-
-    out = np.exp(1j * lam * (psi.grid.points + mu / 2.0)) \
-        * _spectral_translate(psi.grid, psi.samples, mu)
+    out = _displace(psi.grid, psi.samples, lam, mu)
     return WavefunctionV(psi.grid, out, norm_tol=None, meta=dict(psi.meta))
 
 

@@ -18,13 +18,19 @@ recurrence.
 :func:`wigner_two_sided` is the density route's transform in its direct
 form: every anti-diagonal slice over both signs of tau, one complex
 exponential kernel, no Hermitian fold.
+
+:func:`trace_kernel_sandwich` is the displacement trace kernel's matrix
+element <g|D(lam, mu) D^dag(lam', mu')|g> as a per-packet sandwich, the
+direct form of the adjoint product <D^dag g|D'^dag g> that the
+``displacement-trace-kernel`` invariant takes over a packet stack.
 """
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gammaln
 
-from radwig import AccuracyError, laguerre_log, sector_isometry
+from radwig import (AccuracyError, WavefunctionV, apply_displacement,
+                    laguerre_log, sector_isometry)
 from radwig.wigner import _ladder
 
 
@@ -115,3 +121,16 @@ def wigner_two_sided(rho, gamma_grid, delta_grid) -> np.ndarray:
         gather[k, 2 * a - s + (n - 1)] = rho.entries[a, s - a]
     tau = (np.arange(ntau) - (n - 1)) * h
     return (h / np.pi) * (gather @ np.exp(-1j * np.outer(tau, delta_grid.points)))
+
+
+def trace_kernel_sandwich(grid, packets, lam, mu, lam_p, mu_p) -> complex:
+    """sum_g <g| D(lam, mu) D^dag(lam', mu') |g> h over the rows g of
+    ``packets``: the trace-kernel element in its direct form, two
+    ``apply_displacement`` calls on one packet at a time."""
+    total = 0.0 + 0.0j
+    for row in packets:
+        g = WavefunctionV(grid, row)
+        x = apply_displacement(-lam_p, -mu_p, g)       # D^dag(lam', mu')
+        x = apply_displacement(lam, mu, x)
+        total += np.sum(np.conj(g.samples) * x.samples) * grid.spacing
+    return total

@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
-from radwig.checks import available_invariants, run_invariants
+from radwig import DomainError
+from radwig.checks import (_smeared_adjoint, _trace_packets,
+                           available_invariants, run_invariants)
+from radwig.operators import _displace
+from reference import trace_kernel_sandwich
 
 
 def test_registry_names_are_stable():
@@ -39,3 +44,26 @@ def test_wigner_negativity_obeys_tolerance_scale():
     assert passing.passed and 0.0 < passing.measured < 1.0
     failing, = run_invariants(["wigner-negativity"], tolerance_scale=0.0)
     assert not failing.passed
+
+
+@pytest.mark.parametrize("scale", [np.inf, np.nan, -1.0])
+def test_tolerance_scale_must_be_finite_and_nonnegative(scale):
+    with pytest.raises(DomainError):
+        run_invariants(["laguerre-recurrence"], tolerance_scale=scale)
+
+
+@pytest.mark.parametrize("lam0, mu0", [(0.7, 0.2), (0.7, 0.6)])
+def test_trace_kernel_adjoint_form_matches_sandwich(lam0, mu0):
+    grid, packets, _ = _trace_packets()
+    left = np.conj(_displace(grid, packets, -lam0, -mu0))
+    for lam_p, mu_p in [(lam0, mu0), (lam0 + 3.0, mu0), (lam0, mu0 - 0.3),
+                        (lam0 + 0.1, mu0 - 0.05)]:
+        adjoint = _smeared_adjoint(grid, left, packets, lam_p, mu_p)
+        sandwich = trace_kernel_sandwich(grid, packets, lam0, mu0, lam_p, mu_p)
+        assert abs(adjoint - sandwich) <= 1e-14
+
+
+def test_trace_kernel_value_is_pinned():
+    res, = run_invariants(["displacement-trace-kernel"])
+    assert res.measured == pytest.approx(0.02207841421620449, rel=1e-12)
+    assert res.tolerance == 5e-2 and res.passed

@@ -449,6 +449,7 @@ def test_check_single_invariant(tmp_path, capsys):
     assert doc["all_pass"] is True
     assert doc["results"][0]["invariant"] == "laguerre-recurrence"
     assert doc["results"][0]["measured"] <= doc["results"][0]["tolerance"]
+    assert doc["results"][0]["seconds"] > 0.0
 
 
 def test_check_forced_failure(capsys):
@@ -460,3 +461,14 @@ def test_check_forced_failure(capsys):
 
 def test_check_unknown_invariant():
     assert main(["check", "--only", "no-such-invariant"]) == 2
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
+def test_check_rejects_bad_tolerance_scale(capsys, scale):
+    rc = main(["check", "--only", "wigner-negativity",
+               f"--tolerance-scale={scale}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

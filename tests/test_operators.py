@@ -8,6 +8,7 @@ from radwig import (BasisMismatchError, DomainError, Grid1D, OperatorAction,
                     apply_pr, dilaton_coherent, dilaton_vacuum, expectation,
                     momentum_transform, radial_wavefunction,
                     vbar_schwinger_l0)
+from radwig.operators import _displace
 
 SQRT2 = np.sqrt(2.0)
 
@@ -153,6 +154,47 @@ def test_displacement_is_unitary():
     psi = make_vacuum()
     out = apply_displacement(0.8, -0.6, psi)
     assert out.norm() == pytest.approx(psi.norm(), abs=1e-12)
+
+
+def _stack(grid):
+    return [make_vacuum(grid), dilaton_coherent(0.4 + 0.3j, grid),
+            dilaton_coherent(-0.6 + 0.8j, grid)]
+
+
+@pytest.mark.parametrize("lam, mu", [(0.0, 0.0), (0.7, 0.35), (-1.2, -0.8)])
+def test_stacked_displacement_matches_rows(lam, mu):
+    grid = Grid1D(-10.0, 10.0, 2001)
+    states = _stack(grid)
+    stacked = _displace(grid, np.array([s.samples for s in states]), lam, mu)
+    for row, psi in zip(stacked, states):
+        assert np.abs(row - apply_displacement(lam, mu, psi).samples).max() <= 1e-15
+
+
+def test_stacked_displacement_reports_the_edge_row():
+    grid = Grid1D(-10.0, 10.0, 2001)
+    states = _stack(grid)
+
+    def packet(center):
+        return np.pi ** -0.25 * np.exp(-(grid.points - center) ** 2 / 2)
+
+    edge = WavefunctionV(grid, packet(-6.5))
+    with pytest.raises(TruncationError) as single:
+        apply_displacement(0.0, 2.0, edge)
+    # a second row loses ~2e-4, so a stack-wide sum would not match
+    stack = np.array([s.samples for s in states[:2]] + [edge.samples]
+                     + [packet(-5.5), states[2].samples])
+    with pytest.raises(TruncationError) as stacked:
+        _displace(grid, stack, 0.0, 2.0)
+    assert stacked.value.lost_mass > 1e-8
+    assert stacked.value.lost_mass == pytest.approx(single.value.lost_mass,
+                                                    rel=0, abs=1e-15)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_stacked_displacement_identity():
+    grid = Grid1D(-10.0, 10.0, 2001)
+    stack = np.array([s.samples for s in _stack(grid)])
+    assert np.abs(_displace(grid, stack, 0.0, 0.0) - stack).max() <= 1e-15
 
 
 # ----------------------------------------------------- momentum transform
