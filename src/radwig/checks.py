@@ -317,7 +317,7 @@ def _check_wigner_negativity() -> float:
 
 def _check_husimi_nonnegative() -> float:
     gamma = Grid1D(-11.0, 6.0, 681)
-    delta = Grid1D(-12.0, 12.0, 481)
+    delta = Grid1D(-16.0, 16.0, 641)
     w = wigner_l0_grid(1, gamma, delta, allow_deep_tail=True)
     q = s_smooth(w, -1.0)
     margin = 6.5 * np.sqrt(0.5)
@@ -325,6 +325,38 @@ def _check_husimi_nonnegative() -> float:
     di = (delta.points > delta.min + margin) & (delta.points < delta.max - margin)
     interior_min = q.values[np.ix_(gi, di)].min()
     return max(0.0, -float(interior_min))
+
+
+def _husimi_exact(l: int, gamma_grid: Grid1D, delta_grid: Grid1D,
+                  vbar_grid: Grid1D) -> np.ndarray:
+    """Exact Husimi function of the level |l, 0> over a phase-space grid.
+
+    Q(gamma, delta) = |<alpha|l, 0>|^2 / 2 pi, with <alpha| the
+    ``dilaton_coherent`` state centred at (gamma, delta):
+
+        <alpha|psi> = pi^{-1/4} e^{i delta gamma / 2}
+                      integral dv e^{-(v - gamma)^2 / 2} psi(v) e^{-i delta v}.
+
+    Over a grid this is one Gaussian-windowed Fourier transform of the
+    real psi: M[gamma, v] = e^{-(v - gamma)^2 / 2} psi(v) times the cosine
+    and the sine of v delta, two real products, summed on ``vbar_grid``.
+    """
+    v, h = vbar_grid.points, vbar_grid.spacing
+    m = (np.exp(-0.5 * (v[None, :] - gamma_grid.points[:, None]) ** 2)
+         * vbar_schwinger_l0(l, v))
+    arg = np.outer(v, delta_grid.points)
+    c, s = m @ np.cos(arg), m @ np.sin(arg)
+    return (h * h / (2.0 * np.pi ** 1.5)) * (c * c + s * s)
+
+
+def _check_husimi_exact() -> float:
+    """Largest |s_smooth(W_1, -1) - Q| over the whole grid, edges included."""
+    gamma = Grid1D(-12.0, 3.0, 131)
+    delta = Grid1D(-18.0, 18.0, 161)
+    w = wigner_l0_grid(1, gamma, delta, allow_deep_tail=True)
+    q = s_smooth(w, -1.0)
+    exact = _husimi_exact(1, gamma, delta, Grid1D(-24.0, 8.0, 801))
+    return float(np.abs(q.values - exact).max())
 
 
 _REGISTRY = [
@@ -382,6 +414,9 @@ _REGISTRY = [
     ("husimi-nonnegativity",
      "ordering -1 smoothing is nonnegative (grid interior)",
      1e-9, _check_husimi_nonnegative),
+    ("husimi-exact",
+     "ordering -1 smoothing of W_1 equals |<alpha|1,0>|^2 / 2 pi",
+     1e-10, _check_husimi_exact),
 ]
 
 

@@ -9,8 +9,8 @@ formatted once and a Wigner grid is written one joined gamma row at a
 time.  Both formats round-trip bit-exactly, and identical computations
 yield byte-identical files.
 
-Importing this module (or :mod:`radwig.cli`) loads no scipy: only
-``to_vbar`` and ``s_smooth`` import it, when called.
+The package needs numpy alone: no module, this one included, imports
+anything beyond numpy and the standard library.
 """
 
 import json

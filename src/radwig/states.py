@@ -20,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, TruncationWarning, ValidationError
+from .errors import (BasisMismatchError, DomainError, TruncationWarning,
+                     ValidationError)
 from .grids import Grid1D
 from .special import (_check_degree_order, _last_log, _scaled_recurrence,
                       log_factorial)
@@ -293,37 +294,20 @@ def to_vbar(psi_r, target: Grid1D) -> WavefunctionV:
 
     Parameters
     ----------
-    psi_r : WavefunctionR or callable
-        Sampled state (interpolated with a monotone cubic, which cannot
-        ring near r = 0) or a closed-form callable evaluated exactly.
+    psi_r : callable
+        Closed-form r-basis state, evaluated exactly at the target radii,
+        for example ``lambda r: radial_wavefunction(label, r)``.  Sampled
+        states are not interpolated: a WavefunctionR raises
+        BasisMismatchError.
     target : Grid1D
         Log-radius axis for the output.
-
-    Target points with exp(vbar) outside the sampled radii are filled
-    with zeros and flagged; if no target point is covered at all this is
-    an error.
     """
+    if not callable(psi_r):
+        raise BasisMismatchError(
+            f"to_vbar takes a callable psi_r(r), evaluated at the target "
+            f"radii, not a {type(psi_r).__name__}: sampled states are not "
+            "interpolated; pass the closed form, e.g. "
+            "lambda r: radial_wavefunction(label, r)")
     v = target.points
-    r_t = np.exp(v)
-
-    if callable(psi_r):
-        samples = np.exp(v) * np.asarray(psi_r(r_t), dtype=complex)
-        return WavefunctionV(target, samples)
-
-    inside = (r_t >= psi_r.r[0]) & (r_t <= psi_r.r[-1])
-    if not np.any(inside):
-        raise DomainError(
-            "target log-radius range does not overlap the sampled radii")
-    meta = {}
-    if not np.all(inside):
-        warnings.warn(
-            f"{int(np.sum(~inside))} target points fall outside the sampled "
-            "radii and were set to zero", TruncationWarning, stacklevel=2)
-        meta["clipped"] = True
-    from scipy.interpolate import PchipInterpolator
-    interp_re = PchipInterpolator(psi_r.r, psi_r.samples.real)
-    interp_im = PchipInterpolator(psi_r.r, psi_r.samples.imag)
-    samples = np.zeros(target.n_points, dtype=complex)
-    samples[inside] = np.exp(v[inside]) * (
-        interp_re(r_t[inside]) + 1j * interp_im(r_t[inside]))
-    return WavefunctionV(target, samples, norm_tol=1e-4, meta=meta)
+    samples = np.exp(v) * np.asarray(psi_r(np.exp(v)), dtype=complex)
+    return WavefunctionV(target, samples)

@@ -23,10 +23,16 @@ exponential kernel, no Hermitian fold.
 element <g|D(lam, mu) D^dag(lam', mu')|g> as a per-packet sandwich, the
 direct form of the adjoint product <D^dag g|D'^dag g> that the
 ``displacement-trace-kernel`` invariant takes over a packet stack.
+
+:func:`gaussian_filter_reference` is the ordering-lowering smoothing of
+``radwig.s_smooth`` done by scipy's separable ``gaussian_filter``, with the
+same kernel radius (10 standard deviations) and zero padding, instead of
+the library's two matrix products.
 """
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.ndimage import gaussian_filter
 from scipy.special import eval_genlaguerre, gammaln
 
 from radwig import (AccuracyError, WavefunctionV, apply_displacement,
@@ -134,3 +140,12 @@ def trace_kernel_sandwich(grid, packets, lam, mu, lam_p, mu_p) -> complex:
         x = apply_displacement(lam, mu, x)
         total += np.sum(np.conj(g.samples) * x.samples) * grid.spacing
     return total
+
+
+def gaussian_filter_reference(w, s: float) -> np.ndarray:
+    """Values of a WignerGrid convolved with the Gaussian of variance
+    |s|/2 per axis by scipy's ``gaussian_filter`` (``mode="constant"``,
+    ``truncate=10``)."""
+    sigma = np.sqrt(-s / 2.0)
+    pix = (sigma / w.gamma_grid.spacing, sigma / w.delta_grid.spacing)
+    return gaussian_filter(w.values, sigma=pix, mode="constant", truncate=10.0)

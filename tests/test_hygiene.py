@@ -1,4 +1,5 @@
-"""Static hygiene of the package source: exported names exist, imports are used."""
+"""Static hygiene of the package source: exported names exist, imports are
+used, and the package depends on numpy alone."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,14 @@ def test_no_unused_imports(path):
                 for name in _import_bindings(node)}
     unused = imported - used
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    tree = _parse(path)
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules.update(node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module)
+    scipy = sorted(m for m in modules if m.split(".")[0] == "scipy")
+    assert not scipy, f"{path.name} imports {scipy}"

@@ -112,6 +112,16 @@ def test_import_loads_no_scipy(tmp_path):
     out = _run_python("-c", run_wl).stdout
     assert out.strip() == "[]"
     assert out_csv.exists()
+    # nor does smoothing, nor the change of basis
+    smooth = ("import sys, radwig; g = radwig.Grid1D(-3.0, 2.0, 51); "
+              "d = radwig.Grid1D(-4.0, 4.0, 41); "
+              "w = radwig.wigner_l0_grid(0, g, d); "
+              "radwig.s_smooth(w, -1.0); "
+              "radwig.to_vbar(lambda r: radwig.radial_wavefunction("
+              "radwig.SchwingerLabel(0, 0), r), radwig.default_vbar_grid()); "
+              + listing)
+    out = _run_python("-c", smooth).stdout
+    assert out.strip() == "[]"
 
 
 # ------------------------------------------------------------ axis spec

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
-from radwig import (DomainError, Grid1D, SchwingerLabel, TruncationWarning,
-                    ValidationError, WavefunctionR, WavefunctionV,
+from radwig import (BasisMismatchError, DomainError, Grid1D, SchwingerLabel,
+                    TruncationWarning, ValidationError, WavefunctionR, WavefunctionV,
                     default_vbar_grid, dilaton_coherent, dilaton_vacuum,
                     radial_wavefunction, to_vbar, vbar_schwinger_l0)
 
@@ -156,42 +156,11 @@ def test_to_vbar_closed_form_norm_exact():
     assert psi.norm() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_to_vbar_sampled_gaussian_bump():
-    width, center = 0.05, 1.0
-    r = np.linspace(0.5, 1.5, 4001)
-    bump = np.exp(-((r - center) ** 2) / (2 * width ** 2))
-    norm = np.sqrt(np.trapezoid(r * bump ** 2, r))
-    psi_r = WavefunctionR(r, bump / norm)
-
-    target = Grid1D(-0.8, 0.42, 611)   # left end maps below r = 0.5
-    with pytest.warns(TruncationWarning):
-        psi_v = to_vbar(psi_r, target)
-    v = target.points
-    # direct-substitution oracle on the closed form
-    inside = (np.exp(v) >= r[0]) & (np.exp(v) <= r[-1])
-    oracle = np.where(
-        inside,
-        np.exp(v) * np.exp(-((np.exp(v) - center) ** 2) / (2 * width ** 2)) / norm,
-        0.0)
-    assert np.abs(psi_v.samples - oracle).max() < 1e-7
-    peak_v = v[np.argmax(np.abs(psi_v.samples))]
-    assert abs(peak_v) < 0.005
-    assert psi_v.norm() == pytest.approx(1.0, abs=1e-4)
-    assert psi_v.meta.get("clipped")
-
-
-def test_to_vbar_norm_preservation_grid_path():
+def test_to_vbar_refuses_sampled_states():
     r = np.linspace(0.02, 10.0, 3000)
     psi_r = WavefunctionR(r, radial_wavefunction(SchwingerLabel(1, 1), r))
-    psi_v = to_vbar(psi_r, Grid1D(-3.5, 2.2, 1001))
-    assert abs(psi_v.norm() - psi_r.norm()) < 1e-4
-
-
-def test_to_vbar_empty_overlap_errors():
-    r = np.linspace(5.0, 10.0, 100)
-    psi_r = WavefunctionR(r, np.full(100, 0.1), norm_tol=None)
-    with pytest.raises(DomainError):
-        to_vbar(psi_r, Grid1D(-3.0, -2.0, 11))
+    with pytest.raises(BasisMismatchError, match="callable"):
+        to_vbar(psi_r, Grid1D(-3.5, 2.2, 1001))
 
 
 # -------------------------------------------------------- vacuum states

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,13 +7,15 @@ from scipy.special import k0
 
 from radwig import (DensityMatrixV, DomainError, Grid1D, GridAlignmentError,
                     GridMismatchError, RadwigError, TruncationError,
-                    UnsupportedOrderError, ValidationError, WavefunctionV,
-                    WignerGrid,
+                    TruncationWarning, UnsupportedOrderError, ValidationError,
+                    WavefunctionV, WignerGrid,
                     default_vbar_grid, dilaton_coherent, dilaton_vacuum,
                     marginal_momentum, marginal_position, momentum_transform,
                     overlap, s_smooth, schwinger_density, vbar_schwinger_l0,
                     wigner_from_density, wigner_l0_grid)
-from reference import wigner_l0_closed, wigner_two_sided
+from radwig.checks import _husimi_exact
+from reference import (gaussian_filter_reference, wigner_l0_closed,
+                       wigner_two_sided)
 
 GAMMA = Grid1D(-3.0, 2.0, 126)
 DELTA = Grid1D(-4.0, 4.0, 81)
@@ -411,19 +415,101 @@ def test_s_smooth_mass_preservation(vacuum_rho):
     q = s_smooth(w, -1.0)
     assert q.total() == pytest.approx(w.total(), abs=1e-8)
     assert q.meta["s"] == -1.0
+    assert q.meta["mass_past_window"] == q.total() - w.total()
+    assert q.meta["edge_strip_mass"] < 1e-8
 
 
 def test_s_smooth_husimi_nonnegative():
     gamma = Grid1D(-11.0, 6.0, 681)
-    delta = Grid1D(-12.0, 12.0, 481)
+    delta = Grid1D(-16.0, 16.0, 641)
     w = wigner_l0_grid(1, gamma, delta, allow_deep_tail=True)
-    q = s_smooth(w, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = s_smooth(w, -1.0)
     margin = 6.5 * np.sqrt(0.5)
     gi = (gamma.points > gamma.min + margin) & (gamma.points < gamma.max - margin)
     di = (delta.points > delta.min + margin) & (delta.points < delta.max - margin)
     assert q.values[np.ix_(gi, di)].min() >= -1e-9
     # the unsmoothed function is deeply negative there
     assert w.values[np.ix_(gi, di)].min() < -1e-3
+
+
+@pytest.fixture(scope="module")
+def wide_levels():
+    """W_0, W_1, W_2 on the wide window -12:2 x -26:26 (701 x 1041)."""
+    gamma = Grid1D(-12.0, 2.0, 701)
+    delta = Grid1D(-26.0, 26.0, 1041)
+    return {l: wigner_l0_grid(l, gamma, delta, allow_deep_tail=True)
+            for l in (0, 1, 2)}
+
+
+def _anisotropic_grid():
+    # gamma spacing 0.03, delta spacing 0.1: different kernel radii
+    return wigner_l0_grid(2, Grid1D(-4.0, 3.0, 234), Grid1D(-8.0, 8.0, 161))
+
+
+def _tiny_grid():
+    # 23 x 17 at spacings 0.1 and 0.2: kernel radii 71 and 35 exceed both axes
+    return wigner_l0_grid(1, Grid1D(-1.1, 1.1, 23), Grid1D(-1.6, 1.6, 17))
+
+
+@pytest.mark.parametrize("make", [
+    lambda levels: levels[1], lambda levels: _anisotropic_grid(),
+    lambda levels: _tiny_grid()], ids=["wide", "anisotropic", "tiny"])
+def test_s_smooth_matches_gaussian_filter(make, wide_levels):
+    w = make(wide_levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        q = s_smooth(w, -1.0)
+    ref = gaussian_filter_reference(w, -1.0)
+    assert np.abs(q.values - ref).max() <= 1e-15 * np.abs(w.values).max()
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_s_smooth_equals_exact_husimi(l, wide_levels):
+    w = wide_levels[l]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no TruncationWarning, no RuntimeWarning
+        q = s_smooth(w, -1.0)
+    exact = _husimi_exact(l, w.gamma_grid, w.delta_grid,
+                          Grid1D(-24.0, 10.0, 3401))
+    assert np.abs(q.values - exact).max() < 1e-10       # edge cells included
+    # the kernel pushes mass past gamma = 2, and the record says how much
+    assert q.meta["mass_past_window"] == q.total() - w.total()
+    assert q.meta["mass_past_window"] < -1e-3
+    assert q.meta["edge_strip_mass"] < 1e-8
+
+
+def test_husimi_oracle_matches_coherent_overlaps():
+    vbar = Grid1D(-24.0, 10.0, 3401)
+    gamma, delta = Grid1D(-3.0, 2.0, 6), Grid1D(-4.0, 4.0, 5)
+    psi = vbar_schwinger_l0(2, vbar.points)
+    exact = _husimi_exact(2, gamma, delta, vbar)
+    for i, g in enumerate(gamma.points):
+        for j, d in enumerate(delta.points):
+            alpha = dilaton_coherent(complex(g, d) / np.sqrt(2.0), vbar)
+            amp = np.sum(alpha.samples.conj() * psi) * vbar.spacing
+            assert abs(exact[i, j] - abs(amp) ** 2 / (2.0 * np.pi)) < 1e-15
+
+
+def test_s_smooth_warns_on_a_narrow_window():
+    # delta to +-12 leaves 6.5e-8 of |W_1| in the outermost delta strips
+    gamma, delta = Grid1D(-11.0, 6.0, 681), Grid1D(-12.0, 12.0, 481)
+    w = wigner_l0_grid(1, gamma, delta, allow_deep_tail=True)
+    with pytest.warns(TruncationWarning, match="outermost strips"):
+        q = s_smooth(w, -1.0)
+    strips = ([gamma.trapezoid(np.abs(w.values[:, k])) * delta.spacing
+               for k in (0, -1)]
+              + [delta.trapezoid(np.abs(w.values[k])) * gamma.spacing
+                 for k in (0, -1)])
+    assert q.meta["edge_strip_mass"] == pytest.approx(max(strips), rel=1e-12)
+    assert 1e-8 < max(strips) < 1e-7
+
+
+@pytest.mark.parametrize("axis", ["gamma", "delta"])
+def test_s_smooth_one_point_axis_raises_domain_error(axis):
+    with pytest.raises(DomainError):
+        s_smooth(_one_point_grid(axis), -1.0)
 
 
 def test_s_smooth_vacuum_against_analytic_convolution(vacuum_rho):
