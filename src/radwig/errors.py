@@ -44,12 +44,12 @@ class TruncationError(RadwigError, ValueError):
 
 
 class AccuracyError(RadwigError, ArithmeticError):
-    """Adaptive refinement failed to reach the requested tolerance.
+    """A computed error estimate exceeds its tolerance.
 
     Attributes
     ----------
     residual : float
-        Estimated error of the best value obtained.
+        The error estimate that was over the tolerance.
     """
 
     def __init__(self, message, residual=None):

@@ -26,8 +26,8 @@ from .errors import (DomainError, SchemaError, TruncationWarning,
 from .grids import Grid1D
 from .special import log_factorial
 from .states import SchwingerLabel, _radial_rows, default_vbar_grid
-from .wigner import (_STRIP, DensityMatrixV, WignerGrid,
-                     validate_density_matrix, wigner_from_density)
+from .wigner import (_STRIP, DensityMatrixV, WignerGrid, _DensityMatrix,
+                     wigner_from_density)
 
 __all__ = [
     "FockDensityMatrix", "SchwingerDensityMatrix", "fock_to_schwinger",
@@ -38,7 +38,7 @@ __all__ = [
 MAX_FOCK_CUTOFF = 40
 
 
-class FockDensityMatrix:
+class FockDensityMatrix(_DensityMatrix):
     """Density matrix over the square cartesian Fock cutoff n_x, n_y <= n_max.
 
     Entries are stored as a dense matrix over the flattened index
@@ -54,36 +54,30 @@ class FockDensityMatrix:
             raise DomainError(
                 f"n_max {n_max} exceeds the supported cutoff {MAX_FOCK_CUTOFF}")
         side = int(n_max) + 1
-        entries = np.asarray(entries, dtype=complex)
-        if entries.shape != (side ** 2, side ** 2):
-            raise ValidationError(
-                f"entries shape {entries.shape} does not match cutoff dim "
-                f"{side ** 2}")
 
         def label(row, col):
             return "(nx={}, ny={}; nx'={}, ny'={})".format(
                 *divmod(row, side), *divmod(col, side))
 
-        validate_density_matrix(entries, label=label,
-                                what="Fock density matrix")
+        super().__init__(entries, side ** 2, label=label,
+                         what="Fock density matrix", meta=meta)
         self.n_max = int(n_max)
-        self.entries = entries
-        self.meta = dict(meta) if meta else {}
 
     def index(self, nx: int, ny: int) -> int:
         return _fock_index(self.n_max, nx, ny)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
     @classmethod
     def from_pure(cls, n_max: int, amplitudes: dict) -> "FockDensityMatrix":
-        """|phi><phi| from a {(nx, ny): amplitude} dictionary."""
+        """|phi><phi| from a {(nx, ny): amplitude} dictionary; all-zero
+        amplitudes raise ValidationError."""
         dim = (n_max + 1) ** 2
         vec = np.zeros(dim, dtype=complex)
         for (nx, ny), a in amplitudes.items():
             vec[_fock_index(n_max, nx, ny)] = a
-        vec = vec / np.linalg.norm(vec)
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            raise ValidationError("all Fock amplitudes are zero")
+        vec = vec / norm
         return cls(n_max, np.outer(vec, vec.conj()))
 
 
@@ -94,6 +88,8 @@ def _fock_index(n_max: int, nx: int, ny: int) -> int:
 
 
 def _schwinger_index(n_max: int, label: SchwingerLabel) -> int:
+    if label.beta != 1.0:       # the stored circular modes are at beta = 1
+        raise DomainError(f"label {label}: the basis has beta = 1")
     total = label.n_plus + label.n_minus
     if total > 2 * n_max:
         raise DomainError(f"label {label} outside cutoff 2l <= {2 * n_max}")
@@ -108,7 +104,7 @@ def _schwinger_flat(total: int, n_plus: int) -> int:
     return total * (total + 1) // 2 + n_plus
 
 
-class SchwingerDensityMatrix:
+class SchwingerDensityMatrix(_DensityMatrix):
     """Density matrix over angular-momentum labels (l, m).
 
     Labels are stored through the circular occupations (n_plus, n_minus)
@@ -117,15 +113,9 @@ class SchwingerDensityMatrix:
     """
 
     def __init__(self, n_max: int, entries, *, meta=None):
-        dim = _schwinger_dim(n_max)
-        entries = np.asarray(entries, dtype=complex)
-        if entries.shape != (dim, dim):
-            raise ValidationError(
-                f"entries shape {entries.shape} does not match dim {dim}")
-        validate_density_matrix(entries, what="Schwinger density matrix")
+        super().__init__(entries, _schwinger_dim(n_max),
+                         what="Schwinger density matrix", meta=meta)
         self.n_max = int(n_max)
-        self.entries = entries
-        self.meta = dict(meta) if meta else {}
 
     @property
     def labels(self) -> list:
@@ -305,8 +295,7 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
             f"radial grid truncation lost {loss:.2e} of the trace "
             f"(measured {trace})", TruncationWarning, stacklevel=2)
     out = DensityMatrixV(grid, kernel, trace_tol=max(1e-8, 10.0 * loss))
-    out.meta.update({"m_values": [two_m / 2.0 for two_m, _ in blocks],
-                     "measured_trace": trace})
+    out.meta["m_values"] = [two_m / 2.0 for two_m, _ in blocks]
     return out
 
 
@@ -322,7 +311,7 @@ def end_to_end(rho: FockDensityMatrix, gamma_grid: Grid1D, delta_grid: Grid1D,
         "pipeline": "fock",
         "fock_n_max": rho.n_max,
         "m_values": rho_v.meta.get("m_values", []),
-        "radial_trace": rho_v.meta.get("measured_trace"),
+        "radial_trace": rho_v.trace,
     })
     return w
 

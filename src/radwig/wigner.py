@@ -103,58 +103,72 @@ def validate_density_matrix(entries: np.ndarray, *, spacing: float = 1.0,
     return worst
 
 
-class DensityMatrixV:
-    """Hermitian density-matrix kernel sampled on a log-radius grid.
+class _DensityMatrix:
+    """A validated density matrix, the one contract of every basis.
 
-    ``entries[i, j]`` holds <vbar_i| rho |vbar_j>; the trace convention is
-    sum(diagonal) * spacing == 1.  Construction validates Hermiticity
-    (to 1e-10, keeping the residual as ``meta["hermiticity_residual"]``)
-    and the trace (to 1e-8); positive semidefiniteness is checked on
-    demand via :meth:`min_eigenvalue`.
+    Construction checks the ``(dim, dim)`` shape and runs
+    :func:`validate_density_matrix`, keeping its Hermiticity residual as
+    ``meta["hermiticity_residual"]``; ``trace`` and :meth:`min_eigenvalue`
+    are scaled by ``spacing``, which is 1 in a discrete basis.
     """
 
-    def __init__(self, grid: Grid1D, entries, *, trace_tol=1e-8, meta=None):
+    def __init__(self, entries, dim: int, *, spacing: float = 1.0,
+                 trace_tol: float = 1e-10, label=None,
+                 what: str = "density matrix", meta=None):
         entries = np.asarray(entries, dtype=complex)
-        n = grid.n_points
-        if entries.shape != (n, n):
+        if entries.shape != (dim, dim):
             raise ValidationError(
-                f"entries shape {entries.shape} does not match grid size {n}")
+                f"{what} entries shape {entries.shape} does not match "
+                f"dimension {dim}")
         self.meta = dict(meta) if meta else {}
         self.meta["hermiticity_residual"] = validate_density_matrix(
-            entries, spacing=grid.spacing, trace_tol=trace_tol)
-        self.grid = grid
+            entries, spacing=spacing, trace_tol=trace_tol, label=label,
+            what=what)
         self.entries = entries
+        self._spacing = spacing
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.entries).real) * self.grid.spacing
+        return float(np.trace(self.entries).real) * self._spacing
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue in the trace normalisation (PSD check)."""
-        w = np.linalg.eigvalsh(self.entries)
-        return float(w[0]) * self.grid.spacing
+        return float(np.linalg.eigvalsh(self.entries)[0]) * self._spacing
+
+
+class DensityMatrixV(_DensityMatrix):
+    """Hermitian density-matrix kernel sampled on a log-radius grid.
+
+    ``entries[i, j]`` holds <vbar_i| rho |vbar_j>; the trace convention is
+    sum(diagonal) * spacing == 1, validated to 1e-8.
+    """
+
+    def __init__(self, grid: Grid1D, entries, *, trace_tol=1e-8, meta=None):
+        super().__init__(entries, grid.n_points, spacing=grid.spacing,
+                         trace_tol=trace_tol, meta=meta)
+        self.grid = grid
 
     @classmethod
     def from_pure(cls, psi: WavefunctionV) -> "DensityMatrixV":
         """|psi><psi| with the discrete norm divided out exactly."""
-        s = psi.samples / np.sqrt(psi.norm())
-        return cls(psi.grid, np.outer(s, s.conj()))
+        return cls.from_mixture([1.0], [psi])
 
     @classmethod
     def from_mixture(cls, weights, states) -> "DensityMatrixV":
-        """Convex mixture of pure states on a common grid."""
+        """Convex mixture of pure states on a common grid, one weight per
+        state: one product (S^T w) S^* of the normalised sample stack S."""
         weights = np.asarray(weights, dtype=float)
+        if len(states) == 0 or weights.shape != (len(states),):
+            raise ValidationError(
+                "a mixture needs one weight per state and at least one "
+                f"state; got {weights.size} weights for {len(states)} states")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise ValidationError("mixture weights must be nonnegative and sum to 1")
         grid = states[0].grid
-        n = grid.n_points
-        acc = np.zeros((n, n), dtype=complex)
-        for w, psi in zip(weights, states):
-            if psi.grid != grid:
-                raise GridMismatchError("mixture states must share one grid")
-            s = psi.samples / np.sqrt(psi.norm())
-            acc += w * np.outer(s, s.conj())
-        return cls(grid, acc)
+        if any(psi.grid != grid for psi in states):
+            raise GridMismatchError("mixture states must share one grid")
+        stack = np.array([psi.samples / np.sqrt(psi.norm()) for psi in states])
+        return cls(grid, (stack.T * weights) @ stack.conj())
 
 
 class WignerGrid:
@@ -419,11 +433,14 @@ def s_smooth(w: WignerGrid, s: float) -> WignerGrid:
       values wrong.  Past 1e-8 it raises a TruncationWarning: widen the
       window.
 
-    A one-point axis has no spacing and raises DomainError.
+    A one-point axis has no spacing and raises DomainError, as does an
+    ``s`` that is -inf or nan.
     """
     if s > 0:
         raise UnsupportedOrderError(
             "s > 0 needs deconvolution, which is ill-posed on sampled data")
+    if not np.isfinite(s):
+        raise DomainError(f"ordering parameter s must be finite, got {s}")
     meta = dict(w.meta)
     if s == 0:
         return WignerGrid(w.gamma_grid, w.delta_grid, w.values.copy(), meta=meta)

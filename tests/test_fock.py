@@ -11,6 +11,7 @@ from radwig import (DomainError, FockDensityMatrix, Grid1D, SchemaError,
                     radial_wavefunction, sector_isometry, vbar_schwinger_l0,
                     wigner_from_density, wigner_l0_grid)
 from radwig.states import _radial_rows
+from radwig.wigner import validate_density_matrix
 
 from reference import (dense_u_rotation, per_block_radial_kernel, scipy_psi,
                        wigner_two_sided)
@@ -57,6 +58,27 @@ def dense_state(n_max, seed, rank=3):
     rho = (vecs * rng.dirichlet(np.ones(rank))) @ vecs.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return FockDensityMatrix(n_max, rho / np.trace(rho).real)
+
+
+def test_every_density_type_records_its_own_residual():
+    dense = dense_state(3, seed=17)
+    skew = np.zeros_like(dense.entries)
+    skew[0, 1] = 1e-13j                     # inside the 1e-10 tolerance
+    rho_f = FockDensityMatrix(3, dense.entries + skew)
+    rho_s = fock_to_schwinger(rho_f)
+    rho_v = radial_reduce(rho_s)
+    assert rho_f.meta["hermiticity_residual"] == \
+        pytest.approx(1e-13, rel=1e-3)
+    # the rotation re-symmetrises, so the Schwinger matrix has its own
+    # residual, not the one in the Fock input's meta
+    assert rho_s.meta["hermiticity_residual"] == \
+        validate_density_matrix(rho_s.entries) < 1e-13
+    assert rho_v.meta["hermiticity_residual"] <= 1e-10
+    for rho in (rho_f, rho_s):
+        assert rho.trace == pytest.approx(1.0, abs=1e-12)
+        assert rho.min_eigenvalue() >= -1e-12
+    w = end_to_end(rho_f, GAMMA, DELTA)
+    assert w.meta["radial_trace"] == rho_v.trace
 
 
 def test_folded_route_matches_two_sided_on_fock_kernel():
@@ -258,6 +280,30 @@ def test_fock_matrix_validation_names_pair_and_trace():
 def test_from_pure_rejects_occupation_outside_cutoff(occupation):
     with pytest.raises(DomainError, match="outside cutoff"):
         FockDensityMatrix.from_pure(2, {occupation: 1.0})
+
+
+@pytest.mark.parametrize("amplitudes", [{}, {(0, 0): 0.0}],
+                         ids=["empty", "zero"])
+def test_from_pure_rejects_all_zero_amplitudes(amplitudes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="amplitudes are zero"):
+            FockDensityMatrix.from_pure(2, amplitudes)
+
+
+def test_angular_momentum_labels_need_beta_one():
+    # the stored basis is the beta = 1 circular modes; another beta would
+    # alias onto the beta = 1 state of the same occupations
+    rho = SchwingerDensityMatrix.pure(SchwingerLabel(1, 0), 2)
+    wide = SchwingerLabel(1, 0, beta=2.0)
+    with pytest.raises(DomainError, match="beta"):
+        SchwingerDensityMatrix.pure(wide, 2)
+    with pytest.raises(DomainError, match="beta"):
+        rho.index(wide)
+    with pytest.raises(DomainError, match="beta"):
+        rho.coefficient(wide, SchwingerLabel(1, 0, beta=3.0))
+    assert rho.coefficient(SchwingerLabel(1, 0, beta=1.0),
+                           SchwingerLabel(1, 0)) == 1.0
 
 
 def test_schwinger_pure_rejects_label_outside_cutoff():

@@ -66,6 +66,47 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
 
 
+class _Scopes(ast.NodeVisitor):
+    """Dotted scope (module.Class.function) of every function definition
+    and of every call, with the called name."""
+
+    def __init__(self, module):
+        self.stack, self.defs, self.calls = [module], [], []
+
+    def visit_ClassDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def visit_FunctionDef(self, node):
+        self.defs.append(".".join(self.stack + [node.name]))
+        self.visit_ClassDef(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            getattr(func, "attr", None)
+        self.calls.append((name, ".".join(self.stack)))
+        self.generic_visit(node)
+
+
+def test_one_density_matrix_contract():
+    # every density type is validated by one base constructor, which also
+    # owns trace and min_eigenvalue: a second copy of the contract fails here
+    defs, calls = [], []
+    for path in MODULES:
+        scopes = _Scopes(path.stem)
+        scopes.visit(_parse(path))
+        defs += scopes.defs
+        calls += scopes.calls
+    assert [scope for name, scope in calls
+            if name == "validate_density_matrix"] == \
+        ["wigner._DensityMatrix.__init__"]
+    for method in ("trace", "min_eigenvalue"):
+        assert [d for d in defs if d.rsplit(".", 1)[1] == method] == \
+            [f"wigner._DensityMatrix.{method}"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_scipy_import(path):
     tree = _parse(path)

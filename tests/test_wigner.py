@@ -83,6 +83,36 @@ def test_density_matrix_mixture_is_psd():
         DensityMatrixV.from_mixture([0.5, 0.2], states)
 
 
+def _mixture_states():
+    grid = Grid1D(-8.0, 8.0, 401)
+    return [WavefunctionV(grid, dilaton_vacuum("vbar", grid.points)),
+            dilaton_coherent(0.4, grid), dilaton_coherent(0.3 - 0.5j, grid)]
+
+
+def test_mixture_is_the_weighted_sum_of_outer_products():
+    # reference: the per-state loop of outer products that the stacked
+    # product replaced; only the summation order differs
+    states = _mixture_states()
+    weights = [0.2, 0.5, 0.3]
+    unit = [psi.samples / np.sqrt(psi.norm()) for psi in states]
+    ref = sum(w * np.outer(s, s.conj()) for w, s in zip(weights, unit))
+    rho = DensityMatrixV.from_mixture(weights, states)
+    assert np.abs(rho.entries - ref).max() <= 1e-15 * np.abs(ref).max()
+    pure = DensityMatrixV.from_pure(states[2])
+    ref = np.outer(unit[2], unit[2].conj())
+    assert np.abs(pure.entries - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("weights, n_states", [
+    ([0.4, 0.6], 3), ([1.0], 2), ([0.4, 0.6], 1), ([1.0], 0), ([], 0)],
+    ids=["fewer-weights", "one-weight", "more-weights", "no-states",
+         "empty"])
+def test_mixture_needs_one_weight_per_state(weights, n_states):
+    states = _mixture_states()[:n_states]
+    with pytest.raises(ValidationError, match="one weight per state"):
+        DensityMatrixV.from_mixture(weights, states)
+
+
 # ----------------------------------------------- density-matrix route
 
 def test_vacuum_wigner_is_gaussian(vacuum_rho):
@@ -406,6 +436,15 @@ def test_s_smooth_identity_and_refusal():
     assert np.array_equal(same.values, w.values)
     with pytest.raises(UnsupportedOrderError):
         s_smooth(w, 0.5)
+
+
+@pytest.mark.parametrize("s, error", [
+    (-np.inf, DomainError), (np.nan, DomainError),
+    (np.inf, UnsupportedOrderError)], ids=["-inf", "nan", "+inf"])
+def test_s_smooth_rejects_a_non_finite_order(s, error):
+    w = WignerGrid(GAMMA, DELTA, np.zeros((GAMMA.n_points, DELTA.n_points)))
+    with pytest.raises(error):
+        s_smooth(w, s)
 
 
 def test_s_smooth_mass_preservation(vacuum_rho):
