@@ -225,10 +225,18 @@ def _trace_packets():
     return grid, g.astype(complex), centers[1] - centers[0]
 
 
-def _smeared_adjoint(grid, left, packets, lam_p, mu_p) -> complex:
+def _smeared_adjoint(grid, left, packets, lam_p, mu_p):
     """sum_g <D^dag(lam, mu) g | D^dag(lam', mu') g> over the rows g of
-    ``packets``, given ``left`` = conj(D^dag(lam, mu) packets)."""
-    return np.sum(left * _displace(grid, packets, -lam_p, -mu_p)) * grid.spacing
+    ``packets``, given ``left`` = conj(D^dag(lam, mu) packets); an array
+    ``lam_p`` gives one sum per value."""
+    lam_p = np.asarray(lam_p)
+    # D * left, not left * D: numpy's complex product is not bitwise
+    # symmetric, and this order reproduces the pinned kernel value
+    terms = _displace(grid, packets, -lam_p, -mu_p) * left
+    return np.sum(terms.reshape(lam_p.shape + (-1,)), axis=-1) * grid.spacing
+
+
+_LAM_CHUNK = 16     # lam' values per stacked displacement in the eta sweep
 
 
 def _check_trace_kernel() -> float:
@@ -244,9 +252,12 @@ def _check_trace_kernel() -> float:
     Each matrix element is taken in adjoint form,
     <g|D(l, m) D^dag(l', m')|g> = <D^dag(l, m) g | D^dag(l', m') g>, with
     D^dag(l, m) = D(-l, -m) applied to the whole packet stack, so the
-    left factor is formed once per m.  This is not the composition law:
-    every displacement is still applied numerically to every packet, and
-    the kernel does not rest on ``displacement-composition``.
+    left factor is formed once per m.  The eta sweep changes only l' at a
+    fixed m', so each chunk of at most 16 l' values costs one spectral
+    shift of the stack, and each l' phase is applied to the whole shifted
+    stack.  This is not the composition law: every packet is still
+    shifted and phased numerically, and the kernel does not rest on
+    ``displacement-composition``.
     """
     grid, packets, c_step = _trace_packets()
     expected = 2.0 * np.pi * 2.0 * _PACKET_WIDTH * np.sqrt(np.pi)
@@ -259,7 +270,8 @@ def _check_trace_kernel() -> float:
             return _smeared_adjoint(grid, left, packets, lam_p, mu_p) * c_step
 
         etas = np.linspace(-2.5 * np.pi, 2.5 * np.pi, 158)
-        t_eta = np.array([smeared(lam0 + e, mu0) for e in etas])
+        t_eta = np.concatenate([smeared(lam0 + etas[i:i + _LAM_CHUNK], mu0)
+                                for i in range(0, etas.size, _LAM_CHUNK)])
         gaps = np.linspace(-0.4, 0.4, 41)
         t_gap = np.array([smeared(lam0, mu0 - d) for d in gaps])
         peak = smeared(lam0, mu0)

@@ -40,6 +40,14 @@ _HERMITIAN_KINDS = frozenset({"Pr", "V", "R"})
 _KINDS = frozenset({"PD", "Pr", "V", "R", "D"})
 
 
+def _check_displacement_parameters(lam, mu):
+    if np.ndim(lam) or np.ndim(mu):
+        raise DomainError("displacement parameters must be scalars, got "
+                          f"shapes {np.shape(lam)} and {np.shape(mu)}")
+    if not (np.isfinite(lam) and np.isfinite(mu)):
+        raise DomainError("displacement parameters must be finite")
+
+
 @dataclass(frozen=True)
 class OperatorAction:
     """Named operator with its parameters.
@@ -55,8 +63,7 @@ class OperatorAction:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown operator kind {self.kind!r}")
-        if not (np.isfinite(self.lam) and np.isfinite(self.mu)):
-            raise DomainError("displacement parameters must be finite")
+        _check_displacement_parameters(self.lam, self.mu)
 
 
 def _fd_derivative(samples: np.ndarray, h: float) -> np.ndarray:
@@ -133,12 +140,19 @@ def apply_pr(psi) -> np.ndarray:
     raise BasisMismatchError(f"cannot apply Pr to {type(psi).__name__}")
 
 
-def _displace(grid: Grid1D, samples: np.ndarray, lam: float, mu: float) -> np.ndarray:
+def _displace(grid: Grid1D, samples: np.ndarray, lam: float | np.ndarray,
+              mu: float) -> np.ndarray:
     """D(lam, mu) along the last axis of a (..., n) stack of samples.
 
     One band-limited shift psi(vbar) -> psi(vbar + mu) of every row, then
     the phase exp(i lam (vbar + mu/2)).  Raises TruncationError with the
     lost mass of the worst row.
+
+    ``lam`` is a scalar or a 1-D array of k values.  The shift and the
+    edge check are done once for all of them, and each value's phase
+    multiplies the whole shifted stack, so the result has shape
+    lam.shape + samples.shape: samples.shape for a scalar, (k, ..., n)
+    for an array, with row i bitwise equal to the scalar call at lam[i].
     """
     v = grid.points
     if mu != 0.0:
@@ -151,7 +165,9 @@ def _displace(grid: Grid1D, samples: np.ndarray, lam: float, mu: float) -> np.nd
                 "probability across the grid edge", lost_mass=lost)
 
     shifted = np.fft.ifft(np.exp(1j * _wavenumbers(grid) * mu) * np.fft.fft(samples))
-    return np.exp(1j * lam * (v + mu / 2.0)) * shifted
+    lam = np.asarray(lam, dtype=float)
+    phase = np.exp(1j * lam[..., None] * (v + mu / 2.0))
+    return phase.reshape(lam.shape + (1,) * (shifted.ndim - 1) + v.shape) * shifted
 
 
 def apply_displacement(lam: float, mu: float, psi: WavefunctionV) -> WavefunctionV:
@@ -166,13 +182,12 @@ def apply_displacement(lam: float, mu: float, psi: WavefunctionV) -> Wavefunctio
     Raises TruncationError (with the estimated lost mass) if the state
     carries more than 1e-8 of its probability within |mu| of the grid
     edge it is pushed across, since the spectral shift would wrap that
-    mass around.
+    mass around.  ``lam`` and ``mu`` must be finite scalars (DomainError
+    otherwise).
     """
     if not isinstance(psi, WavefunctionV):
         raise BasisMismatchError("the displacement acts on log-radius states")
-    if not (np.isfinite(lam) and np.isfinite(mu)):
-        raise DomainError("displacement parameters must be finite")
-
+    _check_displacement_parameters(lam, mu)
     out = _displace(psi.grid, psi.samples, lam, mu)
     return WavefunctionV(psi.grid, out, norm_tol=None, meta=dict(psi.meta))
 

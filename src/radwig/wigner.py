@@ -58,6 +58,7 @@ WIGNER_LOWER_BOUND = -1.0 / np.pi
 _LOG_CUTOFF = 45.0          # integrand ignored below peak * e^{-45}
 
 _SMOOTH_TRUNCATE = 10.0     # smoothing kernel radius in standard deviations
+_TAIL_BLOCK = 16384         # kernel tail samples summed per block
 
 # rows per strip where an n x n matrix is processed strip by strip to keep
 # its temporaries small
@@ -396,18 +397,27 @@ def _gaussian_matrix(grid: Grid1D, sigma: float) -> np.ndarray:
     exp(-x^2 / 2 sigma_pix^2), x = -radius..radius with radius
     int(10 sigma_pix + 0.5), normalised to sum 1 and centred
     on column i; columns past the window are dropped (zero padding).
-    The Toeplitz matrix is a strided view of the zero-padded kernel, so
-    building it costs O(n) memory.
+    Only the at most 2n - 1 samples that land on the grid are kept; the
+    tails past them enter the normalising sum only, summed in blocks of
+    a fixed size.  The Toeplitz matrix is a strided view of the
+    zero-padded kernel, so building it costs O(n) memory for any sigma.
     """
     n = grid.n_points
     pix = sigma / grid.spacing
     radius = int(_SMOOTH_TRUNCATE * pix + 0.5)
-    x = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 / (pix * pix) * x ** 2)
-    kernel /= kernel.sum()
     r = min(radius, n - 1)
+
+    def samples(start, stop):
+        x = np.arange(start, stop)
+        return np.exp(-0.5 / (pix * pix) * x ** 2)
+
+    kernel = samples(-r, r + 1)
+    total = kernel.sum()
+    for start in range(r + 1, radius + 1, _TAIL_BLOCK):
+        total += 2.0 * samples(start, min(start + _TAIL_BLOCK, radius + 1)).sum()
+    kernel /= total
     padded = np.zeros(2 * n - 1)
-    padded[n - 1 - r:n + r] = kernel[radius - r:radius + r + 1]
+    padded[n - 1 - r:n + r] = kernel
     # window s of the view is padded[s:s + n]; row i needs s = n - 1 - i
     return sliding_window_view(padded, n)[::-1]
 

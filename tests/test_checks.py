@@ -61,9 +61,31 @@ def test_trace_kernel_adjoint_form_matches_sandwich(lam0, mu0):
         adjoint = _smeared_adjoint(grid, left, packets, lam_p, mu_p)
         sandwich = trace_kernel_sandwich(grid, packets, lam0, mu0, lam_p, mu_p)
         assert abs(adjoint - sandwich) <= 1e-14
+    lam_ps = lam0 + np.array([0.0, 3.0, -1.7, 0.1])
+    adjoints = _smeared_adjoint(grid, left, packets, lam_ps, mu0 - 0.05)
+    assert adjoints.shape == lam_ps.shape
+    for lam_p, adjoint in zip(lam_ps, adjoints):
+        sandwich = trace_kernel_sandwich(grid, packets, lam0, mu0, lam_p, mu0 - 0.05)
+        assert abs(adjoint - sandwich) <= 1e-14
 
 
 def test_trace_kernel_value_is_pinned():
     res, = run_invariants(["displacement-trace-kernel"])
     assert res.measured == pytest.approx(0.02207841421620449, rel=1e-12)
     assert res.tolerance == 5e-2 and res.passed
+
+
+def test_trace_kernel_shifts_the_stack_once_per_lam_chunk(monkeypatch):
+    # per mu: the left factor, 10 chunks of the 158 eta values, 41 gaps
+    # and the peak, so 106 forward FFTs (402 with one shift per value)
+    fft = np.fft.fft
+    calls = []
+
+    def counting_fft(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    res, = run_invariants(["displacement-trace-kernel"])
+    assert res.passed
+    assert len(calls) <= 110

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -502,6 +503,26 @@ def test_s_smooth_matches_gaussian_filter(make, wide_levels):
         q = s_smooth(w, -1.0)
     ref = gaussian_filter_reference(w, -1.0)
     assert np.abs(q.values - ref).max() <= 1e-15 * np.abs(w.values).max()
+
+
+def test_s_smooth_memory_does_not_grow_with_the_kernel():
+    # spacing 0.01 at s = -2e7: a kernel radius of 3.2e6 samples on 5 x 5
+    axis = Grid1D(0.0, 0.04, 5)
+    w = WignerGrid(axis, axis, np.ones((5, 5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        tracemalloc.start()
+        try:
+            q = s_smooth(w, -2e7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2e6
+    # the kernel is flat across the grid: every cell sums 25 inputs of
+    # weight 1 / (2 pi sigma_pix^2)
+    pix = np.sqrt(1e7) / axis.spacing
+    assert q.values == pytest.approx(np.full((5, 5), 25.0 / (2.0 * np.pi * pix ** 2)),
+                                      rel=1e-9)
 
 
 @pytest.mark.parametrize("l", [0, 1, 2])
