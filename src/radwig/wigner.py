@@ -10,6 +10,9 @@ Two independent routes produce the same distribution:
 
   by gathering anti-diagonal slices of the sampled kernel, folding each
   Hermitian slice onto eps >= 0 and transforming it in real products.
+  A slice through an odd or even anti-diagonal only has samples at odd
+  or even multiples of the spacing, so the rows go in those two classes,
+  each on the columns it fills.
 
 * :func:`wigner_l0_grid` evaluates the closed form for the
   zero-angular-momentum oscillator levels l,
@@ -18,13 +21,14 @@ Two independent routes produce the same distribution:
           e^{-2 i eps delta} exp(-e^{2 gamma} cosh 2 eps)
           L_l(e^{2(gamma+eps)}) L_l(e^{2(gamma-eps)}),
 
-  by the trapezoid rule on one ladder of nodes, with the integrand
+  by the trapezoid rule on nodes of one shared step, with the integrand
   assembled in the log domain (the Laguerre values overflow long before
-  the damping wins).  The ladder is cut where the closed-form bound
-  -u/2 + l ln(1 + u), u = e^{2(gamma+eps)}, on the log integrand has
-  fallen 45 e-folds below the integrand at the first two nodes.  The
-  substitution eps -> 2 eps maps one form onto the other; the
-  cross-route test suite is the arbiter that both agree.
+  the damping wins).  Each gamma row is cut where the closed-form bound
+  -u/2 + l ln(1 + u), u = e^{2(gamma+eps)}, on its log integrand has
+  fallen 45 e-folds below the integrand at the first two nodes, and
+  evaluates no node past its own cut.  The substitution eps -> 2 eps
+  maps one form onto the other; the cross-route test suite is the
+  arbiter that both agree.
 
 With this normalisation  integral W dgamma ddelta = trace(rho),  the
 delta-marginal is the position density, the gamma-marginal the momentum
@@ -58,11 +62,13 @@ WIGNER_LOWER_BOUND = -1.0 / np.pi
 _LOG_CUTOFF = 45.0          # integrand ignored below peak * e^{-45}
 
 _SMOOTH_TRUNCATE = 10.0     # smoothing kernel radius in standard deviations
-_TAIL_BLOCK = 16384         # kernel tail samples summed per block
+_TAIL_BLOCK = 16384         # longest kernel tail summed sample by sample
 
 # rows per strip where an n x n matrix is processed strip by strip to keep
 # its temporaries small
 _STRIP = 128
+# closed-form rows per strip, ordered by node count, each on its own prefix
+_LADDER_STRIP = 64
 
 # default (lo, hi) window of gamma: below lo the integration window grows
 # like -gamma while the state mass is negligible
@@ -83,14 +89,17 @@ def validate_density_matrix(entries: np.ndarray, *, spacing: float = 1.0,
     if not np.all(np.isfinite(entries)):
         raise ValidationError(f"{what} entries must be finite")
     # rho - rho^dagger one row strip at a time, so no temporary has the
-    # full size (a 1891^2 complex Schwinger matrix, n_max 30, is 57 MB)
+    # full size (a 1891^2 complex Schwinger matrix, n_max 30, is 57 MB).
+    # |rho_ij - rho_ji^*| is symmetric in (i, j), so the strip starting at
+    # row a needs only the columns j >= a: they still hold the first
+    # occurrence, in row-major order, of every deviation
     worst, (row, col), scale = 0.0, (0, 0), 0.0
     for a in range(0, entries.shape[0], _STRIP):
         rows = entries[a:a + _STRIP]
-        dev = np.abs(rows - entries[:, a:a + _STRIP].T.conj())
+        dev = np.abs(rows[:, a:] - entries[a:, a:a + _STRIP].T.conj())
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         if dev[i, j] > worst:
-            worst, row, col = float(dev[i, j]), a + i, j
+            worst, row, col = float(dev[i, j]), a + i, a + j
         scale = max(scale, float(np.abs(rows).max()))
     if worst > 1e-10 * max(1.0, scale):
         pair = label(row, col) if label else f"({row}, {col})"
@@ -219,10 +228,14 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     stored samples exactly; anything else raises GridAlignmentError
     rather than silently interpolating.  Each anti-diagonal slice
     f(tau) = <gamma + tau/2| rho |gamma - tau/2> is folded onto tau >= 0 as
-    g = f(tau) + f(-tau)^* (g(0) halved) on one ladder of n columns, and
+    g = f(tau) + f(-tau)^* (g(0) halved), and
     Re g cos(tau delta) + Im g sin(tau delta) is summed by two real
-    products: the real part of the two-sided sum.  Hermiticity was checked
-    at construction; its residual is copied into ``meta``.
+    products: the real part of the two-sided sum.  The slice through
+    anti-diagonal s = i + j of the n x n samples only holds tau = i - j of
+    the parity of s, so the rows go in two parity classes, each gathered
+    on its ceil((n - p) / 2) columns tau = p, p + 2, ... with cosine and
+    sine tables over those tau alone.  Hermiticity was checked at
+    construction; its residual is copied into ``meta``.
     """
     v0 = rho.grid.min
     h = rho.grid.spacing
@@ -239,16 +252,20 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     if s_idx.min() < 0 or s_idx.max() > 2 * (n - 1):
         raise GridAlignmentError("gamma grid extends outside the density grid")
 
-    gather = np.zeros((gamma_grid.n_points, n), dtype=complex)
-    for k, s in enumerate(s_idx):
-        a = np.arange((s + 1) // 2, min(n - 1, s) + 1)
-        b = s - a
-        gather[k, a - b] = rho.entries[a, b] + rho.entries[b, a].conj()
-    gather[:, 0] *= 0.5
-
-    arg = np.outer(np.arange(n) * h, delta_grid.points)
-    values = (h / np.pi) * (gather.real @ np.cos(arg)
-                            + gather.imag @ np.sin(arg))
+    values = np.empty((gamma_grid.n_points, delta_grid.n_points))
+    for p in np.unique(s_idx % 2):
+        rows = np.flatnonzero(s_idx % 2 == p)
+        tau = np.arange(p, n, 2)
+        gather = np.zeros((rows.size, tau.size), dtype=complex)
+        for k, s in enumerate(s_idx[rows]):
+            a = np.arange((s + 1) // 2, min(n - 1, s) + 1)
+            b = s - a
+            gather[k, (a - b) // 2] = rho.entries[a, b] + rho.entries[b, a].conj()
+        if p == 0:
+            gather[:, 0] *= 0.5
+        arg = np.outer(tau * h, delta_grid.points)
+        values[rows] = (h / np.pi) * (gather.real @ np.cos(arg)
+                                      + gather.imag @ np.sin(arg))
     meta = {"route": "density-matrix", "overlap_factor": OVERLAP_FACTOR}
     meta.update({k: rho.meta[k] for k in ("hermiticity_residual", "l")
                  if k in rho.meta})
@@ -269,15 +286,17 @@ def _log_integrand(l: int, z: np.ndarray, eps: np.ndarray):
     return np.where(np.isfinite(phi), phi, -np.inf), sign_plus * sign_minus
 
 
-def _ladder(l: int, gammas: np.ndarray, delta_max: float) -> np.ndarray:
-    """Integration nodes eps_k = k * step shared by every gamma row.
+def _ladder(l: int, gammas: np.ndarray, delta_max: float):
+    """Node step and each gamma row's own node count.
 
-    With u = z e^{2 eps}, |L_l(x)| <= (1 + x)^l and e^{-x/2} |L_l(x)| <= 1
+    Row i integrates over eps_k = k * step, k < counts[i].  With
+    u = z e^{2 eps}, |L_l(x)| <= (1 + x)^l and e^{-x/2} |L_l(x)| <= 1
     bound the log integrand by  -u/2 + l ln(1 + u),  which falls for
     u > 2l.  A row ends where that bound drops 45 below the larger of its
     log integrand at the first two nodes (two, since a row on a Laguerre
-    root has phi(0) = -inf); the ladder runs to the last row end.  The
-    step resolves the cosine weight and the Laguerre phase rate 4l + 2.
+    root has phi(0) = -inf), so counts[i] = ceil(end_i / step) + 1.  The
+    step, shared by every row, resolves the cosine weight and the
+    Laguerre phase rate 4l + 2.
     """
     step = min(0.04, np.pi / (10.0 * (1.0 + 2.0 * delta_max)),
                np.pi / (4.0 * l + 2.0 + 2.0 * delta_max))
@@ -290,20 +309,24 @@ def _ladder(l: int, gammas: np.ndarray, delta_max: float) -> np.ndarray:
     u = np.maximum(2.0 * l, z)
     for _ in range(60):
         u = np.maximum(z, 2.0 * (l * np.log1p(u) - floor))
-    end = 0.5 * np.log(u / z).max()
-    return np.arange(int(np.ceil(end / step)) + 1) * step
+    end = 0.5 * np.log(u / z)
+    return step, np.ceil(end / step).astype(int) + 1
 
 
 def wigner_l0_grid(l: int, gamma_grid: Grid1D, delta_grid: Grid1D, *,
                    allow_deep_tail: bool = False) -> WignerGrid:
     """Closed-form W_l evaluated on a full phase-space grid.
 
-    All gamma rows share one ladder of integration nodes (see
-    :func:`_ladder`); each row is assembled in the log domain around its
-    own peak, and a single cosine matrix maps it to every delta.  The
-    trapezoid rule converges exponentially for this entire,
-    double-exponentially decaying integrand, so the fixed ladder matches
-    an adaptive quadrature of the same integral to ~1e-10.
+    Every gamma row takes nodes from one ladder eps_k = k * step, but only
+    as many as its own cut needs (see :func:`_ladder`): near gamma = 2 a
+    row ends after tens of nodes where one near gamma = -12 runs to
+    thousands.  The rows go in strips of similar node counts; each strip
+    evaluates its integrand on its own prefix of the ladder, in the log
+    domain around each row's own peak, and maps it to every delta through
+    the same prefix of one cosine table.  The trapezoid rule converges
+    exponentially for this entire, double-exponentially decaying
+    integrand, so the fixed ladder matches an adaptive quadrature of the
+    same integral to ~1e-10.
     """
     if l < 0 or l > MAX_DEGREE:
         raise DomainError(f"l must be in [0, {MAX_DEGREE}], got {l}")
@@ -319,16 +342,22 @@ def wigner_l0_grid(l: int, gamma_grid: Grid1D, delta_grid: Grid1D, *,
 
     gammas = gamma_grid.points
     deltas = delta_grid.points
-    eps = _ladder(l, gammas, float(np.abs(deltas).max()))
-    phi, sign = _log_integrand(l, np.exp(2.0 * gammas)[:, None], eps)
-    peak = phi.max(axis=1, keepdims=True)
-    integrand = sign * np.exp(phi - peak)
-    integrand[:, 0] *= 0.5                          # trapezoid end weight
-
+    step, counts = _ladder(l, gammas, float(np.abs(deltas).max()))
+    eps = np.arange(counts.max()) * step
     kernel = np.cos(2.0 * np.outer(eps, deltas))
-    # even integrand: full-line integral is twice the cosine half-line sum
-    values = (4.0 / np.pi) * np.exp(peak + 2.0 * gammas[:, None]) * eps[1] \
-        * (integrand @ kernel)
+    values = np.empty((gammas.size, deltas.size))
+    order = np.argsort(counts, kind="stable")
+    for a in range(0, order.size, _LADDER_STRIP):
+        rows = order[a:a + _LADDER_STRIP]
+        m = counts[rows[-1]]
+        phi, sign = _log_integrand(l, np.exp(2.0 * gammas[rows])[:, None],
+                                   eps[:m])
+        peak = phi.max(axis=1, keepdims=True)
+        integrand = sign * np.exp(phi - peak)
+        integrand[:, 0] *= 0.5                      # trapezoid end weight
+        # even integrand: full-line integral is twice the cosine half-line sum
+        values[rows] = (4.0 / np.pi) * np.exp(peak + 2.0 * gammas[rows, None]) \
+            * step * (integrand @ kernel[:m])
     meta = {"route": "closed-form", "l": int(l),
             "overlap_factor": OVERLAP_FACTOR}
     return WignerGrid(gamma_grid, delta_grid, values, meta=meta)
@@ -398,8 +427,9 @@ def _gaussian_matrix(grid: Grid1D, sigma: float) -> np.ndarray:
     int(10 sigma_pix + 0.5), normalised to sum 1 and centred
     on column i; columns past the window are dropped (zero padding).
     Only the at most 2n - 1 samples that land on the grid are kept; the
-    tails past them enter the normalising sum only, summed in blocks of
-    a fixed size.  The Toeplitz matrix is a strided view of the
+    tails past them enter the normalising sum only, summed directly up to
+    a fixed length and past it in the Poisson-summation closed form,
+    exact to double there.  The Toeplitz matrix is a strided view of the
     zero-padded kernel, so building it costs O(n) memory for any sigma.
     """
     n = grid.n_points
@@ -412,9 +442,14 @@ def _gaussian_matrix(grid: Grid1D, sigma: float) -> np.ndarray:
         return np.exp(-0.5 / (pix * pix) * x ** 2)
 
     kernel = samples(-r, r + 1)
-    total = kernel.sum()
-    for start in range(r + 1, radius + 1, _TAIL_BLOCK):
-        total += 2.0 * samples(start, min(start + _TAIL_BLOCK, radius + 1)).sum()
+    if radius - r > _TAIL_BLOCK:
+        # sigma_pix > 1638: by Poisson summation the full-line sum is
+        # pix sqrt(2 pi) (1 + 2 sum_k e^{-2 pi^2 pix^2 k^2}), whose k >= 1
+        # terms underflow, and the samples past the radius are below
+        # e^{-50} of it
+        total = pix * np.sqrt(2.0 * np.pi)
+    else:
+        total = kernel.sum() + 2.0 * samples(r + 1, radius + 1).sum()
     kernel /= total
     padded = np.zeros(2 * n - 1)
     padded[n - 1 - r:n + r] = kernel

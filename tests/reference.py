@@ -3,8 +3,12 @@
 :func:`wigner_l0_closed` integrates the same closed form as
 ``radwig.wigner_l0_grid`` by scipy's adaptive Gauss-Kronrod ``quad``
 instead of the trapezoid rule, so it checks the ladder's step and its
-cosine transform.  It cuts the integral where the library's ladder ends,
-so there is one cut rule.
+cosine transform.  It cuts the integral where the library's ladder ends
+for that row, so there is one cut rule.
+
+:func:`wigner_l0_rectangular` is ``radwig.wigner_l0_grid`` with one
+rectangle of nodes: every gamma row runs to the end of the deepest row's
+ladder, in one product, instead of stopping at its own cut.
 
 :func:`dense_u_rotation` and :func:`per_block_radial_kernel` are the Fock
 pipeline's first two stages in their direct form: one dense unitary
@@ -37,7 +41,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from radwig import (AccuracyError, WavefunctionV, apply_displacement,
                     laguerre_log, sector_isometry)
-from radwig.wigner import _ladder
+from radwig.wigner import _ladder, _log_integrand
 
 
 def wigner_l0_closed(l: int, gamma: float, delta: float) -> float:
@@ -49,7 +53,8 @@ def wigner_l0_closed(l: int, gamma: float, delta: float) -> float:
     refinement fails to converge.
     """
     z = np.exp(2.0 * gamma)
-    cut = float(_ladder(l, np.array([gamma]), abs(delta))[-1])
+    step, counts = _ladder(l, np.array([gamma]), abs(delta))
+    cut = float((counts[0] - 1) * step)
 
     def even_part(eps):
         log_p, sign_p = laguerre_log(l, 0.0, np.array([z * np.exp(2.0 * eps)]))
@@ -68,6 +73,21 @@ def wigner_l0_closed(l: int, gamma: float, delta: float) -> float:
             f"quadrature for W_{l}({gamma}, {delta}) did not converge: "
             f"{result[3]}", residual=float(result[1]))
     return float((4.0 * np.exp(2.0 * gamma) / np.pi) * result[0])
+
+
+def wigner_l0_rectangular(l: int, gamma_grid, delta_grid) -> np.ndarray:
+    """Closed-form W_l values with every gamma row on the full ladder,
+    eps_k = k * step for k below the largest node count of any row."""
+    gammas, deltas = gamma_grid.points, delta_grid.points
+    step, counts = _ladder(l, gammas, float(np.abs(deltas).max()))
+    eps = np.arange(counts.max()) * step
+    phi, sign = _log_integrand(l, np.exp(2.0 * gammas)[:, None], eps)
+    peak = phi.max(axis=1, keepdims=True)
+    integrand = sign * np.exp(phi - peak)
+    integrand[:, 0] *= 0.5
+    kernel = np.cos(2.0 * np.outer(eps, deltas))
+    return (4.0 / np.pi) * np.exp(peak + 2.0 * gammas[:, None]) * step \
+        * (integrand @ kernel)
 
 
 def scipy_psi(k, alpha, v):

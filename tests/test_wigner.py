@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 import warnings
 
@@ -14,9 +15,11 @@ from radwig import (DensityMatrixV, DomainError, Grid1D, GridAlignmentError,
                     marginal_momentum, marginal_position, momentum_transform,
                     overlap, s_smooth, schwinger_density, vbar_schwinger_l0,
                     wigner_from_density, wigner_l0_grid)
+import radwig.wigner
 from radwig.checks import _husimi_exact
+from radwig.wigner import _gaussian_matrix, _ladder
 from reference import (gaussian_filter_reference, wigner_l0_closed,
-                       wigner_two_sided)
+                       wigner_l0_rectangular, wigner_two_sided)
 
 GAMMA = Grid1D(-3.0, 2.0, 126)
 DELTA = Grid1D(-4.0, 4.0, 81)
@@ -69,6 +72,21 @@ def test_validate_density_matrix_names_worst_pair_past_first_strip():
         validate_density_matrix(rho)
     rho[7, 250] = -1e-3j
     validate_density_matrix(rho)
+
+
+def test_validate_density_matrix_scans_each_pair_once():
+    # a strip starting at row a reads only the columns >= a: the residual
+    # is still the full-matrix maximum, bit for bit, and a worst pair
+    # below the diagonal past the first strip is named by its mirror
+    from radwig.wigner import validate_density_matrix
+    rng = np.random.default_rng(3)
+    rho = np.eye(300, dtype=complex) / 300
+    rho += 1e-12 * (rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape))
+    residual = validate_density_matrix(rho, trace_tol=1e-6)
+    assert residual == np.abs(rho - rho.conj().T).max()
+    rho[280, 150] = 2e-3
+    with pytest.raises(ValidationError, match=r"entry \(150, 280\) = \("):
+        validate_density_matrix(rho, trace_tol=1e-6)
 
 
 def test_density_matrix_mixture_is_psd():
@@ -149,6 +167,32 @@ def test_folded_route_matches_two_sided_and_exact(boosted_rho, gamma):
     assert np.abs(w.values - exact).max() <= 1e-12
     assert w.meta["hermiticity_residual"] == \
         boosted_rho.meta["hermiticity_residual"] <= 1e-10
+
+
+def _random_density(n, seed):
+    """Hermitian, unit-trace, otherwise random entries on an n-point grid:
+    every anti-diagonal, both parities and both corners carry weight."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = m + m.conj().T
+    grid = Grid1D(-1.0, 1.0, n)
+    return DensityMatrixV(grid, m / (np.trace(m).real * grid.spacing))
+
+
+# on the density grid's spacing h = 0.05 (41 points from -1): h / 2 hits
+# both parity classes of anti-diagonals, h odd or even ones only, and the
+# one-row grids the first (s = 0) and last (s = 2(n - 1)) anti-diagonal
+@pytest.mark.parametrize("gamma", [
+    Grid1D(-1.0, 1.0, 81), Grid1D(-0.975, 0.975, 40), Grid1D(-1.0, 1.0, 41),
+    Grid1D(-1.0, -1.0, 1), Grid1D(1.0, 1.0, 1)],
+    ids=["half-spacing", "odd-s", "even-s", "s=0", "s=2(n-1)"])
+def test_parity_split_matches_two_sided(gamma):
+    rho = _random_density(41, seed=14)
+    delta = Grid1D(-30.0, 30.0, 33)
+    w = wigner_from_density(rho, gamma, delta)
+    ref = wigner_two_sided(rho, gamma, delta)
+    assert np.abs(ref.imag).max() <= 1e-13 * np.abs(ref.real).max()
+    assert np.abs(w.values - ref.real).max() <= 1e-14 * np.abs(ref.real).max()
 
 
 def test_density_route_matches_closed_form():
@@ -262,6 +306,37 @@ def test_high_level_ladder_matches_density_route(l):
     w_dens = wigner_from_density(schwinger_density(l), GAMMA, DELTA)
     w_closed = wigner_l0_grid(l, GAMMA, DELTA)
     assert np.abs(w_dens.values - w_closed.values).max() < 1e-8
+
+
+# each row stops at its own cut instead of the deepest row's: only terms
+# 45 e-folds below a row's peak are dropped
+@pytest.mark.parametrize("window", [
+    (Grid1D(-12.0, 2.2, 143), Grid1D(-26.0, 26.0, 105)),
+    (Grid1D(-3.0, 2.5, 221), Grid1D(-4.0, 4.0, 81))], ids=["wide", "narrow"])
+@pytest.mark.parametrize("l", [0, 1, 2, 16, 64])
+def test_strip_ladder_matches_rectangle(l, window):
+    gamma, delta = window
+    w = wigner_l0_grid(l, gamma, delta, allow_deep_tail=True)
+    ref = wigner_l0_rectangular(l, gamma, delta)
+    assert np.abs(w.values - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_strip_ladder_evaluates_no_rectangle(monkeypatch):
+    # a row near gamma = 2 needs ~100 nodes where one at -12 needs ~2,400;
+    # the full rectangle would be rows x nodes x 2 Laguerre points
+    gamma = Grid1D(-12.0, 2.2, 701)
+    delta = Grid1D(-26.0, 26.0, 1041)
+    nodes = _ladder(1, gamma.points, 26.0)[1].max()
+    points = []
+    laguerre_log = radwig.wigner.laguerre_log
+
+    def counted(n, alpha, x):
+        points.append(x.size)
+        return laguerre_log(n, alpha, x)
+
+    monkeypatch.setattr(radwig.wigner, "laguerre_log", counted)
+    wigner_l0_grid(1, gamma, delta, allow_deep_tail=True)
+    assert sum(points) <= 0.6 * gamma.n_points * nodes * 2
 
 
 def test_deep_gamma_point_value_bessel_oracle():
@@ -523,6 +598,24 @@ def test_s_smooth_memory_does_not_grow_with_the_kernel():
     pix = np.sqrt(1e7) / axis.spacing
     assert q.values == pytest.approx(np.full((5, 5), 25.0 / (2.0 * np.pi * pix ** 2)),
                                       rel=1e-9)
+
+
+def test_gaussian_tail_sum_is_closed_form():
+    # spacing 0.01: a kernel radius of 3.2e6 samples at s = -2e7 and 3.2e8
+    # at s = -2e11; the normalising sum must not walk either tail
+    axis = Grid1D(0.0, 0.04, 5)
+    pix = np.sqrt(1e7) / axis.spacing
+    x = np.arange(-int(10.0 * pix + 0.5), int(10.0 * pix + 0.5) + 1)
+    direct = np.exp(-0.5 / (pix * pix) * np.subtract.outer(
+        np.arange(5), np.arange(5)) ** 2) / np.exp(-0.5 / (pix * pix) * x ** 2).sum()
+    a = _gaussian_matrix(axis, np.sqrt(1e7))
+    assert np.abs(a / direct - 1.0).max() <= 1e-15
+    w = WignerGrid(axis, axis, np.ones((5, 5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        start = time.perf_counter()
+        s_smooth(w, -2e11)
+        assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("l", [0, 1, 2])
