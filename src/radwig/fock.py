@@ -6,9 +6,10 @@ diagonal in the total quantum number, applied one sector block at a
 time), trace out the angle (which kills every coherence between
 different angular momenta m), and accumulate the radial kernel on a
 log-radius grid with two real matrix products over the stacked radial
-basis of every m, whose rows come from the one radial-eigenfunction
-producer of :mod:`radwig.states`.  The result feeds straight into
-:func:`radwig.wigner.wigner_from_density`.
+basis of every |m| (m and -m share their radial eigenfunctions, so
+their two blocks are summed first), whose rows come from the one
+radial-eigenfunction producer of :mod:`radwig.states`.  The result
+feeds straight into :func:`radwig.wigner.wigner_from_density`.
 
 The sector blocks are built from exact integer coefficients, so the
 whole chain holds to rounding at every cutoff up to ``MAX_FOCK_CUTOFF``.
@@ -16,6 +17,7 @@ whole chain holds to rounding at every cutoff up to ``MAX_FOCK_CUTOFF``.
 
 import json
 import math
+import numbers
 import warnings
 from itertools import accumulate, chain
 
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import (DomainError, SchemaError, TruncationWarning,
                      ValidationError)
 from .grids import Grid1D
-from .special import log_factorial
+from .special import MAX_DEGREE, log_factorial
 from .states import SchwingerLabel, _radial_rows, default_vbar_grid
 from .wigner import (_STRIP, DensityMatrixV, WignerGrid, _DensityMatrix,
                      wigner_from_density)
@@ -42,18 +44,15 @@ class FockDensityMatrix(_DensityMatrix):
     """Density matrix over the square cartesian Fock cutoff n_x, n_y <= n_max.
 
     Entries are stored as a dense matrix over the flattened index
-    ``nx * (n_max + 1) + ny``.  Hermiticity (the worst violating pair
+    ``nx * (n_max + 1) + ny``, with ``n_max`` an integer in
+    [0, ``MAX_FOCK_CUTOFF``].  Hermiticity (the worst violating pair
     named by its occupations) and unit trace are validated at
     construction; positivity via :meth:`min_eigenvalue`.
     """
 
     def __init__(self, n_max: int, entries, *, meta=None):
-        if n_max < 0 or n_max != int(n_max):
-            raise DomainError(f"n_max must be a nonnegative integer, got {n_max}")
-        if n_max > MAX_FOCK_CUTOFF:
-            raise DomainError(
-                f"n_max {n_max} exceeds the supported cutoff {MAX_FOCK_CUTOFF}")
-        side = int(n_max) + 1
+        n_max = _check_cutoff(n_max, MAX_FOCK_CUTOFF)
+        side = n_max + 1
 
         def label(row, col):
             return "(nx={}, ny={}; nx'={}, ny'={})".format(
@@ -61,7 +60,7 @@ class FockDensityMatrix(_DensityMatrix):
 
         super().__init__(entries, side ** 2, label=label,
                          what="Fock density matrix", meta=meta)
-        self.n_max = int(n_max)
+        self.n_max = n_max
 
     def index(self, nx: int, ny: int) -> int:
         return _fock_index(self.n_max, nx, ny)
@@ -70,7 +69,7 @@ class FockDensityMatrix(_DensityMatrix):
     def from_pure(cls, n_max: int, amplitudes: dict) -> "FockDensityMatrix":
         """|phi><phi| from a {(nx, ny): amplitude} dictionary; all-zero
         amplitudes raise ValidationError."""
-        dim = (n_max + 1) ** 2
+        dim = (_check_cutoff(n_max, MAX_FOCK_CUTOFF) + 1) ** 2
         vec = np.zeros(dim, dtype=complex)
         for (nx, ny), a in amplitudes.items():
             vec[_fock_index(n_max, nx, ny)] = a
@@ -79,6 +78,15 @@ class FockDensityMatrix(_DensityMatrix):
             raise ValidationError("all Fock amplitudes are zero")
         vec = vec / norm
         return cls(n_max, np.outer(vec, vec.conj()))
+
+
+def _check_cutoff(n_max, limit: int) -> int:
+    """``n_max`` as an int, checked before anything of its size exists."""
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) \
+            or not 0 <= n_max <= limit:
+        raise DomainError(
+            f"n_max must be an integer in [0, {limit}], got {n_max!r}")
+    return int(n_max)
 
 
 def _fock_index(n_max: int, nx: int, ny: int) -> int:
@@ -110,12 +118,15 @@ class SchwingerDensityMatrix(_DensityMatrix):
     Labels are stored through the circular occupations (n_plus, n_minus)
     with n_plus + n_minus <= 2 n_max, flattened sector by sector; the
     exact half-integer (l, m) of each index is available via ``labels``.
+    ``n_max`` is an integer in [0, ``special.MAX_DEGREE``], the largest
+    cutoff whose radial rows :func:`radial_reduce` can expand.
     """
 
     def __init__(self, n_max: int, entries, *, meta=None):
+        n_max = _check_cutoff(n_max, MAX_DEGREE)
         super().__init__(entries, _schwinger_dim(n_max),
                          what="Schwinger density matrix", meta=meta)
-        self.n_max = int(n_max)
+        self.n_max = n_max
 
     @property
     def labels(self) -> list:
@@ -134,7 +145,7 @@ class SchwingerDensityMatrix(_DensityMatrix):
 
     @classmethod
     def pure(cls, label: SchwingerLabel, n_max: int) -> "SchwingerDensityMatrix":
-        dim = _schwinger_dim(n_max)
+        dim = _schwinger_dim(_check_cutoff(n_max, MAX_DEGREE))
         vec = np.zeros(dim, dtype=complex)
         vec[_schwinger_index(n_max, label)] = 1.0
         return cls(n_max, np.outer(vec, vec.conj()))
@@ -234,35 +245,44 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
                        [e^v R_{l,m}(e^v)] [e^{v'} R_{l',m}(e^{v'})]
 
     with the radial eigenfunctions rescaled into the log-radius basis.
-    The basis rows of all m are exponentiated from the log-domain
-    producer straight into one real matrix Phi (N labels x grid points),
-    and with C = blockdiag(C_m) the kernel is Phi^T (Re C) Phi
+    R_{l,m} depends on m only through alpha = |2m|, so m and -m share
+    their rows and enter through one block C_{+m} + C_{-m} per alpha.
+    The basis rows of every alpha are exponentiated from the log-domain
+    producer straight into one real matrix Phi (N rows x grid points;
+    N = 961 at n_max = 30, against 1891 labels), and with
+    C = blockdiag(C_{+m} + C_{-m}) the kernel is Phi^T (Re C) Phi
     + i Phi^T (Im C) Phi: two real products, through one real buffer
     that holds a column strip of (Re C) Phi and then of (Im C) Phi.
     The first product is symmetric and the second antisymmetric, so each
     forms only the upper triangle, one column strip at a time, and the
     lower one is mirrored from it.  The sum over m runs over every label
-    the input cutoff admits, skipping all-zero blocks; the range actually
-    included is recorded in the result metadata.  Warns if grid
-    truncation loses more than 1e-8 of the trace.
+    the input cutoff admits, skipping all-zero blocks; the signed m of
+    every nonzero block, ascending, is recorded as ``meta["m_values"]``.
+    Warns if grid truncation loses more than 1e-8 of the trace.
     """
     if grid is None:
         grid = default_vbar_grid()
     v = grid.points
     n_max = rho_s.n_max
-    blocks = []
-    for two_m in range(-2 * n_max, 2 * n_max + 1):
-        # labels of this m in stored order: k = l - |m| at total 2k + |2m|
-        idx = [_schwinger_flat(abs(two_m) + 2 * k, k + max(two_m, 0))
-               for k in range((2 * n_max - abs(two_m)) // 2 + 1)]
-        block = rho_s.entries[np.ix_(idx, idx)]
-        if np.abs(block).max() != 0.0:
-            blocks.append((two_m, block))
+    blocks, two_ms = [], []
+    for alpha in range(2 * n_max + 1):
+        # labels of m = +-alpha/2 in stored order: k = l - |m| at total
+        # 2k + alpha; both signs share the radial rows of alpha
+        parts = []
+        for two_m in sorted({-alpha, alpha}):
+            idx = [_schwinger_flat(alpha + 2 * k, k + max(two_m, 0))
+                   for k in range((2 * n_max - alpha) // 2 + 1)]
+            part = rho_s.entries[np.ix_(idx, idx)]
+            if np.abs(part).max() != 0.0:
+                two_ms.append(two_m)
+                parts.append(part)
+        if parts:
+            blocks.append((alpha, sum(parts)))
 
     g = grid.n_points
     phi = np.empty((sum(len(block) for _, block in blocks), g))
-    rows = chain.from_iterable(_radial_rows(abs(two_m), len(block), v)
-                               for two_m, block in blocks)
+    rows = chain.from_iterable(_radial_rows(alpha, len(block), v)
+                               for alpha, block in blocks)
     for row, (cur, offset) in zip(phi, rows):
         with np.errstate(divide="ignore"):
             np.exp(offset + np.log(np.abs(cur)), out=row)
@@ -295,7 +315,7 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
             f"radial grid truncation lost {loss:.2e} of the trace "
             f"(measured {trace})", TruncationWarning, stacklevel=2)
     out = DensityMatrixV(grid, kernel, trace_tol=max(1e-8, 10.0 * loss))
-    out.meta["m_values"] = [two_m / 2.0 for two_m, _ in blocks]
+    out.meta["m_values"] = [two_m / 2.0 for two_m in sorted(two_ms)]
     return out
 
 

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import radwig.fock
 from radwig import (DomainError, FockDensityMatrix, Grid1D, SchemaError,
                     SchwingerDensityMatrix, SchwingerLabel, TruncationWarning,
                     ValidationError, default_vbar_grid, end_to_end,
@@ -91,7 +93,7 @@ def test_folded_route_matches_two_sided_on_fock_kernel():
         rho_v.meta["hermiticity_residual"] <= 1e-10
 
 
-@pytest.mark.parametrize("n_max", [3, 10, 20])
+@pytest.mark.parametrize("n_max", [3, 10, 20, 30])
 def test_block_pipeline_matches_dense_reference(n_max):
     rho = dense_state(n_max, seed=700 + n_max)
     rho_s = fock_to_schwinger(rho)
@@ -209,6 +211,56 @@ def test_radial_reduce_cross_sector_coherence():
     assert np.abs(rho_v.entries - np.outer(w, w)).max() < 1e-10
 
 
+def signed_blocks_state(n_max, two_ms, seed):
+    """Schwinger state with unequal complex PSD blocks at each signed 2m
+    of ``two_ms``, and zeros everywhere else."""
+    rng = np.random.default_rng(seed)
+    labels = SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max).labels
+    entries = np.zeros((len(labels), len(labels)), dtype=complex)
+    for weight, two_m in zip(rng.dirichlet(np.ones(len(two_ms))), two_ms):
+        idx = [i for i, lab in enumerate(labels)
+               if lab.n_plus - lab.n_minus == two_m]
+        g = rng.normal(size=(len(idx),) * 2) + 1j * rng.normal(size=(len(idx),) * 2)
+        block = g @ g.conj().T
+        entries[np.ix_(idx, idx)] = weight * block / np.trace(block).real
+    return SchwingerDensityMatrix(n_max, entries)
+
+
+@pytest.mark.parametrize("two_m", [2, 3], ids=["m=1", "m=3/2"])
+def test_radial_reduce_folds_both_signs_of_m(two_m):
+    rho_s = signed_blocks_state(4, (two_m, -two_m), seed=40 + two_m)
+    grid = default_vbar_grid()
+    rho_v = radial_reduce(rho_s, grid)
+    ref = per_block_radial_kernel(rho_s, grid)
+    assert np.abs(rho_v.entries - ref).max() < 1e-12
+    assert rho_v.meta["m_values"] == [-two_m / 2, two_m / 2]
+
+
+def test_radial_reduce_lists_a_one_sided_m():
+    rho_s = SchwingerDensityMatrix.pure(SchwingerLabel.from_occupations(0, 3), 2)
+    grid = default_vbar_grid()
+    rho_v = radial_reduce(rho_s, grid)
+    assert rho_v.meta["m_values"] == [-1.5]
+    assert np.abs(rho_v.entries - per_block_radial_kernel(rho_s, grid)
+                  ).max() < 1e-12
+
+
+def test_radial_reduce_builds_one_row_block_per_abs_m(monkeypatch):
+    # m and -m share the rows of alpha = |2m|: 7 alphas at n_max = 3,
+    # against 13 signed m
+    alphas = []
+    radial_rows = radwig.fock._radial_rows
+
+    def counted(alpha, count, v):
+        alphas.append(alpha)
+        return radial_rows(alpha, count, v)
+
+    monkeypatch.setattr(radwig.fock, "_radial_rows", counted)
+    rho_v = radial_reduce(fock_to_schwinger(dense_state(3, seed=303)))
+    assert alphas == list(range(7))
+    assert rho_v.meta["m_values"] == [two_m / 2 for two_m in range(-6, 7)]
+
+
 def test_radial_reduce_narrow_grid_warns():
     rho_s = SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max=1)
     with pytest.warns(TruncationWarning):
@@ -304,6 +356,46 @@ def test_angular_momentum_labels_need_beta_one():
         rho.coefficient(wide, SchwingerLabel(1, 0, beta=3.0))
     assert rho.coefficient(SchwingerLabel(1, 0, beta=1.0),
                            SchwingerLabel(1, 0)) == 1.0
+
+
+CUTOFF_CASES = [-1, 2.5, 3.0, True, None]
+
+
+@pytest.mark.parametrize("n_max", CUTOFF_CASES + [41])
+def test_fock_matrix_rejects_bad_cutoff(n_max):
+    with pytest.raises(DomainError, match="n_max must be an integer"):
+        FockDensityMatrix(n_max, np.eye(1))
+    with pytest.raises(DomainError, match="n_max must be an integer"):
+        FockDensityMatrix.from_pure(n_max, {(0, 0): 1.0})
+
+
+@pytest.mark.parametrize("n_max", CUTOFF_CASES + [65])
+def test_schwinger_matrix_rejects_bad_cutoff(n_max):
+    with pytest.raises(DomainError, match="n_max must be an integer"):
+        SchwingerDensityMatrix(n_max, np.eye(1))
+    with pytest.raises(DomainError, match="n_max must be an integer"):
+        SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max)
+
+
+def test_cutoff_is_checked_before_allocation():
+    # n_max = 100 would be a 20301^2 complex Schwinger matrix (6.6 GB)
+    tracemalloc.start()
+    try:
+        for make in (lambda: SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), 100),
+                     lambda: FockDensityMatrix.from_pure(100, {(0, 0): 1.0})):
+            with pytest.raises(DomainError, match=r"\[0, (64|40)\], got 100"):
+                make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e3
+
+
+def test_cutoff_accepts_numpy_integers():
+    rho = SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), np.int64(1))
+    assert rho.n_max == 1 and type(rho.n_max) is int
+    rho = FockDensityMatrix.from_pure(np.int32(1), {(1, 0): 1.0})
+    assert rho.n_max == 1 and type(rho.n_max) is int
 
 
 def test_schwinger_pure_rejects_label_outside_cutoff():
