@@ -30,6 +30,11 @@ Two independent routes produce the same distribution:
   maps one form onto the other; the cross-route test suite is the
   arbiter that both agree.
 
+Operands that reach the far tails of a state are zeroed below
+sqrt(tiny) before they enter a dense product, so that no product meets a
+subnormal number; :func:`_flush_tiny` states the rule and its error
+bound.
+
 With this normalisation  integral W dgamma ddelta = trace(rho),  the
 delta-marginal is the position density, the gamma-marginal the momentum
 density, |W| <= 1/pi, and  2 pi * integral W1 W2 = trace(rho1 rho2).
@@ -69,6 +74,10 @@ _TAIL_BLOCK = 16384         # longest kernel tail summed sample by sample
 _STRIP = 128
 # closed-form rows per strip, ordered by node count, each on its own prefix
 _LADDER_STRIP = 64
+
+# 2^-511: operands below it are zeroed before a dense product (see
+# _flush_tiny)
+_FLUSH = np.sqrt(np.finfo(float).tiny)
 
 # default (lo, hi) window of gamma: below lo the integration window grows
 # like -gamma while the state mass is negligible
@@ -111,6 +120,39 @@ def validate_density_matrix(entries: np.ndarray, *, spacing: float = 1.0,
         raise ValidationError(
             f"{what} trace {tr} deviates from 1 by more than {trace_tol}")
     return worst
+
+
+def _flush_tiny(a: np.ndarray) -> np.ndarray:
+    """Zero every real and imaginary part of ``a`` below _FLUSH in
+    magnitude, in place, and return ``a``.
+
+    The one rule for dense-product operands that reach the far tails of a
+    state: the radial basis of :func:`radwig.fock.radial_reduce`, the
+    sample stack of :meth:`DensityMatrixV.from_mixture`, the gathered
+    slices of :func:`wigner_from_density` and the samples of
+    :func:`radwig.operators.momentum_transform`.  A part below
+    _FLUSH = sqrt(tiny) = 2^-511 ~ 1.5e-154 is zeroed, so the product of
+    two nonzero parts is at least tiny and never subnormal (a sum of such
+    products can still cancel below tiny, at a rare entry).  On x86 each
+    subnormal operand or result costs a microcode assist, and one BLAS
+    thread runs at less than half speed over tiles of them.  The
+    floating-point state of the process (flush-to-zero,
+    denormals-are-zero) is never set: it is global, and would change the
+    caller's own arithmetic.
+
+    The truncation is negligible.  If each part of A and of B moves by at
+    most e_A and e_B, each part of an entry of A @ B, with K terms per
+    entry, moves by at most K (e_A max|B| + e_B max|A| + e_A e_B), twice
+    that for complex operands.  A zeroed operand has e = _FLUSH, and one
+    built as C @ Z from a zeroed Z has e = K_C max|C| _FLUSH.  For the
+    real products Phi^T (C Phi) of the radial kernel at n_max = 30
+    (K = 961, |Phi| < 2.5, K_C <= 31, |C| <= 1) that is at most
+    961 * 2 * 31 * 2.5 * _FLUSH < 3e-149 absolute, against a kernel of
+    unit trace.
+    """
+    for part in ((a.real, a.imag) if np.iscomplexobj(a) else (a,)):
+        part[np.abs(part) < _FLUSH] = 0.0
+    return a
 
 
 class _DensityMatrix:
@@ -166,7 +208,8 @@ class DensityMatrixV(_DensityMatrix):
     @classmethod
     def from_mixture(cls, weights, states) -> "DensityMatrixV":
         """Convex mixture of pure states on a common grid, one weight per
-        state: one product (S^T w) S^* of the normalised sample stack S."""
+        state: one product (S^T w) S^* of the normalised sample stack S,
+        its tails zeroed below sqrt(tiny) (see :func:`_flush_tiny`)."""
         weights = np.asarray(weights, dtype=float)
         if len(states) == 0 or weights.shape != (len(states),):
             raise ValidationError(
@@ -177,7 +220,8 @@ class DensityMatrixV(_DensityMatrix):
         grid = states[0].grid
         if any(psi.grid != grid for psi in states):
             raise GridMismatchError("mixture states must share one grid")
-        stack = np.array([psi.samples / np.sqrt(psi.norm()) for psi in states])
+        stack = _flush_tiny(np.array([psi.samples / np.sqrt(psi.norm())
+                                      for psi in states]))
         return cls(grid, (stack.T * weights) @ stack.conj())
 
 
@@ -234,13 +278,26 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     anti-diagonal s = i + j of the n x n samples only holds tau = i - j of
     the parity of s, so the rows go in two parity classes, each gathered
     on its ceil((n - p) / 2) columns tau = p, p + 2, ... with cosine and
-    sine tables over those tau alone.  Hermiticity was checked at
-    construction; its residual is copied into ``meta``.
+    sine tables over those tau alone; the gathered slices are zeroed below
+    sqrt(tiny) first (see :func:`_flush_tiny`).  Hermiticity was checked
+    at construction; its residual is copied into ``meta``.
+
+    Sampled at tau spacing 2h, each class yields W(delta) + W(delta +- pi/h)
+    + ..., so a delta past the band limit pi/(2h) raises DomainError.
     """
     v0 = rho.grid.min
     h = rho.grid.spacing
     n = rho.grid.n_points
     gammas = gamma_grid.points
+
+    band = np.pi / (2.0 * h)
+    delta_max = float(np.abs(delta_grid.points).max())
+    if delta_max > band:
+        raise DomainError(
+            f"|delta| = {delta_max} exceeds the band limit pi/(2h) = "
+            f"{band:.6g} of the density grid spacing h = {h}: each parity "
+            "class samples tau at 2h, so W would alias with its images at "
+            "delta +- pi/h")
 
     s_float = 2.0 * (gammas - v0) / h
     s_idx = np.rint(s_float).astype(int)
@@ -263,6 +320,7 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
             gather[k, (a - b) // 2] = rho.entries[a, b] + rho.entries[b, a].conj()
         if p == 0:
             gather[:, 0] *= 0.5
+        _flush_tiny(gather)
         arg = np.outer(tau * h, delta_grid.points)
         values[rows] = (h / np.pi) * (gather.real @ np.cos(arg)
                                       + gather.imag @ np.sin(arg))

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from radwig import (DomainError, FockDensityMatrix, Grid1D, SchemaError,
                     radial_wavefunction, sector_isometry, vbar_schwinger_l0,
                     wigner_from_density, wigner_l0_grid)
 from radwig.states import _radial_rows
-from radwig.wigner import validate_density_matrix
+from radwig.wigner import _FLUSH, DensityMatrixV, validate_density_matrix
 
 from reference import (dense_u_rotation, per_block_radial_kernel, scipy_psi,
                        wigner_two_sided)
@@ -261,6 +262,23 @@ def test_radial_reduce_builds_one_row_block_per_abs_m(monkeypatch):
     assert rho_v.meta["m_values"] == [two_m / 2 for two_m in range(-6, 7)]
 
 
+def test_radial_basis_holds_no_entry_below_flush():
+    # the rows radial_reduce multiplies at n_max = 30: each entry is the
+    # exponentiated log-domain value, or 0 where that is below _FLUSH, so
+    # no product with the basis meets a subnormal
+    v = default_vbar_grid().points
+    sizes = [(alpha, (60 - alpha) // 2 + 1) for alpha in range(61)]
+    phi = radwig.fock._radial_basis(sizes, v)
+    with np.errstate(divide="ignore"):
+        exact = np.array([
+            np.sign(cur) * np.exp(offset + np.log(np.abs(cur)))
+            for cur, offset in chain.from_iterable(
+                _radial_rows(alpha, count, v) for alpha, count in sizes)])
+    tails = (exact != 0) & (np.abs(exact) < _FLUSH)
+    assert tails.sum() > 10000          # the window reaches the far tails
+    assert np.array_equal(phi, np.where(tails, 0.0, exact))
+
+
 def test_radial_reduce_narrow_grid_warns():
     rho_s = SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max=1)
     with pytest.warns(TruncationWarning):
@@ -291,6 +309,23 @@ def test_end_to_end_vacuum_matches_closed_form_l0():
     w = end_to_end(fock_vacuum(), GAMMA, DELTA)
     closed = wigner_l0_grid(0, GAMMA, DELTA)
     assert np.abs(w.values - closed.values).max() < 1e-5
+
+
+@pytest.mark.parametrize("n_max", [10, 30])
+def test_end_to_end_matches_unflushed_dense_reference(n_max):
+    # the reference kernel keeps every tail value of its scipy basis rows
+    rho = dense_state(n_max, seed=900 + n_max)
+    rho_s = fock_to_schwinger(rho)
+    w = end_to_end(rho, GAMMA, DELTA)
+    grid = default_vbar_grid()
+    ref = wigner_two_sided(
+        DensityMatrixV(grid, per_block_radial_kernel(rho_s, grid)),
+        GAMMA, DELTA).real
+    assert np.abs(w.values - ref).max() <= 1e-14 * np.abs(ref).max()
+    m = np.array([(lab.n_plus - lab.n_minus) / 2 for lab in rho_s.labels])
+    assert w.meta["m_values"] == [
+        float(mu) for mu in np.unique(m)
+        if np.abs(rho_s.entries[np.ix_(m == mu, m == mu)]).max() > 0]
 
 
 def test_end_to_end_linearity():

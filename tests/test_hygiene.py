@@ -116,3 +116,20 @@ def test_no_scipy_import(path):
                    if isinstance(node, ast.ImportFrom) and node.module)
     scipy = sorted(m for m in modules if m.split(".")[0] == "scipy")
     assert not scipy, f"{path.name} imports {scipy}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_floating_point_state_is_never_set(path):
+    # subnormals are kept out of products by zeroing operands
+    # (wigner._flush_tiny), never by CPU flags (FTZ/DAZ, reachable through
+    # ctypes) or numpy's process-wide error modes; np.errstate, which
+    # restores them on exit, stays allowed
+    tree = _parse(path)
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules.update(node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module)
+    assert not {m for m in modules if m.split(".")[0] == "ctypes"}
+    calls = {getattr(node.func, "attr", getattr(node.func, "id", None))
+             for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert "seterr" not in calls, f"{path.name} calls seterr"

@@ -287,6 +287,8 @@ def test_library_warning_prints_one_warning_line(tmp_path):
     ["wl", "--delta", "1:2"],
     ["fock", "--input", "rho.json", "--gamma", "1:2"],
     ["fock", "--input", "rho.json", "--delta", "1:2"],
+    # past the band pi/(2h) ~ 157 that the default grid (h = 0.01) resolves
+    ["fock", "--input", "rho.json", "--delta", "-320:320:11"],
     ["vacuum", "--grid", "1:2"],
     ["vacuum", "--basis", "r", "--grid", "-1:2:11"],
     ["coherent", "--grid", "1:2"],

@@ -17,7 +17,7 @@ from radwig import (DensityMatrixV, DomainError, Grid1D, GridAlignmentError,
                     wigner_from_density, wigner_l0_grid)
 import radwig.wigner
 from radwig.checks import _husimi_exact
-from radwig.wigner import _gaussian_matrix, _ladder
+from radwig.wigner import _FLUSH, _gaussian_matrix, _ladder
 from reference import (gaussian_filter_reference, wigner_l0_closed,
                        wigner_l0_rectangular, wigner_two_sided)
 
@@ -200,6 +200,66 @@ def test_density_route_matches_closed_form():
     w_dens = wigner_from_density(rho, GAMMA, DELTA)
     w_closed = wigner_l0_grid(0, GAMMA, DELTA)
     assert np.abs(w_dens.values - w_closed.values).max() < 1e-6
+
+
+def test_density_route_refuses_delta_past_its_band():
+    # h = 0.1: each parity class samples tau at 0.2, so only
+    # |delta| <= pi/0.2 = 15.7 is resolved; past it the sum is W plus its
+    # images at delta -+ 10 pi (off by 1.4e-2 at |delta| <= 26)
+    rho = schwinger_density(1, Grid1D(-9.5, 4.0, 136))
+    gamma = Grid1D(-3.0, 2.0, 51)
+    inside = Grid1D(-4.0, 4.0, 81)
+    assert np.abs(wigner_from_density(rho, gamma, inside).values
+                  - wigner_l0_grid(1, gamma, inside).values).max() < 1e-8
+    with pytest.raises(DomainError,
+                       match=r"band limit pi/\(2h\) = 15\.708.* h = 0\.1"):
+        wigner_from_density(rho, gamma, Grid1D(-26.0, 26.0, 521))
+
+
+def test_densities_hold_no_subnormal_parts():
+    tiny = np.finfo(float).tiny
+
+    def subnormal_parts(rho):
+        return sum(int(np.count_nonzero((part != 0) & (np.abs(part) < tiny)))
+                   for part in (rho.entries.real, rho.entries.imag))
+
+    grid = default_vbar_grid()
+    v = grid.points
+    psi2 = WavefunctionV(grid, vbar_schwinger_l0(2, v))
+    psi5 = vbar_schwinger_l0(5, v)
+    # an entry of a real-state density is one product per state, none of
+    # them subnormal (7,222 and 6,562 subnormal parts without the flush)
+    assert subnormal_parts(schwinger_density(2)) == 0
+    assert subnormal_parts(DensityMatrixV.from_mixture(
+        [0.3, 0.7], [psi2, WavefunctionV(grid, psi5)])) == 0
+    # complex parts are sums of products, and a sum of two tail products
+    # can cancel below tiny: 2 parts here, 13,420 without the flush
+    assert subnormal_parts(DensityMatrixV.from_mixture(
+        [0.3, 0.7], [psi2, WavefunctionV(grid, psi5 * np.exp(1j * v))])) <= 20
+
+
+def test_planted_subnormal_entries_move_w_within_the_flush_bound():
+    # entries below _FLUSH / 2 in each part: their gathered sums fall
+    # below _FLUSH and are zeroed, and W = (h/pi) (Re g cos + Im g sin)
+    # moves by at most the bound of wigner._flush_tiny, 2 K _FLUSH h/pi
+    # for K <= n gathered columns and |cos|, |sin| <= 1
+    grid = Grid1D(-9.5, 4.0, 136)
+    base = schwinger_density(1, grid).entries
+    rng = np.random.default_rng(5)
+    i, j = rng.choice(grid.n_points, size=(2, 40))
+    values = rng.choice([5e-320, 1e-200 + 3e-310j, 7e-160j, -2e-170], size=40)
+    planted, zeroed = base.copy(), base.copy()
+    planted[i, j], planted[j, i] = values, values.conj()
+    planted[i[i == j], i[i == j]] = values[i == j].real
+    zeroed[i, j] = zeroed[j, i] = 0.0
+    rho = DensityMatrixV(grid, planted)
+    gamma, delta = Grid1D(-3.0, 2.0, 51), Grid1D(-4.0, 4.0, 81)
+    moved = np.abs(wigner_from_density(rho, gamma, delta).values
+                   - wigner_from_density(DensityMatrixV(grid, zeroed),
+                                         gamma, delta).values).max()
+    bound = 2 * grid.n_points * _FLUSH * grid.spacing / np.pi
+    assert moved <= bound
+    assert np.array_equal(rho.entries, planted)     # the input is untouched
 
 
 def test_alignment_error_without_interpolation():
