@@ -28,8 +28,8 @@ from .errors import (DomainError, SchemaError, TruncationWarning,
 from .grids import Grid1D
 from .special import MAX_DEGREE, log_factorial
 from .states import SchwingerLabel, _radial_rows, default_vbar_grid
-from .wigner import (_FLUSH, _STRIP, DensityMatrixV, WignerGrid,
-                     _DensityMatrix, wigner_from_density)
+from .wigner import (_STRIP, DensityMatrixV, WignerGrid, _DensityMatrix,
+                     _flush_tiny, wigner_from_density)
 
 __all__ = [
     "FockDensityMatrix", "SchwingerDensityMatrix", "fock_to_schwinger",
@@ -235,23 +235,6 @@ def fock_to_schwinger(rho: FockDensityMatrix) -> SchwingerDensityMatrix:
     return out
 
 
-def _radial_basis(sizes, v: np.ndarray) -> np.ndarray:
-    """Phi of :func:`radial_reduce`: for each ``(alpha, count)`` the rows
-    k < count of alpha, exponentiated from the log-domain producer, with
-    every entry below _FLUSH left 0 (see :func:`radwig.wigner._flush_tiny`).
-    """
-    phi = np.zeros((sum(count for _, count in sizes), v.size))
-    rows = chain.from_iterable(_radial_rows(alpha, count, v)
-                               for alpha, count in sizes)
-    floor = np.log(_FLUSH)
-    for row, (cur, offset) in zip(phi, rows):
-        with np.errstate(divide="ignore"):
-            log_abs = offset + np.log(np.abs(cur))
-        np.exp(log_abs, out=row, where=log_abs >= floor)
-        row *= np.sign(cur)
-    return phi
-
-
 def radial_reduce(rho_s: SchwingerDensityMatrix,
                   grid: Grid1D | None = None) -> DensityMatrixV:
     """Trace out the angle and sample the radial kernel on a log-radius grid.
@@ -268,7 +251,7 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
     producer straight into one real matrix Phi (N rows x grid points;
     N = 961 at n_max = 30, against 1891 labels), its tails zeroed below
     sqrt(tiny) so that no product meets a subnormal (see
-    :func:`radwig.wigner._flush_tiny`: the kernel moves by under 3e-149),
+    :func:`radwig.wigner._flush_tiny`: the kernel moves by under 6e-149),
     and with
     C = blockdiag(C_{+m} + C_{-m}) the kernel is Phi^T (Re C) Phi
     + i Phi^T (Im C) Phi: two real products, through one real buffer
@@ -300,7 +283,14 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
             blocks.append((alpha, sum(parts)))
 
     g = grid.n_points
-    phi = _radial_basis([(alpha, len(block)) for alpha, block in blocks], v)
+    phi = np.empty((sum(len(block) for _, block in blocks), g))
+    rows = chain.from_iterable(_radial_rows(alpha, len(block), v)
+                               for alpha, block in blocks)
+    for row, (cur, offset) in zip(phi, rows):
+        with np.errstate(divide="ignore"):
+            np.exp(offset + np.log(np.abs(cur)), out=row)
+        row *= np.sign(cur)
+    _flush_tiny(phi)
 
     kernel = np.empty((g, g), dtype=complex)
     y = np.empty((len(phi), _STRIP))

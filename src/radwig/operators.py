@@ -29,7 +29,6 @@ from .errors import (BasisMismatchError, DomainError, TruncationError,
                      TruncationWarning, ValidationError)
 from .grids import Grid1D
 from .states import WavefunctionR, WavefunctionV
-from .wigner import _flush_tiny
 
 import warnings
 
@@ -199,14 +198,12 @@ def momentum_transform(psi: WavefunctionV, p_grid: Grid1D) -> np.ndarray:
     Unitary convention  psi~(P) = (2 pi)^{-1/2} integral e^{-i P vbar}
     psi(vbar) dvbar,  evaluated as a Riemann sum (spectrally accurate for
     edge-decayed states).  Parseval then holds on any momentum window
-    wide enough to hold the transform.  The samples enter the product
-    zeroed below sqrt(tiny) (see :func:`radwig.wigner._flush_tiny`).
+    wide enough to hold the transform.
     """
     _warn_edges(psi.samples, psi.grid.spacing, "momentum_transform")
     v = psi.grid.points
     phases = np.exp(-1j * np.outer(p_grid.points, v))
-    return phases @ _flush_tiny(psi.samples.copy()) \
-        * (psi.grid.spacing / np.sqrt(2.0 * np.pi))
+    return phases @ psi.samples * (psi.grid.spacing / np.sqrt(2.0 * np.pi))
 
 
 def _apply(op: OperatorAction, psi):

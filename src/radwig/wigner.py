@@ -128,9 +128,8 @@ def _flush_tiny(a: np.ndarray) -> np.ndarray:
 
     The one rule for dense-product operands that reach the far tails of a
     state: the radial basis of :func:`radwig.fock.radial_reduce`, the
-    sample stack of :meth:`DensityMatrixV.from_mixture`, the gathered
-    slices of :func:`wigner_from_density` and the samples of
-    :func:`radwig.operators.momentum_transform`.  A part below
+    sample stack of :meth:`DensityMatrixV.from_mixture` and the gathered
+    slices of :func:`wigner_from_density`.  A part below
     _FLUSH = sqrt(tiny) = 2^-511 ~ 1.5e-154 is zeroed, so the product of
     two nonzero parts is at least tiny and never subnormal (a sum of such
     products can still cancel below tiny, at a rare entry).  On x86 each
@@ -145,10 +144,10 @@ def _flush_tiny(a: np.ndarray) -> np.ndarray:
     entry, moves by at most K (e_A max|B| + e_B max|A| + e_A e_B), twice
     that for complex operands.  A zeroed operand has e = _FLUSH, and one
     built as C @ Z from a zeroed Z has e = K_C max|C| _FLUSH.  For the
-    real products Phi^T (C Phi) of the radial kernel at n_max = 30
-    (K = 961, |Phi| < 2.5, K_C <= 31, |C| <= 1) that is at most
-    961 * 2 * 31 * 2.5 * _FLUSH < 3e-149 absolute, against a kernel of
-    unit trace.
+    real products Phi^T (C Phi) of the radial kernel at the largest
+    cutoff, MAX_FOCK_CUTOFF = 40 (K = 1681, |Phi| < 2.7, K_C <= 41,
+    |C| <= 1), that is at most 1681 * 2 * 41 * 2.7 * _FLUSH < 6e-149
+    absolute, against a kernel of unit trace (< 3e-149 at n_max = 30).
     """
     for part in ((a.real, a.imag) if np.iscomplexobj(a) else (a,)):
         part[np.abs(part) < _FLUSH] = 0.0
