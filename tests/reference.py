@@ -6,6 +6,10 @@ instead of the trapezoid rule, so it checks the ladder's step and its
 cosine transform.  It cuts the integral where the library's ladder ends
 for that row, so there is one cut rule.
 
+:func:`wigner_bessel_sum` is the third, independent route: W_{l,m} as a
+finite sum of Bessel functions K_nu in mpmath, with no Laguerre
+recurrence, log-domain assembly or quadrature.
+
 :func:`wigner_l0_rectangular` is ``radwig.wigner_l0_grid`` with one
 rectangle of nodes: every gamma row runs to the end of the deepest row's
 ladder, in one product, instead of stopping at its own cut.
@@ -73,6 +77,54 @@ def wigner_l0_closed(l: int, gamma: float, delta: float) -> float:
             f"quadrature for W_{l}({gamma}, {delta}) did not converge: "
             f"{result[3]}", residual=float(result[1]))
     return float((4.0 * np.exp(2.0 * gamma) / np.pi) * result[0])
+
+
+def wigner_bessel_sum(k: int, alpha: int, gamma: float, delta: float) -> float:
+    """W of the oscillator level k = l - |m|, alpha = 2|m| at one point, as
+    a finite sum of Bessel functions in mpmath.
+
+    Expanding both Laguerre factors of the closed form as
+    L_k^alpha(x) = sum_j c_j x^j, c_j = (-1)^j C(k + alpha, k - j) / j!,
+    and integrating term by term with
+    integral dt e^{nu t - z cosh t} = 2 K_nu(z) gives, with z = e^{2 gamma},
+
+        W = (2 k! / (pi (k + alpha)!)) z^{alpha + 1}
+            sum_{i,j} c_i c_j z^{i+j} K_{i-j-i delta}(z).
+
+    K_{-nu} = K_nu and, for real z, K_{n + i delta} is the conjugate of
+    K_{n - i delta}, so only n = 0..k are needed; they follow from two
+    ``besselk`` calls by the upward recurrence
+    K_{nu+1} = K_{nu-1} + (2 nu / z) K_nu.  The terms cancel badly at large
+    k and z, so a 30-digit probe first finds the largest term, |K_n|
+    included, and the sum runs at 30 digits past it: about 1e-30 absolute.
+    """
+    import mpmath
+
+    def parts():
+        z = mpmath.exp(2 * mpmath.mpf(gamma))
+        nu = mpmath.mpc(0, -delta)
+        bessel = [mpmath.besselk(nu, z), mpmath.besselk(nu + 1, z)]
+        for n in range(1, k):
+            bessel.append(bessel[n - 1] + 2 * (nu + n) / z * bessel[n])
+        a = [(-1) ** j * mpmath.binomial(k + alpha, k - j) / mpmath.factorial(j)
+             * z ** j for j in range(k + 1)]
+        pref = (2 * mpmath.factorial(k) * z ** (alpha + 1)
+                / (mpmath.pi * mpmath.factorial(k + alpha)))
+        return bessel[:k + 1], a, pref
+
+    with mpmath.workdps(30):
+        bessel, a, pref = parts()
+        largest = pref * max(abs(a[i] * a[j] * bessel[abs(i - j)])
+                             for i in range(k + 1) for j in range(k + 1))
+        dps = 30 + max(0, int(mpmath.ceil(mpmath.log10(largest))))
+    with mpmath.workdps(dps):
+        bessel, a, pref = parts()
+        # the (i, j) and (j, i) terms are conjugates: group by d = i - j
+        total = mpmath.mpf(0)
+        for d in range(k + 1):
+            pairs = mpmath.fsum(a[i] * a[i - d] for i in range(d, k + 1))
+            total += (1 if d == 0 else 2) * pairs * mpmath.re(bessel[d])
+        return float(pref * total)
 
 
 def wigner_l0_rectangular(l: int, gamma_grid, delta_grid) -> np.ndarray:

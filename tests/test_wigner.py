@@ -1,6 +1,7 @@
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,18 +9,20 @@ from scipy.integrate import quad
 from scipy.special import k0
 
 from radwig import (DensityMatrixV, DomainError, Grid1D, GridAlignmentError,
-                    GridMismatchError, RadwigError, TruncationError,
-                    TruncationWarning, UnsupportedOrderError, ValidationError,
-                    WavefunctionV, WignerGrid,
+                    GridMismatchError, RadwigError, SchwingerLabel,
+                    TruncationError, TruncationWarning, UnsupportedOrderError,
+                    ValidationError, WavefunctionV, WignerGrid,
                     default_vbar_grid, dilaton_coherent, dilaton_vacuum,
                     marginal_momentum, marginal_position, momentum_transform,
-                    overlap, s_smooth, schwinger_density, vbar_schwinger_l0,
-                    wigner_from_density, wigner_l0_grid)
+                    overlap, radial_wavefunction, s_smooth, schwinger_density,
+                    to_vbar, vbar_schwinger_l0, wigner_from_density,
+                    wigner_l0_grid)
 import radwig.wigner
 from radwig.checks import _husimi_exact
 from radwig.wigner import _FLUSH, _gaussian_matrix, _ladder
-from reference import (gaussian_filter_reference, wigner_l0_closed,
-                       wigner_l0_rectangular, wigner_two_sided)
+from reference import (gaussian_filter_reference, wigner_bessel_sum,
+                       wigner_l0_closed, wigner_l0_rectangular,
+                       wigner_two_sided)
 
 GAMMA = Grid1D(-3.0, 2.0, 126)
 DELTA = Grid1D(-4.0, 4.0, 81)
@@ -407,6 +410,41 @@ def test_deep_gamma_point_value_bessel_oracle():
                        allow_deep_tail=True)
     exact = 2.0 * z / np.pi * k0(z)
     assert w.values[0, 0] == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+# the Bessel sum shares no code with either library route: every point is
+# held to 1e-12 absolute plus 1e-10 relative
+BESSEL_POINTS = [(-32.0, 0.0), (-9.0, 8.0), (-2.5, -3.0), (0.0, 0.5),
+                 (1.3, 1.7), (2.2, 4.0), (3.0, -6.0), (6.0, 2.0)]
+
+
+@pytest.mark.parametrize("l", [0, 1, 4, 16, 32, 64])
+def test_closed_form_matches_bessel_sum(l):
+    pytest.importorskip("mpmath")
+    for gamma, delta in BESSEL_POINTS:
+        w = wigner_l0_grid(l, Grid1D(gamma, gamma, 1), Grid1D(delta, delta, 1),
+                           allow_deep_tail=True).values[0, 0]
+        ref = wigner_bessel_sum(l, 0, gamma, delta)
+        assert abs(w - ref) <= 1e-12 + 1e-10 * abs(ref), (gamma, delta)
+
+
+@pytest.mark.parametrize("l, m", [(Fraction(1, 2), Fraction(1, 2)),
+                                  (Fraction(3, 2), Fraction(-1, 2)),
+                                  (2, 1), (Fraction(7, 2), Fraction(5, 2)),
+                                  (5, -3)])
+def test_density_route_matches_bessel_sum_off_m0(l, m):
+    pytest.importorskip("mpmath")
+    label = SchwingerLabel(l, m)
+    grid = default_vbar_grid()
+    psi = to_vbar(lambda r: radial_wavefunction(label, r), grid)
+    gamma, delta = Grid1D(-2.0, 1.5, 8), Grid1D(-8.0, 8.0, 5)
+    w = wigner_from_density(DensityMatrixV.from_pure(psi), gamma, delta)
+    k = min(label.n_plus, label.n_minus)
+    alpha = abs(label.n_plus - label.n_minus)
+    for i, g in enumerate(gamma.points):
+        for j, d in enumerate(delta.points):
+            ref = wigner_bessel_sum(k, alpha, g, d)
+            assert abs(w.values[i, j] - ref) <= 1e-12 + 1e-10 * abs(ref), (g, d)
 
 
 # ------------------------------------------------------ one-point axes
