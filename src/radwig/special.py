@@ -65,17 +65,10 @@ def laguerre_assoc(n: int, alpha: float, x: float) -> LaguerreEval:
     LaguerreEval
         Plain value plus the sign / log-magnitude pair.
     """
-    _check_degree_order(n, alpha)
-    if not np.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x}")
-    if x < 0:
-        raise DomainError(f"argument must be nonnegative, got {x}")
-
-    n = int(n)
     cur, offset, log_abs = _last_log(
-        _scaled_recurrence(n, alpha, np.array([x], dtype=float)))
+        _scaled_recurrence(int(n), alpha, _argument(n, alpha, [x])))
     la, sg = float(log_abs[0]), int(np.sign(cur[0]))
-    if offset[0] == 0.0:
+    if not np.any(offset):
         # no rescale: exactly the plain recurrence's value
         value = float(cur[0])
     else:
@@ -83,7 +76,7 @@ def laguerre_assoc(n: int, alpha: float, x: float) -> LaguerreEval:
         # and is +-inf past the double range
         with np.errstate(over="ignore"):
             value = float(sg * np.exp(log_abs[0]))
-    return LaguerreEval(n, alpha, value, la, sg)
+    return LaguerreEval(int(n), alpha, value, la, sg)
 
 
 def laguerre_log(n: int, alpha: float, x: np.ndarray):
@@ -91,16 +84,23 @@ def laguerre_log(n: int, alpha: float, x: np.ndarray):
 
     Runs the three-term recurrence with periodic rescaling so the result
     stays finite for arguments far beyond the overflow point of the plain
-    value.  Returns ``(log_abs, sign)`` arrays; zeros are reported as
-    ``(-inf, 0)``.
+    value, for any finite argument.  Returns ``(log_abs, sign)`` arrays;
+    zeros are reported as ``(-inf, 0)``.
     """
+    cur, _, log_abs = _last_log(
+        _scaled_recurrence(int(n), alpha, _argument(n, alpha, x)))
+    return log_abs, np.sign(cur)
+
+
+def _argument(n, alpha, x) -> np.ndarray:
+    """``x`` as a float array, once n, alpha and every x are in the domain."""
     _check_degree_order(n, alpha)
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("argument must be nonnegative")
-
-    cur, _, log_abs = _last_log(_scaled_recurrence(int(n), alpha, x))
-    return log_abs, np.sign(cur)
+    ok = np.isfinite(x) & (x >= 0)
+    if not np.all(ok):
+        raise DomainError(
+            f"argument must be finite and nonnegative, got {x[~ok][0]}")
+    return x
 
 
 def _check_degree_order(n, alpha):
@@ -116,27 +116,25 @@ def _check_degree_order(n, alpha):
 def _scaled_recurrence(n: int, alpha: float, x: np.ndarray):
     """Yield L_k^alpha(x) as ``cur * exp(offset)`` for k = 0..n in turn.
 
-    Wherever |L_k| passes ``_RESCALE_THRESHOLD`` the pair (L_k, L_{k-1}) is
-    divided by |L_k| and ``offset`` gains its log; where it never does,
-    ``offset`` is 0 and ``cur`` is the plain recurrence's value.  Each
-    yielded pair is a fresh array that later steps leave alone, so a
-    caller may use every degree (the radial rows of
+    Wherever |L_k| passes ``_RESCALE_THRESHOLD``, L_1 included, the pair
+    (L_k, L_{k-1}) is divided by |L_k| and ``offset`` (a scalar until then)
+    gains its log, so every finite x >= 0 stays finite; where it never
+    does, ``offset`` is 0 and ``cur`` is the plain recurrence's value.
+    Each yielded pair is fresh and later steps leave it alone, so a caller
+    may use every degree (the radial rows of
     :func:`radwig.states._radial_rows`) or only the last.
     """
-    offset = np.zeros_like(x)
-    prev = np.ones_like(x)
-    yield prev, offset
-    if n == 0:
-        return
-    cur = 1.0 + alpha - x
-    yield cur, offset
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2*k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
-        mag = np.abs(cur)
-        big = mag > _RESCALE_THRESHOLD
-        if np.any(big):
-            scale = np.where(big, mag, 1.0)
-            cur = cur / scale
+    offset, prev, cur = 0.0, None, np.ones_like(x)
+    for k in range(n + 1):
+        if k == 1:
+            prev, cur = cur, 1.0 + alpha - x
+        elif k > 1:
+            prev, cur = cur, ((2*k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
+        if (cur.max(initial=0.0) > _RESCALE_THRESHOLD
+                or cur.min(initial=0.0) < -_RESCALE_THRESHOLD):
+            mag = np.abs(cur)
+            scale = np.where(mag > _RESCALE_THRESHOLD, mag, 1.0)
+            cur /= scale
             prev = prev / scale
             offset = offset + np.log(scale)
         yield cur, offset

@@ -86,6 +86,30 @@ def test_log_form_survives_huge_arguments():
             float(mpmath.log(abs(ref))), rel=1e-10)
 
 
+# past 1e150 the recurrence's second step would overflow; there
+# L_n^alpha(x) is its leading term (-x)^n / n!, to a relative n (n + alpha) / x
+@pytest.mark.parametrize("x", [1e155, 1e200, 1e308])
+def test_far_arguments_take_the_leading_term(x):
+    mpmath = pytest.importorskip("mpmath")
+    for n, alpha in ((0, 2.0), (1, 0.0), (2, 0.0), (7, 3.0), (64, 5.0)):
+        log_abs, sign = laguerre_log(n, alpha, np.array([x]))
+        with mpmath.workdps(60):
+            ref = float(mpmath.log(abs(mpmath.laguerre(n, alpha, x))))
+        assert sign[0] == (-1) ** n
+        assert log_abs[0] == pytest.approx(ref, rel=1e-14, abs=1e-14)
+        out = laguerre_assoc(n, alpha, x)
+        assert (out.log_abs, out.sign) == (log_abs[0], sign[0])
+    assert laguerre_assoc(2, 0.0, x).value == np.inf
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+def test_non_finite_arguments_are_domain_errors(x):
+    with pytest.raises(DomainError):
+        laguerre_log(3, 0.0, np.array([1.0, x]))
+    with pytest.raises(DomainError):
+        laguerre_assoc(3, 0.0, x)
+
+
 def test_degree_overflow_and_domain_errors():
     with pytest.raises(DegreeOverflowError):
         laguerre_assoc(65, 0.0, 1.0)
