@@ -24,8 +24,8 @@ from .errors import (DomainError, GridAlignmentError, RadwigError,
 from .fock import end_to_end, load_fock_density
 from .grids import Grid1D
 from .states import default_vbar_grid, dilaton_coherent, dilaton_vacuum
-from .wigner import (GAMMA_GUARD, WignerGrid, marginal_momentum,
-                     marginal_position, wigner_l0_grid)
+from .wigner import (WignerGrid, marginal_momentum, marginal_position,
+                     wigner_l0_grid)
 
 __all__ = ["main", "parse_axis"]
 
@@ -73,11 +73,6 @@ def _with_suffix(path: str, suffix: str) -> str:
 
 def cmd_wl(args) -> int:
     gamma, delta = parse_axis(args.gamma), parse_axis(args.delta)
-    lo, hi = GAMMA_GUARD
-    if not args.allow_wide_gamma and (gamma.min < lo or gamma.max > hi):
-        raise CliInputError(
-            f"gamma range [{gamma.min}, {gamma.max}] outside the default guard "
-            f"[{lo}, {hi}]; pass --allow-wide-gamma to override")
     w = wigner_l0_grid(args.l, gamma, delta,
                        allow_deep_tail=args.allow_wide_gamma)
     # the file metadata is the CLI's format contract, not the library's

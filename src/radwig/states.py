@@ -10,8 +10,9 @@ Conventions (hbar = 1 throughout):
   psi_vbar(vbar) = exp(vbar) * psi_r(exp(vbar)).
 
 Every oscillator eigenfunction comes from one log-domain producer,
-``_radial_rows``: :func:`radial_wavefunction` and :func:`vbar_schwinger_l0`
-read its last row, :func:`radwig.fock.radial_reduce` every row.
+``_radial_rows``: :func:`radial_wavefunction`, :func:`vbar_schwinger_l0`
+and the closed-form Wigner integrand of :mod:`radwig.wigner` read its
+last row alone, :func:`radwig.fock.radial_reduce` every row.
 """
 
 import math
@@ -166,8 +167,8 @@ class SchwingerLabel:
         return f"SchwingerLabel(l={self.l}, m={self.m}, beta={self.beta})"
 
 
-def _radial_rows(alpha: int, count: int, v: np.ndarray):
-    """Yield the log-radius eigenfunctions psi_k(v) for k = 0..count-1.
+def _radial_rows(alpha: int, count: int, v: np.ndarray, first: int = 0):
+    """Yield the log-radius eigenfunctions psi_k(v) for k = first..count-1.
 
         psi_k(v) = sqrt(2 k! / (k+alpha)!) e^{(alpha+1) v} e^{-e^{2v}/2}
                    L_k^alpha(e^{2v}) (-1)^k
@@ -175,17 +176,23 @@ def _radial_rows(alpha: int, count: int, v: np.ndarray):
     is e^v R_{l,m}(e^v) at beta = 1, for k = l - |m| and alpha = 2|m|.
     One Laguerre recurrence in k at fixed alpha gives every row as a pair
     ``(cur, offset)`` with psi_k = cur * exp(offset), the magnitude kept
-    in the log domain so that no row overflows.  Past x = e^{2v} = 1e150
-    every row is 0, and the recurrence, which would overflow there, runs
-    at x = 0 under the offset -x/2.
+    in the log domain so that no row overflows; rows below ``first`` are
+    not assembled (``first=count - 1`` is the path to the last row alone).
+    Where x = e^{2v} overflows every row is 0 under the offset -x/2, and
+    the recurrence runs at the largest double.
     """
     _check_degree_order(count - 1, alpha)
+    # in place: a second live temporary of the caller's size costs pages
     with np.errstate(over="ignore"):
-        x = np.exp(v) ** 2
-    base = (alpha + 1.0) * v - x / 2.0
-    laguerre = _scaled_recurrence(count - 1, float(alpha),
-                                  np.where(x < 1e150, x, 0.0))
-    for k, (cur, offset) in enumerate(laguerre):
+        x = np.exp(v, out=np.empty(np.shape(v)))
+        x *= x
+    base = x * -0.5
+    base += v if alpha == 0 else (alpha + 1.0) * v
+    np.fmin(x, np.finfo(float).max, out=x)
+    for k, (cur, offset) in enumerate(
+            _scaled_recurrence(int(count) - 1, float(alpha), x)):
+        if k < first:
+            continue
         log_pref = 0.5 * (np.log(2.0) + log_factorial(k)
                           - log_factorial(k + alpha))
         yield (-cur if k % 2 else cur), base + (log_pref + offset)
@@ -200,16 +207,17 @@ def radial_wavefunction(label: SchwingerLabel, r):
 
     normalised so that  integral r R^2 dr = 1.  Read off the last row of
     the log-radius producer as R(r) = psi(ln beta r) / r, with ln r taken
-    off in the log domain, so neither large degrees nor radii up to
-    ~1e150 overflow.
+    off in the log domain, so neither large degrees nor large radii
+    overflow.
     Accepts a scalar or an array of radii; r must be strictly positive.
     """
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0) or not np.all(np.isfinite(r_arr)):
         raise DomainError("radius must be strictly positive and finite")
+    k = min(label.n_plus, label.n_minus)
     cur, _, log_psi = _last_log(_radial_rows(
-        abs(label.n_plus - label.n_minus), min(label.n_plus, label.n_minus) + 1,
-        np.log(label.beta * r_arr)))
+        abs(label.n_plus - label.n_minus), k + 1, np.log(label.beta * r_arr),
+        first=k))
     out = np.sign(cur) * np.exp(log_psi - np.log(r_arr))
     return float(out) if r_arr.ndim == 0 else out
 
@@ -223,10 +231,8 @@ def vbar_schwinger_l0(l: int, vbar):
     Evaluated log-safely, so arguments up to vbar ~ +10 simply underflow
     to 0 instead of overflowing.  Accepts a scalar or array.
     """
-    if l < 0 or l != int(l):
-        raise DomainError(f"l must be a nonnegative integer, got {l}")
     v = np.asarray(vbar, dtype=float)
-    cur, _, log_psi = _last_log(_radial_rows(0, int(l) + 1, v))
+    cur, _, log_psi = _last_log(_radial_rows(0, l + 1, v, first=l))
     out = np.sign(cur) * np.exp(log_psi)
     return float(out) if v.ndim == 0 else out
 

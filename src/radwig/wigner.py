@@ -17,18 +17,17 @@ Two independent routes produce the same distribution:
 * :func:`wigner_l0_grid` evaluates the closed form for the
   zero-angular-momentum oscillator levels l,
 
-      W_l(gamma, delta) = (2 e^{2 gamma} / pi) integral d_eps
-          e^{-2 i eps delta} exp(-e^{2 gamma} cosh 2 eps)
-          L_l(e^{2(gamma+eps)}) L_l(e^{2(gamma-eps)}),
+      W_l(gamma, delta) = (1/pi) integral d_eps e^{-2 i eps delta}
+                          psi_l(gamma + eps) psi_l(gamma - eps),
 
-  by the trapezoid rule on nodes of one shared step, with the integrand
-  assembled in the log domain (the Laguerre values overflow long before
-  the damping wins).  Each gamma row is cut where the closed-form bound
-  -u/2 + l ln(1 + u), u = e^{2(gamma+eps)}, on its log integrand has
-  fallen 45 e-folds below the integrand at the first two nodes, and
-  evaluates no node past its own cut.  The substitution eps -> 2 eps
-  maps one form onto the other; the cross-route test suite is the
-  arbiter that both agree.
+  by the trapezoid rule on nodes of one shared step, both factors the
+  last row of the one radial producer (:mod:`radwig.states`) in the log
+  domain.  Each gamma row is cut where the bound
+  ln 2 + 2 gamma - u/2 + l ln(1 + u), u = e^{2(gamma+eps)}, on
+  log|psi_l psi_l| has fallen 45 e-folds below its value at the first
+  two nodes, and evaluates no node past its own cut.  The substitution
+  eps -> 2 eps maps one form onto the other; the cross-route test suite
+  is the arbiter that both agree.
 
 Operands that reach the far tails of a state are zeroed below
 sqrt(tiny) before they enter a dense product, so that no product meets a
@@ -49,8 +48,9 @@ from .errors import (DomainError, GridAlignmentError, GridMismatchError,
                      TruncationError, TruncationWarning, UnsupportedOrderError,
                      ValidationError)
 from .grids import Grid1D
-from .special import MAX_DEGREE, laguerre_log
-from .states import WavefunctionV, default_vbar_grid, vbar_schwinger_l0
+from .special import MAX_DEGREE, _last_log
+from .states import (WavefunctionV, _radial_rows, default_vbar_grid,
+                     vbar_schwinger_l0)
 
 __all__ = [
     "DensityMatrixV", "WignerGrid", "wigner_from_density", "wigner_l0_grid",
@@ -79,9 +79,8 @@ _LADDER_STRIP = 64
 # _flush_tiny)
 _FLUSH = np.sqrt(np.finfo(float).tiny)
 
-# default (lo, hi) window of gamma: below lo the integration window grows
-# like -gamma while the state mass is negligible
-GAMMA_GUARD = (-6.0, 4.0)
+# default lowest gamma: the state mass below it is negligible
+GAMMA_GUARD = -6.0
 
 
 def validate_density_matrix(entries: np.ndarray, *, spacing: float = 1.0,
@@ -329,40 +328,41 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     return WignerGrid(gamma_grid, delta_grid, values, meta=meta)
 
 
-def _log_integrand(l: int, z: np.ndarray, eps: np.ndarray):
-    """Log magnitude and sign of the closed-form integrand.
-
-    Rows are z = e^{2 gamma} (a column), columns the nodes ``eps``:
-    phi = -z cosh(2 eps) + ln|L_l(z e^{2 eps})| + ln|L_l(z e^{-2 eps})|.
-    """
-    ep = eps[None, :]
-    with np.errstate(over="ignore"):
-        log_plus, sign_plus = laguerre_log(l, 0.0, z * np.exp(2.0 * ep))
-        log_minus, sign_minus = laguerre_log(l, 0.0, z * np.exp(-2.0 * ep))
-        phi = -z * np.cosh(2.0 * ep) + log_plus + log_minus
-    return np.where(np.isfinite(phi), phi, -np.inf), sign_plus * sign_minus
+def _log_integrand(l: int, gamma: np.ndarray, eps: np.ndarray):
+    """Log magnitude and sign of psi_l(gamma + eps) psi_l(gamma - eps) over
+    the column ``gamma`` and the nodes ``eps``, each factor the last row of
+    the one radial producer, :func:`radwig.states._radial_rows`."""
+    # gamma - eps reuses the buffer, and sign(a) sign(b) = sign(sign(a) b)
+    v = gamma + eps
+    cur, _, phi = _last_log(_radial_rows(0, l + 1, v, first=l))
+    sign = np.sign(cur)
+    cur, _, log_minus = _last_log(_radial_rows(
+        0, l + 1, np.subtract(gamma, eps, out=v), first=l))
+    phi += log_minus
+    sign *= cur
+    return phi, np.sign(sign, out=sign)
 
 
 def _ladder(l: int, gammas: np.ndarray, delta_max: float):
     """Node step and each gamma row's own node count.
 
     Row i integrates over eps_k = k * step, k < counts[i].  With
-    u = z e^{2 eps}, |L_l(x)| <= (1 + x)^l and e^{-x/2} |L_l(x)| <= 1
-    bound the log integrand by  -u/2 + l ln(1 + u),  which falls for
-    u > 2l.  A row ends where that bound drops 45 below the larger of its
-    log integrand at the first two nodes (two, since a row on a Laguerre
-    root has phi(0) = -inf), so counts[i] = ceil(end_i / step) + 1.  The
-    step, shared by every row, resolves the cosine weight and the
-    Laguerre phase rate 4l + 2.
+    u = e^{2(gamma+eps)}, |L_l(x)| <= (1 + x)^l and e^{-x/2} |L_l(x)| <= 1
+    bound log|psi_l(gamma+eps) psi_l(gamma-eps)| by
+    ln 2 + 2 gamma - u/2 + l ln(1 + u), which falls for u > 2l.  A row ends
+    where that bound drops 45 below the larger of its log integrand at the
+    first two nodes (two, since a row on a root has phi(0) = -inf), so
+    counts[i] = ceil(end_i / step) + 1.  The step, shared by every row,
+    resolves the cosine weight and the Laguerre phase rate 4l + 2.
     """
     step = min(0.04, np.pi / (10.0 * (1.0 + 2.0 * delta_max)),
                np.pi / (4.0 * l + 2.0 + 2.0 * delta_max))
     z = np.exp(2.0 * gammas)
-    phi, _ = _log_integrand(l, z[:, None], np.array([0.0, step]))
-    floor = phi.max(axis=1) - _LOG_CUTOFF
-    # u -> 2 (l ln(1 + u) - floor) climbs to where the bound meets the
-    # floor; it contracts by 2l / (1 + u) < 1/2 there (l <= 64), so 60
-    # rounds converge
+    phi, _ = _log_integrand(l, gammas[:, None], np.array([0.0, step]))
+    # less the bound's ln 2 + 2 gamma, u -> 2 (l ln(1 + u) - floor) climbs
+    # to where the bound meets the floor; it contracts by 2l / (1 + u) < 1/2
+    # there (l <= 64), so 60 rounds converge
+    floor = phi.max(axis=1) - _LOG_CUTOFF - (np.log(2.0) + 2.0 * gammas)
     u = np.maximum(2.0 * l, z)
     for _ in range(60):
         u = np.maximum(z, 2.0 * (l * np.log1p(u) - floor))
@@ -372,27 +372,27 @@ def _ladder(l: int, gammas: np.ndarray, delta_max: float):
 
 def wigner_l0_grid(l: int, gamma_grid: Grid1D, delta_grid: Grid1D, *,
                    allow_deep_tail: bool = False) -> WignerGrid:
-    """Closed-form W_l evaluated on a full phase-space grid.
+    """Closed-form W_l = (2/pi) integral_0^inf d_eps cos(2 eps delta)
+    psi_l(gamma + eps) psi_l(gamma - eps) on a full phase-space grid.
 
     Every gamma row takes nodes from one ladder eps_k = k * step, but only
     as many as its own cut needs (see :func:`_ladder`): near gamma = 2 a
     row ends after tens of nodes where one near gamma = -12 runs to
     thousands.  The rows go in strips of similar node counts; each strip
-    evaluates its integrand on its own prefix of the ladder, in the log
-    domain around each row's own peak, and maps it to every delta through
-    the same prefix of one cosine table.  The trapezoid rule converges
-    exponentially for this entire, double-exponentially decaying
-    integrand, so the fixed ladder matches an adaptive quadrature of the
-    same integral to ~1e-10.
+    evaluates log|psi_l psi_l| on its own prefix of the ladder around each
+    row's own peak, and maps it to every delta through the same prefix of
+    one cosine table.  The trapezoid rule converges exponentially for this
+    entire, double-exponentially decaying integrand, so the fixed ladder
+    matches an adaptive quadrature of the same integral to ~1e-10.  A
+    gamma below GAMMA_GUARD raises DomainError unless ``allow_deep_tail``.
     """
     if l < 0 or l > MAX_DEGREE:
         raise DomainError(f"l must be in [0, {MAX_DEGREE}], got {l}")
-    lo = GAMMA_GUARD[0]
-    if gamma_grid.min < lo and not allow_deep_tail:
+    if gamma_grid.min < GAMMA_GUARD and not allow_deep_tail:
         raise DomainError(
-            f"gamma = {gamma_grid.min} below the default guard {lo}: the "
-            "integration window there grows like -gamma while the state mass "
-            "is negligible; pass allow_deep_tail=True to force it")
+            f"gamma = {gamma_grid.min} below the default guard {GAMMA_GUARD}, "
+            "where the state mass is negligible; pass allow_deep_tail=True "
+            "(wl --allow-wide-gamma) to evaluate it")
     if gamma_grid.max > 0.5 * np.log(np.finfo(float).max):
         raise DomainError(
             f"gamma = {gamma_grid.max} too large: e^(2 gamma) overflows")
@@ -407,14 +407,14 @@ def wigner_l0_grid(l: int, gamma_grid: Grid1D, delta_grid: Grid1D, *,
     for a in range(0, order.size, _LADDER_STRIP):
         rows = order[a:a + _LADDER_STRIP]
         m = counts[rows[-1]]
-        phi, sign = _log_integrand(l, np.exp(2.0 * gammas[rows])[:, None],
-                                   eps[:m])
+        phi, sign = _log_integrand(l, gammas[rows, None], eps[:m])
         peak = phi.max(axis=1, keepdims=True)
-        integrand = sign * np.exp(phi - peak)
+        phi -= peak
+        integrand = np.exp(phi, out=phi) * sign
         integrand[:, 0] *= 0.5                      # trapezoid end weight
         # even integrand: full-line integral is twice the cosine half-line sum
-        values[rows] = (4.0 / np.pi) * np.exp(peak + 2.0 * gammas[rows, None]) \
-            * step * (integrand @ kernel[:m])
+        values[rows] = (2.0 / np.pi) * np.exp(peak) * step \
+            * (integrand @ kernel[:m])
     meta = {"route": "closed-form", "l": int(l),
             "overlap_factor": OVERLAP_FACTOR}
     return WignerGrid(gamma_grid, delta_grid, values, meta=meta)

@@ -133,13 +133,12 @@ def wigner_l0_rectangular(l: int, gamma_grid, delta_grid) -> np.ndarray:
     gammas, deltas = gamma_grid.points, delta_grid.points
     step, counts = _ladder(l, gammas, float(np.abs(deltas).max()))
     eps = np.arange(counts.max()) * step
-    phi, sign = _log_integrand(l, np.exp(2.0 * gammas)[:, None], eps)
+    phi, sign = _log_integrand(l, gammas[:, None], eps)
     peak = phi.max(axis=1, keepdims=True)
     integrand = sign * np.exp(phi - peak)
     integrand[:, 0] *= 0.5
     kernel = np.cos(2.0 * np.outer(eps, deltas))
-    return (4.0 / np.pi) * np.exp(peak + 2.0 * gammas[:, None]) * step \
-        * (integrand @ kernel)
+    return (2.0 / np.pi) * np.exp(peak) * step * (integrand @ kernel)
 
 
 def scipy_psi(k, alpha, v):

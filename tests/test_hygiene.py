@@ -133,3 +133,23 @@ def test_floating_point_state_is_never_set(path):
     calls = {getattr(node.func, "attr", getattr(node.func, "id", None))
              for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert "seterr" not in calls, f"{path.name} calls seterr"
+
+
+LAGUERRE_NAMES = {"laguerre_log", "laguerre_assoc", "_scaled_recurrence"}
+
+
+# every oscillator state, the closed-form Wigner integrand included, reads
+# its Laguerre values through states._radial_rows: only special (which
+# defines the evaluators), states and the checks that test them name them,
+# and the package namespace re-exports the public ones
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem not in
+                                  ("special", "states", "checks", "__init__")],
+                         ids=lambda p: p.name)
+def test_laguerre_values_come_from_one_producer(path):
+    tree = _parse(path)
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    names.update(alias.name for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) for alias in n.names)
+    assert not names & LAGUERRE_NAMES, \
+        f"{path.name} names {sorted(names & LAGUERRE_NAMES)}"

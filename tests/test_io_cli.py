@@ -217,12 +217,17 @@ def test_wl_json_output(tmp_path):
     assert (tmp_path / "w.plot.csv").exists()
 
 
-def test_wl_gamma_guard(tmp_path):
+def test_wl_gamma_guard(tmp_path, capsys):
     rc = main(["wl", "--l", "0", "--gamma", "-8:2:11", "--delta", "-1:1:5",
                "--out", str(tmp_path / "w.csv")])
     assert rc == 2
+    assert "--allow-wide-gamma" in capsys.readouterr().err
     rc = main(["wl", "--l", "0", "--gamma", "-8:2:11", "--delta", "-1:1:5",
                "--out", str(tmp_path / "w.csv"), "--allow-wide-gamma"])
+    assert rc == 0
+    # the guard has one bound, the library's lower one
+    rc = main(["wl", "--l", "0", "--gamma", "0:6:13", "--delta", "-1:1:5",
+               "--out", str(tmp_path / "w.csv")])
     assert rc == 0
 
 

@@ -386,20 +386,20 @@ def test_strip_ladder_matches_rectangle(l, window):
 
 def test_strip_ladder_evaluates_no_rectangle(monkeypatch):
     # a row near gamma = 2 needs ~100 nodes where one at -12 needs ~2,400;
-    # the full rectangle would be rows x nodes x 2 Laguerre points
+    # the full rectangle would be rows x nodes x 2 points psi(gamma +- eps)
     gamma = Grid1D(-12.0, 2.2, 701)
     delta = Grid1D(-26.0, 26.0, 1041)
     nodes = _ladder(1, gamma.points, 26.0)[1].max()
     points = []
-    laguerre_log = radwig.wigner.laguerre_log
+    radial_rows = radwig.wigner._radial_rows
 
-    def counted(n, alpha, x):
-        points.append(x.size)
-        return laguerre_log(n, alpha, x)
+    def counted(alpha, count, v, first=0):
+        points.append(np.size(v))
+        return radial_rows(alpha, count, v, first)
 
-    monkeypatch.setattr(radwig.wigner, "laguerre_log", counted)
+    monkeypatch.setattr(radwig.wigner, "_radial_rows", counted)
     wigner_l0_grid(1, gamma, delta, allow_deep_tail=True)
-    assert sum(points) <= 0.6 * gamma.n_points * nodes * 2
+    assert 0 < sum(points) <= 0.6 * gamma.n_points * nodes * 2
 
 
 def test_deep_gamma_point_value_bessel_oracle():
