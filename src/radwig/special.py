@@ -98,8 +98,7 @@ def _argument(n, alpha, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     ok = np.isfinite(x) & (x >= 0)
     if not np.all(ok):
-        raise DomainError(
-            f"argument must be finite and nonnegative, got {x[~ok][0]}")
+        raise DomainError(f"argument must be finite and >= 0, got {x[~ok][0]}")
     return x
 
 
@@ -129,7 +128,8 @@ def _scaled_recurrence(n: int, alpha: float, x: np.ndarray):
         if k == 1:
             prev, cur = cur, 1.0 + alpha - x
         elif k > 1:
-            prev, cur = cur, ((2*k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
+            prev, cur = cur, ((2*k - 1 + alpha - x) * cur
+                              - (k - 1 + alpha) * prev) / k
         if (cur.max(initial=0.0) > _RESCALE_THRESHOLD
                 or cur.min(initial=0.0) < -_RESCALE_THRESHOLD):
             mag = np.abs(cur)

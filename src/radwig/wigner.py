@@ -332,12 +332,12 @@ def _log_integrand(l: int, gamma: np.ndarray, eps: np.ndarray):
     """Log magnitude and sign of psi_l(gamma + eps) psi_l(gamma - eps) over
     the column ``gamma`` and the nodes ``eps``, each factor the last row of
     the one radial producer, :func:`radwig.states._radial_rows`."""
-    # gamma - eps reuses the buffer, and sign(a) sign(b) = sign(sign(a) b)
+    # v is reused, offsets are dropped, and sign(a) sign(b) = sign(sign(a) b)
     v = gamma + eps
-    cur, _, phi = _last_log(_radial_rows(0, l + 1, v, first=l))
-    sign = np.sign(cur)
-    cur, _, log_minus = _last_log(_radial_rows(
-        0, l + 1, np.subtract(gamma, eps, out=v), first=l))
+    sign, phi = _last_log(_radial_rows(0, l + 1, v, first=l))[::2]
+    np.sign(sign, out=sign)
+    cur, log_minus = _last_log(_radial_rows(
+        0, l + 1, np.subtract(gamma, eps, out=v), first=l))[::2]
     phi += log_minus
     sign *= cur
     return phi, np.sign(sign, out=sign)
@@ -359,8 +359,8 @@ def _ladder(l: int, gammas: np.ndarray, delta_max: float):
                np.pi / (4.0 * l + 2.0 + 2.0 * delta_max))
     z = np.exp(2.0 * gammas)
     phi, _ = _log_integrand(l, gammas[:, None], np.array([0.0, step]))
-    # less the bound's ln 2 + 2 gamma, u -> 2 (l ln(1 + u) - floor) climbs
-    # to where the bound meets the floor; it contracts by 2l / (1 + u) < 1/2
+    # the floor less the bound's ln 2 + 2 gamma: u -> 2 (l ln(1 + u) - floor)
+    # climbs to where the bound meets it, contracting by 2l / (1 + u) < 1/2
     # there (l <= 64), so 60 rounds converge
     floor = phi.max(axis=1) - _LOG_CUTOFF - (np.log(2.0) + 2.0 * gammas)
     u = np.maximum(2.0 * l, z)

@@ -106,8 +106,8 @@ def wigner_bessel_sum(k: int, alpha: int, gamma: float, delta: float) -> float:
         bessel = [mpmath.besselk(nu, z), mpmath.besselk(nu + 1, z)]
         for n in range(1, k):
             bessel.append(bessel[n - 1] + 2 * (nu + n) / z * bessel[n])
-        a = [(-1) ** j * mpmath.binomial(k + alpha, k - j) / mpmath.factorial(j)
-             * z ** j for j in range(k + 1)]
+        a = [(-1) ** j * mpmath.binomial(k + alpha, k - j) * z ** j
+             / mpmath.factorial(j) for j in range(k + 1)]
         pref = (2 * mpmath.factorial(k) * z ** (alpha + 1)
                 / (mpmath.pi * mpmath.factorial(k + alpha)))
         return bessel[:k + 1], a, pref

@@ -148,7 +148,8 @@ LAGUERRE_NAMES = {"laguerre_log", "laguerre_assoc", "_scaled_recurrence"}
 def test_laguerre_values_come_from_one_producer(path):
     tree = _parse(path)
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    names.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    names.update(n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute))
     names.update(alias.name for n in ast.walk(tree)
                  if isinstance(n, ast.ImportFrom) for alias in n.names)
     assert not names & LAGUERRE_NAMES, \

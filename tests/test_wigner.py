@@ -444,7 +444,8 @@ def test_density_route_matches_bessel_sum_off_m0(l, m):
     for i, g in enumerate(gamma.points):
         for j, d in enumerate(delta.points):
             ref = wigner_bessel_sum(k, alpha, g, d)
-            assert abs(w.values[i, j] - ref) <= 1e-12 + 1e-10 * abs(ref), (g, d)
+            err = abs(w.values[i, j] - ref)
+            assert err <= 1e-12 + 1e-10 * abs(ref), (g, d)
 
 
 # ------------------------------------------------------ one-point axes
