@@ -4,12 +4,13 @@ Every invariant measures one residual; it passes when the residual is at
 most its tolerance.  The registry doubles as the machine-checkable record
 of the operator algebra: the canonical commutators, the adjoint action of
 the scale displacement, the annihilation of the ground state, and the
-delta-normalisation of the displacement trace kernel (measured in smeared
-form, since delta functions are not grid objects).
+delta-normalisation of the displacement trace kernel.
 """
 
+import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -76,19 +77,19 @@ def _radial_suite():
 
 
 def _check_laguerre_recurrence() -> float:
+    """Worst relative error of the recurrence's L_n^a(x) against the exact
+    explicit sum  sum_j (-1)^j C(n + a, n - j) x^j / j!  in rationals."""
     rng = np.random.default_rng(20210)
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(2, 21))
         alpha = float(rng.choice([0.0, 1.0, 2.0, 3.0]))
         x = float(rng.uniform(0.0, 50.0))
-        ln = laguerre_assoc(n, alpha, x).value
-        l1 = laguerre_assoc(n - 1, alpha, x).value
-        l2 = laguerre_assoc(n - 2, alpha, x).value
-        resid = n * ln - (2 * n - 1 + alpha - x) * l1 + (n - 1 + alpha) * l2
-        scale = max(abs(n * ln), abs((2 * n - 1 + alpha - x) * l1),
-                    abs((n - 1 + alpha) * l2), 1e-300)
-        worst = max(worst, abs(resid) / scale)
+        xq = Fraction(x)
+        exact = sum((-1) ** j * math.comb(n + int(alpha), n - j) * xq ** j
+                    / math.factorial(j) for j in range(n + 1))
+        err = Fraction(laguerre_assoc(n, alpha, x).value) - exact
+        worst = max(worst, abs(float(err / exact)))
     return worst
 
 
@@ -216,67 +217,56 @@ _PACKET_WIDTH = 0.05
 def _trace_packets():
     """The trace-kernel probe: normalised Gaussian packets of width 0.05,
     centred 0.2 apart on [-2, 2], one per row; returns the grid, the
-    (21, 2001) packet stack and the centre spacing."""
+    (21, 2001) packet stack and the centres."""
     grid = Grid1D(-10.0, 10.0, 2001)
     centers = np.arange(-2.0, 2.0001, 0.2)
     g = (np.pi * _PACKET_WIDTH ** 2) ** -0.25 * np.exp(
         -((grid.points - centers[:, None]) ** 2) / (2 * _PACKET_WIDTH ** 2))
     g = g / np.sqrt(np.sum(g ** 2, axis=1, keepdims=True) * grid.spacing)
-    return grid, g.astype(complex), centers[1] - centers[0]
+    return grid, g.astype(complex), centers
 
 
-def _smeared_adjoint(grid, left, packets, lam_p, mu_p):
-    """sum_g <D^dag(lam, mu) g | D^dag(lam', mu') g> over the rows g of
-    ``packets``, given ``left`` = conj(D^dag(lam, mu) packets); an array
-    ``lam_p`` gives one sum per value."""
-    lam_p = np.asarray(lam_p)
-    # D * left, not left * D: numpy's complex product is not bitwise
-    # symmetric, and this order reproduces the pinned kernel value
-    terms = _displace(grid, packets, -lam_p, -mu_p) * left
-    return np.sum(terms.reshape(lam_p.shape + (-1,)), axis=-1) * grid.spacing
+def _packet_kernel(c, lam, mu, lam_p, mu_p):
+    """<D^dag(lam, mu) g_c | D^dag(lam', mu') g_c> in closed form, for the
+    normalised Gaussian packet g_c of width 0.05 centred at c."""
+    w = _PACKET_WIDTH
+    return (np.exp(-(mu - mu_p) ** 2 / (4 * w * w)
+                   - (lam - lam_p) ** 2 * w * w / 4)
+            * np.exp(1j * ((lam - lam_p) * (c + (mu + mu_p) / 2)
+                           - lam * mu / 2 + lam_p * mu_p / 2)))
 
 
-_LAM_CHUNK = 16     # lam' values per stacked displacement in the eta sweep
+def _trace_kernel_terms(lam0, mu0):
+    """Probe points and packet elements around (lam0, mu0).
+
+    Returns the 27 points (lam', mu'), 9 along each axis and 9 off both,
+    and two (27, 21) arrays, one row per point and one column per packet
+    g_c: the numeric <D^dag(lam0, mu0) g_c | D^dag(lam', mu') g_c> and its
+    closed form."""
+    grid, packets, centers = _trace_packets()
+    etas = np.linspace(-2.5 * np.pi, 2.5 * np.pi, 9)
+    gaps = np.linspace(-0.4, 0.4, 9)
+    lam_p = lam0 + np.concatenate([etas, np.zeros(9), etas])
+    mu_p = mu0 - np.concatenate([np.zeros(9), gaps, gaps[::-1]])
+    left = np.conj(_displace(grid, packets, -lam0, -mu0))
+    numeric = np.array([np.sum(_displace(grid, packets, -a, -b) * left, axis=-1)
+                        for a, b in zip(lam_p, mu_p)]) * grid.spacing
+    exact = _packet_kernel(centers, lam0, mu0, lam_p[:, None], mu_p[:, None])
+    return lam_p, mu_p, numeric, exact
 
 
 def _check_trace_kernel() -> float:
-    """Smeared delta-normalisation of the displacement trace.
-
-    Tr[D(l, m) D^dag(l', m')] is a product of delta functions, so it is
-    probed with narrow Gaussian packets: summing the packet matrix
-    elements over packet centres yields a kernel peaked at (l, m) whose
-    double integral must equal 2 pi times the packet autocorrelation
-    area, independent of m.  Returns the relative deviation from that
-    prediction (worst over two mu values).
-
-    Each matrix element is taken in adjoint form,
-    <g|D(l, m) D^dag(l', m')|g> = <D^dag(l, m) g | D^dag(l', m') g>, with
-    D^dag(l, m) = D(-l, -m) applied to the whole packet stack, so the
-    left factor is formed once per m.  The eta sweep changes only l' at a
-    fixed m', so each chunk of at most 16 l' values costs one spectral
-    shift of the stack, and each l' phase is applied to the whole shifted
-    stack.  This is not the composition law: every packet is still
-    shifted and phased numerically, and the kernel does not rest on
-    ``displacement-composition``.
+    """Worst |numeric - closed form| of the packet elements
+    <D^dag(l, m) g_c | D^dag(l', m') g_c> = <g_c|D(l, m) D^dag(l', m')|g_c>
+    over the 21 packets and the 27 points of ``_trace_kernel_terms`` at
+    (l, m) = (0.7, 0.2) and (0.7, 0.6); the closed form peaks at 1.  Its
+    centre sum, integrated over (l', m'), carries the 2 pi x packet-area
+    weight of Tr[D(l, m) D^dag(l', m')] = 2 pi delta(l - l') delta(m - m').
     """
-    grid, packets, c_step = _trace_packets()
-    expected = 2.0 * np.pi * 2.0 * _PACKET_WIDTH * np.sqrt(np.pi)
-    lam0 = 0.7
     worst = 0.0
     for mu0 in (0.2, 0.6):
-        left = np.conj(_displace(grid, packets, -lam0, -mu0))
-
-        def smeared(lam_p, mu_p):
-            return _smeared_adjoint(grid, left, packets, lam_p, mu_p) * c_step
-
-        etas = np.linspace(-2.5 * np.pi, 2.5 * np.pi, 158)
-        t_eta = np.concatenate([smeared(lam0 + etas[i:i + _LAM_CHUNK], mu0)
-                                for i in range(0, etas.size, _LAM_CHUNK)])
-        gaps = np.linspace(-0.4, 0.4, 41)
-        t_gap = np.array([smeared(lam0, mu0 - d) for d in gaps])
-        peak = smeared(lam0, mu0)
-        measured = (np.trapezoid(t_eta, etas) * np.trapezoid(t_gap, gaps) / peak).real
-        worst = max(worst, abs(measured / expected - 1.0))
+        _, _, numeric, exact = _trace_kernel_terms(0.7, mu0)
+        worst = max(worst, float(np.abs(numeric - exact).max()))
     return worst
 
 
@@ -371,31 +361,38 @@ def _check_husimi_exact() -> float:
     return float(np.abs(q.values - exact).max())
 
 
+# A one-line error model above an entry stays below its tolerance, itself
+# >= 100x the measured value; eps = 1.1e-16, grids of n = 2001, h = 0.01
 _REGISTRY = [
+    # rounding: n <= 20 steps x last-step cancellation <= 50 x eps ~ 1.1e-13
     ("laguerre-recurrence",
-     "three-term recurrence residual, random degrees and arguments",
-     1e-10, _check_laguerre_recurrence),
+     "L_n^a against the exact explicit sum in rationals, relative",
+     1e-11, _check_laguerre_recurrence),
     ("laguerre-derivative",
      "d/dx L_n^a = -L_{n-1}^{a+1} against central differences",
      1e-6, _check_laguerre_derivative),
     ("schwinger-orthonormality",
      "<l,0|l',0> = delta_{ll'} for l, l' <= 5",
      1e-8, _check_orthonormality),
+    # rounding: eps x pi/h (spectral derivative) x max|v| = 10 ~ 3.5e-13
     ("weyl-commutator",
      "L2 residual of ([v, P] - i) psi on the smooth test suite",
-     1e-6, _check_weyl_commutator),
+     1e-10, _check_weyl_commutator),
     ("dilation-commutator",
      "L2 residual of ([r, P] - i r) psi in the r basis",
      1e-6, _check_dilation_commutator),
+    # rounding: eps x pi/h (spectral derivative) ~ 3.5e-14
     ("vacuum-annihilation",
      "L2 norm of (v + iP) |vacuum> / sqrt(2)",
-     1e-6, _check_vacuum_annihilation),
+     1e-11, _check_vacuum_annihilation),
+    # rounding: n eps ~ 2.2e-13 bounds the spectral shift and the n-term sums
     ("exponentiated-dilation",
      "<r> scales by e^sigma under the exponentiated momentum",
-     1e-6, _check_exponentiated_dilation),
+     1e-12, _check_exponentiated_dilation),
+    # rounding: n eps ~ 2.2e-13 bounds the spectral shift and the n-term sums
     ("displacement-r-adjoint",
      "<r> -> e^{-mu} <r> under D(lam, mu), relative",
-     1e-6, _check_displacement_r_adjoint),
+     1e-12, _check_displacement_r_adjoint),
     ("displacement-pr-adjoint",
      "<P> -> <P> + lam under D(lam, mu)",
      1e-6, _check_displacement_pr_adjoint),
@@ -405,18 +402,21 @@ _REGISTRY = [
     ("pr-self-adjoint",
      "<phi|P psi> = <P phi|psi> on decayed pairs",
      1e-8, _check_pr_self_adjoint),
+    # rounding: n eps ~ 2.2e-13 bounds each n-term inner product
     ("displacement-trace-kernel",
-     "smeared Tr[D D'^dag] integrates to 2 pi x packet area, any mu",
-     5e-2, _check_trace_kernel),
+     "packet elements <D^dag g|D'^dag g> equal their closed form",
+     1e-12, _check_trace_kernel),
+    # window: psi_1's mass e^{-19} below v = -9.5 times |W| <= 1/pi ~ 1.8e-9
     ("wigner-cross-route",
      "density-matrix route equals the closed form for l = 1",
-     1e-5, _check_wigner_cross_route),
+     2e-7, _check_wigner_cross_route),
     ("wigner-normalization",
      "phase-space integral of W_1 equals 1",
      1e-6, _check_wigner_normalization),
+    # window: W_2 past |delta| = 26 (off by 8e-9 cut at 20, 9e-15 at 30)
     ("wigner-marginal",
      "delta-marginal of W_2 equals the position density",
-     1e-5, _check_wigner_marginal),
+     1e-9, _check_wigner_marginal),
     ("wigner-bound",
      "W stays above -1/pi",
      1e-6, _check_wigner_bound),

@@ -140,19 +140,12 @@ def apply_pr(psi) -> np.ndarray:
     raise BasisMismatchError(f"cannot apply Pr to {type(psi).__name__}")
 
 
-def _displace(grid: Grid1D, samples: np.ndarray, lam: float | np.ndarray,
-              mu: float) -> np.ndarray:
+def _displace(grid: Grid1D, samples: np.ndarray, lam: float, mu: float) -> np.ndarray:
     """D(lam, mu) along the last axis of a (..., n) stack of samples.
 
     One band-limited shift psi(vbar) -> psi(vbar + mu) of every row, then
     the phase exp(i lam (vbar + mu/2)).  Raises TruncationError with the
     lost mass of the worst row.
-
-    ``lam`` is a scalar or a 1-D array of k values.  The shift and the
-    edge check are done once for all of them, and each value's phase
-    multiplies the whole shifted stack, so the result has shape
-    lam.shape + samples.shape: samples.shape for a scalar, (k, ..., n)
-    for an array, with row i bitwise equal to the scalar call at lam[i].
     """
     v = grid.points
     if mu != 0.0:
@@ -165,9 +158,7 @@ def _displace(grid: Grid1D, samples: np.ndarray, lam: float | np.ndarray,
                 "probability across the grid edge", lost_mass=lost)
 
     shifted = np.fft.ifft(np.exp(1j * _wavenumbers(grid) * mu) * np.fft.fft(samples))
-    lam = np.asarray(lam, dtype=float)
-    phase = np.exp(1j * lam[..., None] * (v + mu / 2.0))
-    return phase.reshape(lam.shape + (1,) * (shifted.ndim - 1) + v.shape) * shifted
+    return np.exp(1j * lam * (v + mu / 2.0)) * shifted
 
 
 def apply_displacement(lam: float, mu: float, psi: WavefunctionV) -> WavefunctionV:

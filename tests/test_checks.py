@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from radwig import DomainError
-from radwig.checks import (_smeared_adjoint, _trace_packets,
-                           available_invariants, run_invariants)
-from radwig.operators import _displace
+import radwig.checks
+from radwig.checks import (_PACKET_WIDTH, _packet_kernel, _trace_kernel_terms,
+                           _trace_packets, available_invariants, run_invariants)
 from reference import trace_kernel_sandwich
 
 
@@ -55,29 +55,61 @@ def test_tolerance_scale_must_be_finite_and_nonnegative(scale):
 @pytest.mark.parametrize("lam0, mu0", [(0.7, 0.2), (0.7, 0.6)])
 def test_trace_kernel_adjoint_form_matches_sandwich(lam0, mu0):
     grid, packets, _ = _trace_packets()
-    left = np.conj(_displace(grid, packets, -lam0, -mu0))
-    for lam_p, mu_p in [(lam0, mu0), (lam0 + 3.0, mu0), (lam0, mu0 - 0.3),
-                        (lam0 + 0.1, mu0 - 0.05)]:
-        adjoint = _smeared_adjoint(grid, left, packets, lam_p, mu_p)
-        sandwich = trace_kernel_sandwich(grid, packets, lam0, mu0, lam_p, mu_p)
-        assert abs(adjoint - sandwich) <= 1e-14
-    lam_ps = lam0 + np.array([0.0, 3.0, -1.7, 0.1])
-    adjoints = _smeared_adjoint(grid, left, packets, lam_ps, mu0 - 0.05)
-    assert adjoints.shape == lam_ps.shape
-    for lam_p, adjoint in zip(lam_ps, adjoints):
-        sandwich = trace_kernel_sandwich(grid, packets, lam0, mu0, lam_p, mu0 - 0.05)
-        assert abs(adjoint - sandwich) <= 1e-14
+    lam_p, mu_p, numeric, _ = _trace_kernel_terms(lam0, mu0)
+    for i in (0, 10, 20):                   # the end packets and the middle one
+        for k in range(lam_p.size):
+            sandwich = trace_kernel_sandwich(grid, packets[i:i + 1], lam0, mu0,
+                                             lam_p[k], mu_p[k])
+            assert abs(numeric[k, i] - sandwich) <= 1e-14
 
 
 def test_trace_kernel_value_is_pinned():
     res, = run_invariants(["displacement-trace-kernel"])
-    assert res.measured == pytest.approx(0.02207841421620449, rel=1e-12)
-    assert res.tolerance == 5e-2 and res.passed
+    assert res.measured <= 1e-13
+    assert res.tolerance == 1e-12 and res.passed
 
 
-def test_trace_kernel_shifts_the_stack_once_per_lam_chunk(monkeypatch):
-    # per mu: the left factor, 10 chunks of the 158 eta values, 41 gaps
-    # and the peak, so 106 forward FFTs (402 with one shift per value)
+def test_trace_kernel_fails_on_a_v_plus_mu_phase(monkeypatch):
+    # e^{i lam mu / 2} turns D's phase e^{i lam (v + mu/2)} into
+    # e^{i lam (v + mu)}; one factor per lam, broadcast over the stack
+    displace = radwig.checks._displace
+
+    def v_plus_mu(grid, samples, lam, mu):
+        phase = np.exp(0.5j * np.asarray(lam) * mu)
+        return (phase.reshape(np.shape(lam) + (1,) * samples.ndim)
+                * displace(grid, samples, lam, mu))
+
+    monkeypatch.setattr(radwig.checks, "_displace", v_plus_mu)
+    res, = run_invariants(["displacement-trace-kernel"])
+    assert not res.passed
+    assert res.measured > 0.1
+
+
+def test_trace_kernel_normalisation_follows_from_the_closed_form():
+    # Tr[D D'^dag] = 2 pi delta(lam - lam') delta(mu - mu'): smeared over
+    # the packets, the closed form's Gaussian factor integrates to
+    # 2 w sqrt(pi) over mu', and its centre sum dc sum_c e^{i eta c} to
+    # 2 pi over one period 2 pi / dc of eta = lam - lam'
+    _, _, centers = _trace_packets()
+    w, dc = _PACKET_WIDTH, centers[1] - centers[0]
+    mu_p = np.linspace(-1.0, 1.4, 4801)
+    gauss = _packet_kernel(0.0, 0.0, 0.2, 0.0, mu_p)    # lam = lam' = 0: no phase
+    area = np.trapezoid(gauss.real, mu_p)
+    assert area == pytest.approx(2.0 * w * np.sqrt(np.pi), rel=1e-13)
+    eta = np.linspace(-np.pi / dc, np.pi / dc, 4001)
+    # at mu = mu' = lam' = 0 the closed form is the Gaussian in eta times
+    # e^{i eta c}; the centre-0 packet divides the Gaussian out
+    comb = dc * sum(_packet_kernel(c, eta, 0.0, 0.0, 0.0) for c in centers) \
+        / _packet_kernel(0.0, eta, 0.0, 0.0, 0.0)
+    period = np.trapezoid(comb, eta)
+    assert period == pytest.approx(2.0 * np.pi, rel=1e-13)
+    assert area * period == pytest.approx(2.0 * np.pi * 2.0 * w * np.sqrt(np.pi),
+                                          rel=1e-13)
+
+
+def test_trace_kernel_shifts_the_stack_once_per_point(monkeypatch):
+    # per mu: the left factor and one shift of the packet stack for each
+    # of the 27 points, so 56 forward FFTs
     fft = np.fft.fft
     calls = []
 
@@ -88,4 +120,4 @@ def test_trace_kernel_shifts_the_stack_once_per_lam_chunk(monkeypatch):
     monkeypatch.setattr(np.fft, "fft", counting_fft)
     res, = run_invariants(["displacement-trace-kernel"])
     assert res.passed
-    assert len(calls) <= 110
+    assert len(calls) <= 56

@@ -189,30 +189,12 @@ def test_stacked_displacement_reports_the_edge_row():
     assert stacked.value.lost_mass == pytest.approx(single.value.lost_mass,
                                                     rel=0, abs=1e-15)
     assert str(stacked.value) == str(single.value)
-    with pytest.raises(TruncationError) as arrayed:
-        _displace(grid, stack, np.array([0.0, 1.5, -2.0]), 2.0)
-    assert arrayed.value.lost_mass == stacked.value.lost_mass
-    assert str(arrayed.value) == str(single.value)
 
 
 def test_stacked_displacement_identity():
     grid = Grid1D(-10.0, 10.0, 2001)
     stack = np.array([s.samples for s in _stack(grid)])
     assert np.abs(_displace(grid, stack, 0.0, 0.0) - stack).max() <= 1e-15
-
-
-@pytest.mark.parametrize("rows", ["stack", "one"])
-@pytest.mark.parametrize("mu", [0.0, 0.35, -0.8])
-def test_array_lam_displacement_stacks_the_scalar_calls(rows, mu):
-    grid = Grid1D(-10.0, 10.0, 2001)
-    samples = np.array([s.samples for s in _stack(grid)])
-    if rows == "one":
-        samples = samples[1]
-    lams = np.linspace(-3.0, 4.0, 7)
-    out = _displace(grid, samples, lams, mu)
-    assert out.shape == (lams.size, *samples.shape)
-    assert np.array_equal(out, np.stack([_displace(grid, samples, lam, mu)
-                                         for lam in lams]))
 
 
 # ----------------------------------------------------- momentum transform
