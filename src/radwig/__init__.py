@@ -17,7 +17,7 @@ from .errors import (AccuracyError, BasisMismatchError, DegreeOverflowError,
                      RadwigError, SchemaError, TruncationError,
                      TruncationWarning, UnsupportedOrderError, ValidationError)
 from .grids import Grid1D
-from .special import LaguerreEval, laguerre_assoc, laguerre_log, log_factorial
+from .special import LaguerreEval, laguerre_assoc, log_factorial
 from .states import (SchwingerLabel, WavefunctionR, WavefunctionV,
                      default_vbar_grid, dilaton_coherent, dilaton_vacuum,
                      radial_wavefunction, to_vbar, vbar_schwinger_l0)
@@ -39,7 +39,7 @@ __all__ = [
     "SchemaError", "TruncationError", "TruncationWarning",
     "UnsupportedOrderError", "ValidationError",
     "Grid1D",
-    "LaguerreEval", "laguerre_assoc", "laguerre_log", "log_factorial",
+    "LaguerreEval", "laguerre_assoc", "log_factorial",
     "SchwingerLabel", "WavefunctionR", "WavefunctionV", "default_vbar_grid",
     "dilaton_coherent", "dilaton_vacuum", "radial_wavefunction", "to_vbar",
     "vbar_schwinger_l0",

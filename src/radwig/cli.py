@@ -75,10 +75,7 @@ def cmd_wl(args) -> int:
     gamma, delta = parse_axis(args.gamma), parse_axis(args.delta)
     w = wigner_l0_grid(args.l, gamma, delta,
                        allow_deep_tail=args.allow_wide_gamma)
-    # the file metadata is the CLI's format contract, not the library's
-    grid = WignerGrid(w.gamma_grid, w.delta_grid, w.values,
-                      meta={"l": args.l, "route": "closed-form"})
-    _emit_wigner(args, grid, f"W_{args.l}")
+    _emit_wigner(args, w, f"W_{args.l}")
     return EXIT_OK
 
 

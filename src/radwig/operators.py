@@ -198,28 +198,17 @@ def momentum_transform(psi: WavefunctionV, p_grid: Grid1D) -> np.ndarray:
 
 
 def _apply(op: OperatorAction, psi):
+    if op.kind == "Pr":
+        return apply_pr(psi)
+    if op.kind == "PD":
+        return apply_pd(psi)
+    if op.kind == "D":
+        return apply_displacement(op.lam, op.mu, psi).samples
     if isinstance(psi, WavefunctionV):
         v = psi.grid.points
-        if op.kind == "V":
-            return v * psi.samples
-        if op.kind == "R":
-            return np.exp(v) * psi.samples
-        if op.kind == "Pr":
-            return apply_pr(psi)
-        if op.kind == "D":
-            return apply_displacement(op.lam, op.mu, psi).samples
-        raise BasisMismatchError("PD acts on r-basis states only")
+        return (v if op.kind == "V" else np.exp(v)) * psi.samples
     if isinstance(psi, WavefunctionR):
-        if op.kind == "R":
-            return psi.r * psi.samples
-        if op.kind == "V":
-            return np.log(psi.r) * psi.samples
-        if op.kind == "Pr":
-            return apply_pr(psi)
-        if op.kind == "PD":
-            return apply_pd(psi)
-        raise BasisMismatchError(
-            "the displacement is implemented in the log-radius basis")
+        return (np.log(psi.r) if op.kind == "V" else psi.r) * psi.samples
     raise BasisMismatchError(f"cannot apply {op.kind} to {type(psi).__name__}")
 
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import DegreeOverflowError, DomainError
 
-__all__ = ["LaguerreEval", "laguerre_assoc", "laguerre_log", "log_factorial",
-           "MAX_DEGREE"]
+__all__ = ["LaguerreEval", "laguerre_assoc", "log_factorial", "MAX_DEGREE"]
 
 MAX_DEGREE = 64
 
@@ -30,7 +29,8 @@ class LaguerreEval:
     ``value == sign * exp(log_abs)`` whenever the value is representable in
     a double; ``log_abs``/``sign`` stay finite and meaningful far beyond
     that range.  ``sign == 0`` (with ``log_abs == -inf``) marks an exact
-    zero.
+    zero.  The three fields are arrays of the argument's shape when
+    :func:`laguerre_assoc` is given an array.
     """
 
     n: int
@@ -40,7 +40,7 @@ class LaguerreEval:
     sign: int
 
 
-def laguerre_assoc(n: int, alpha: float, x: float) -> LaguerreEval:
+def laguerre_assoc(n: int, alpha: float, x) -> LaguerreEval:
     """Evaluate the associated Laguerre polynomial L_n^alpha(x).
 
     Uses the three-term recurrence
@@ -49,7 +49,8 @@ def laguerre_assoc(n: int, alpha: float, x: float) -> LaguerreEval:
 
     which is stable for the nonnegative arguments used here, rather than
     the explicit power series whose terms alternate catastrophically at
-    large ``x``.
+    large ``x``.  Elementwise in ``x``: each element of an array argument
+    gets exactly the bits of its own scalar call.
 
     Parameters
     ----------
@@ -57,49 +58,32 @@ def laguerre_assoc(n: int, alpha: float, x: float) -> LaguerreEval:
         Degree, ``0 <= n <= MAX_DEGREE``.
     alpha : float
         Order, ``alpha >= 0``.
-    x : float
-        Argument, ``x >= 0``.
+    x : float or array_like
+        Argument, finite and ``>= 0``.
 
     Returns
     -------
     LaguerreEval
-        Plain value plus the sign / log-magnitude pair.
+        Plain value plus the sign / log-magnitude pair: Python ``float``
+        and ``int`` for a scalar ``x``, arrays of its shape otherwise.
     """
-    cur, offset, log_abs = _last_log(
-        _scaled_recurrence(int(n), alpha, _argument(n, alpha, [x])))
-    la, sg = float(log_abs[0]), int(np.sign(cur[0]))
-    if not np.any(offset):
-        # no rescale: exactly the plain recurrence's value
-        value = float(cur[0])
-    else:
-        # |L| passed 1e100 on the way: the value comes from the log form,
-        # and is +-inf past the double range
-        with np.errstate(over="ignore"):
-            value = float(sg * np.exp(log_abs[0]))
-    return LaguerreEval(int(n), alpha, value, la, sg)
-
-
-def laguerre_log(n: int, alpha: float, x: np.ndarray):
-    """Vectorized log-magnitude/sign form of L_n^alpha over an array.
-
-    Runs the three-term recurrence with periodic rescaling so the result
-    stays finite for arguments far beyond the overflow point of the plain
-    value, for any finite argument.  Returns ``(log_abs, sign)`` arrays;
-    zeros are reported as ``(-inf, 0)``.
-    """
-    cur, _, log_abs = _last_log(
-        _scaled_recurrence(int(n), alpha, _argument(n, alpha, x)))
-    return log_abs, np.sign(cur)
-
-
-def _argument(n, alpha, x) -> np.ndarray:
-    """``x`` as a float array, once n, alpha and every x are in the domain."""
     _check_degree_order(n, alpha)
     x = np.asarray(x, dtype=float)
     ok = np.isfinite(x) & (x >= 0)
     if not np.all(ok):
         raise DomainError(f"argument must be finite and >= 0, got {x[~ok][0]}")
-    return x
+    cur, offset, log_abs = _last_log(
+        _scaled_recurrence(int(n), alpha, np.atleast_1d(x)))
+    sign = np.sign(cur).astype(int)
+    # no rescale (offset 0): exactly the plain recurrence's value; else
+    # |L| passed 1e100 on the way, and the log form gives +-inf past the
+    # double range
+    with np.errstate(over="ignore"):
+        value = np.where(offset == 0, cur, sign * np.exp(log_abs))
+    if x.ndim == 0:
+        return LaguerreEval(int(n), alpha, float(value[0]),
+                            float(log_abs[0]), int(sign[0]))
+    return LaguerreEval(int(n), alpha, value, log_abs, sign)
 
 
 def _check_degree_order(n, alpha):

@@ -76,9 +76,6 @@ class WavefunctionV:
     def norm(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.spacing)
 
-    def probability_density(self) -> np.ndarray:
-        return np.abs(self.samples) ** 2
-
 
 class WavefunctionR:
     """Complex state samples over strictly positive radii.

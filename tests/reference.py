@@ -44,7 +44,7 @@ from scipy.ndimage import gaussian_filter
 from scipy.special import eval_genlaguerre, gammaln
 
 from radwig import (AccuracyError, WavefunctionV, apply_displacement,
-                    laguerre_log, sector_isometry)
+                    laguerre_assoc, sector_isometry)
 from radwig.wigner import _ladder, _log_integrand
 
 
@@ -61,10 +61,10 @@ def wigner_l0_closed(l: int, gamma: float, delta: float) -> float:
     cut = float((counts[0] - 1) * step)
 
     def even_part(eps):
-        log_p, sign_p = laguerre_log(l, 0.0, np.array([z * np.exp(2.0 * eps)]))
-        log_m, sign_m = laguerre_log(l, 0.0, np.array([z * np.exp(-2.0 * eps)]))
-        phi = -z * np.cosh(2.0 * eps) + log_p[0] + log_m[0]
-        return float(sign_p[0] * sign_m[0] * np.exp(phi))
+        p = laguerre_assoc(l, 0.0, z * np.exp(2.0 * eps))
+        m = laguerre_assoc(l, 0.0, z * np.exp(-2.0 * eps))
+        phi = -z * np.cosh(2.0 * eps) + p.log_abs + m.log_abs
+        return float(p.sign * m.sign * np.exp(phi))
 
     if delta == 0.0:
         result = quad(even_part, 0.0, cut, epsabs=1e-10, epsrel=1e-8,

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import eval_genlaguerre, gamma
+from scipy.special import eval_genlaguerre, gamma, roots_genlaguerre
 
 from radwig import (DegreeOverflowError, DomainError, laguerre_assoc,
-                    laguerre_log, log_factorial)
+                    log_factorial)
 
 
 def laguerre_series_exact(n, alpha, x):
@@ -78,12 +78,12 @@ def test_log_form_survives_huge_arguments():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 60
     for x in (600.0, 3000.0, math.exp(10)):
-        log_abs, sign = laguerre_log(64, 0.0, np.array([x]))
-        assert np.isfinite(log_abs[0])
+        out = laguerre_assoc(64, 0.0, x)
+        assert np.isfinite(out.log_abs)
         ref = mpmath.laguerre(64, 0, x)
-        assert sign[0] == (1 if ref > 0 else -1)
-        assert float(log_abs[0]) == pytest.approx(
-            float(mpmath.log(abs(ref))), rel=1e-10)
+        assert out.sign == (1 if ref > 0 else -1)
+        assert out.log_abs == pytest.approx(float(mpmath.log(abs(ref))),
+                                            rel=1e-10)
 
 
 # past 1e150 the recurrence's second step would overflow; there
@@ -92,22 +92,52 @@ def test_log_form_survives_huge_arguments():
 def test_far_arguments_take_the_leading_term(x):
     mpmath = pytest.importorskip("mpmath")
     for n, alpha in ((0, 2.0), (1, 0.0), (2, 0.0), (7, 3.0), (64, 5.0)):
-        log_abs, sign = laguerre_log(n, alpha, np.array([x]))
+        out = laguerre_assoc(n, alpha, x)
         with mpmath.workdps(60):
             ref = float(mpmath.log(abs(mpmath.laguerre(n, alpha, x))))
-        assert sign[0] == (-1) ** n
-        assert log_abs[0] == pytest.approx(ref, rel=1e-14, abs=1e-14)
-        out = laguerre_assoc(n, alpha, x)
-        assert (out.log_abs, out.sign) == (log_abs[0], sign[0])
+        assert out.sign == (-1) ** n
+        assert out.log_abs == pytest.approx(ref, rel=1e-14, abs=1e-14)
+        arr = laguerre_assoc(n, alpha, np.array([x]))
+        assert (arr.log_abs[0], arr.sign[0]) == (out.log_abs, out.sign)
     assert laguerre_assoc(2, 0.0, x).value == np.inf
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf")])
 def test_non_finite_arguments_are_domain_errors(x):
     with pytest.raises(DomainError):
-        laguerre_log(3, 0.0, np.array([1.0, x]))
+        laguerre_assoc(3, 0.0, np.array([1.0, x]))
     with pytest.raises(DomainError):
         laguerre_assoc(3, 0.0, x)
+
+
+# exact zeros (L_1^a(a + 1)), Gauss-Laguerre nodes, values rescaled past
+# 1e100 and past the double range, up to the largest double
+@pytest.mark.parametrize("alpha", [0.0, 2.0, 7.0])
+def test_array_argument_matches_scalar_calls_bitwise(alpha):
+    base = [0.0, 1.0, 3.0, 8.0, 0.37, 11.5, 48.0, 600.0, 3000.0, 1e100,
+            1e155, 1e200, 1e308]
+    values, signs = [], []
+    for n in (0, 1, 2, 7, 20, 33, 64):
+        x = np.concatenate([base, roots_genlaguerre(max(n, 1), alpha)[0]])
+        x = np.stack([x, x[::-1]])
+        out = laguerre_assoc(n, alpha, x)
+        calls = [laguerre_assoc(n, alpha, float(xi)) for xi in x.ravel()]
+        for field, dtype in (("value", float), ("log_abs", float),
+                             ("sign", int)):
+            got = getattr(out, field)
+            want = np.array([getattr(c, field) for c in calls], dtype=dtype)
+            assert got.shape == x.shape
+            assert got.tobytes() == want.reshape(x.shape).tobytes(), field
+        values.append(out.value.ravel())
+        signs.append(out.sign.ravel())
+    values, signs = np.concatenate(values), np.concatenate(signs)
+    assert np.any(signs == 0) and np.any(np.isinf(values))
+    assert np.any(np.abs(values[np.isfinite(values)]) > 1e100)
+    # a 0-d argument is a scalar one: Python float and int fields
+    zero_d = laguerre_assoc(5, alpha, np.array(3.0))
+    assert zero_d == laguerre_assoc(5, alpha, 3.0)
+    assert [type(zero_d.value), type(zero_d.log_abs), type(zero_d.sign)] \
+        == [float, float, int]
 
 
 def test_degree_overflow_and_domain_errors():
