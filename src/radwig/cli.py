@@ -53,17 +53,28 @@ def parse_axis(spec: str) -> Grid1D:
         raise CliInputError(f"axis spec {spec!r}: {exc}") from None
 
 
-def _emit_wigner(args, grid: WignerGrid, title):
+def _script_path(args):
+    """The gnuplot script's path, or None under ``--no-plot-script``."""
+    if args.no_plot_script:
+        return None
+    script = _with_suffix(args.out, ".gp")
+    if script == args.out:
+        raise CliInputError(
+            f"--out {args.out!r} is the path of its own gnuplot script; "
+            "choose another name or pass --no-plot-script")
+    return script
+
+
+def _emit_wigner(args, grid: WignerGrid, title, script):
     out = args.out
     if args.format == "json":
-        rio.write_wigner_json(out, grid)
         plot_data = _with_suffix(out, ".plot.csv")
-        rio.write_wigner_csv(plot_data, grid)
+        rio.write_wigner_json(out, grid, plot_csv=plot_data)
     else:
         rio.write_wigner_csv(out, grid)
         plot_data = out
-    if not args.no_plot_script:
-        rio.write_gnuplot_script(_with_suffix(out, ".gp"), plot_data, title)
+    if script is not None:
+        rio.write_gnuplot_script(script, plot_data, title)
 
 
 def _with_suffix(path: str, suffix: str) -> str:
@@ -72,10 +83,11 @@ def _with_suffix(path: str, suffix: str) -> str:
 
 
 def cmd_wl(args) -> int:
+    script = _script_path(args)
     gamma, delta = parse_axis(args.gamma), parse_axis(args.delta)
     w = wigner_l0_grid(args.l, gamma, delta,
                        allow_deep_tail=args.allow_wide_gamma)
-    _emit_wigner(args, w, f"W_{args.l}")
+    _emit_wigner(args, w, f"W_{args.l}", script)
     return EXIT_OK
 
 
@@ -108,10 +120,11 @@ def _write_state(args, pts, samples, meta):
 
 
 def cmd_fock(args) -> int:
+    script = _script_path(args)
     gamma, delta = parse_axis(args.gamma), parse_axis(args.delta)
     rho = load_fock_density(args.input)
     grid = end_to_end(rho, gamma, delta, vbar_grid=default_vbar_grid())
-    _emit_wigner(args, grid, "W (Fock pipeline)")
+    _emit_wigner(args, grid, "W (Fock pipeline)", script)
     # marginals need windows wide enough to hold the tails; a grid meant
     # only for the 2D map should not fail the whole command
     _write_marginals(args.out, grid, skip_narrow=True)

@@ -6,8 +6,14 @@ one row per sample, fields separated by ``,``, every float written with
 every line ended by ``\\r\\n``.  These are the bytes :func:`csv.writer`
 gives for the same rows, but each file is written in bulk: the axes are
 formatted once and a Wigner grid is written one joined gamma row at a
-time.  Both formats round-trip bit-exactly, and identical computations
-yield byte-identical files.
+time.
+
+JSON contract: the bytes are ``json.dumps(doc) + "\\n"``.  A Wigner grid's
+JSON is built from the ``repr`` of each value, which is the JSON form of a
+finite float, and :func:`write_wigner_json` can write the grid's CSV in
+the same pass, so each value is formatted once per command.  Both formats
+round-trip bit-exactly, and identical computations yield byte-identical
+files.
 
 The package needs numpy alone: no module, this one included, imports
 anything beyond numpy and the standard library.
@@ -44,17 +50,23 @@ def _write_columns_csv(path, header, *columns):
     _write_csv(path, header, (",".join(map(repr, row)) + _EOL for row in rows))
 
 
+def _formatted_rows(grid: WignerGrid):
+    """``(repr(gamma), [repr(w), ...])`` for each gamma row of ``grid``."""
+    for gamma, row in zip(grid.gamma_grid.points.tolist(), grid.values):
+        yield repr(gamma), list(map(repr, row.tolist()))
+
+
+def _csv_blocks(deltas, rows):
+    """One block of ``gamma,delta,w`` lines per formatted gamma row."""
+    tails = [f",{d}," for d in deltas]
+    for g, ws in rows:
+        yield "".join([f"{g}{t}{w}{_EOL}" for t, w in zip(tails, ws)])
+
+
 def write_wigner_csv(path, grid: WignerGrid):
     """``gamma,delta,w`` rows, row-major over gamma then delta."""
-    tails = [f",{d!r}," for d in grid.delta_grid.points.tolist()]
-
-    def gamma_row(gamma, values):
-        g = repr(gamma)
-        return "".join(f"{g}{t}{w!r}{_EOL}"
-                       for t, w in zip(tails, values.tolist()))
-
-    _write_csv(path, _WIGNER_HEADER,
-               map(gamma_row, grid.gamma_grid.points.tolist(), grid.values))
+    deltas = list(map(repr, grid.delta_grid.points.tolist()))
+    _write_csv(path, _WIGNER_HEADER, _csv_blocks(deltas, _formatted_rows(grid)))
 
 
 def _grid_from_points(pts: np.ndarray, what: str) -> Grid1D:
@@ -104,14 +116,35 @@ def _write_json(path, doc):
         fh.write(json.dumps(doc) + "\n")
 
 
-def write_wigner_json(path, grid: WignerGrid):
-    """Envelope ``{"meta": ..., "gamma": [...], "delta": [...], "w": [[...]]}``."""
-    _write_json(path, {
-        "meta": grid.meta,
-        "gamma": grid.gamma_grid.points.tolist(),
-        "delta": grid.delta_grid.points.tolist(),
-        "w": grid.values.tolist(),
-    })
+def write_wigner_json(path, grid: WignerGrid, *, plot_csv=None):
+    """Envelope ``{"meta": ..., "gamma": [...], "delta": [...], "w": [[...]]}``.
+
+    ``meta`` goes through :func:`json.dumps` and each float is written as
+    its ``repr``.  Given ``plot_csv``, the grid is also written there as
+    :func:`write_wigner_csv` writes it, from the same formatted values.
+    """
+    meta = json.dumps(grid.meta)
+    deltas = list(map(repr, grid.delta_grid.points.tolist()))
+    gammas, rows = [], []
+
+    def keep_json(formatted):
+        # only each row's joined JSON text outlives its CSV block
+        for g, ws in formatted:
+            gammas.append(g)
+            rows.append(f"[{', '.join(ws)}]")
+            yield g, ws
+
+    formatted = keep_json(_formatted_rows(grid))
+    if plot_csv is None:
+        for _ in formatted:
+            pass
+    else:
+        _write_csv(plot_csv, _WIGNER_HEADER, _csv_blocks(deltas, formatted))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{"meta": {meta}, "gamma": [{", ".join(gammas)}], '
+                 f'"delta": [{", ".join(deltas)}], "w": [')
+        fh.write(", ".join(rows))
+        fh.write("]}\n")
 
 
 def read_wigner_json(path) -> WignerGrid:

@@ -2,15 +2,18 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import radwig
 from radwig import Grid1D, TruncationWarning, WignerGrid, wigner_l0_grid
+from radwig import io as rio
 from radwig.cli import main, parse_axis
 from radwig.io import (read_wigner_csv, read_wigner_json,
                        write_marginal_csv, write_wavefunction_csv,
@@ -88,6 +91,35 @@ def test_csv_bytes_match_stdlib_writer(tmp_path):
     write_marginal_csv(path, "delta", coords, awkward)
     assert path.read_bytes() == _csv_reference(
         ["delta", "density"], zip(coords, awkward))
+
+
+def _json_reference(grid) -> bytes:
+    doc = {"meta": grid.meta, "gamma": grid.gamma_grid.points.tolist(),
+           "delta": grid.delta_grid.points.tolist(),
+           "w": grid.values.tolist()}
+    return (json.dumps(doc) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 6), (6, 1)])
+def test_json_bytes_match_json_dumps(tmp_path, shape):
+    # the awkward values of the repr contract, on one-point axes too, and a
+    # meta that needs every kind of JSON value and an ASCII escape
+    awkward = [-0.0, 5e-324, 1e-05, 1e16, 0.30000000000000004, 1 / 3]
+    n_g, n_d = shape
+    gamma = Grid1D(-1.0, 1e16, n_g) if n_g > 1 else Grid1D(1e-05, 1e-05, 1)
+    delta = Grid1D(-0.5, 0.7, n_d) if n_d > 1 else Grid1D(-0.0, -0.0, 1)
+    meta = {"label": "W(\u03b3, \u03b4) \u2014 caf\u00e9",
+            "nested": [1, [2.5, None]], "flag": True, "none": None, "count": 3}
+    grid = WignerGrid(gamma, delta, np.reshape(awkward, shape), meta=meta)
+    path, plot = tmp_path / "w.json", tmp_path / "w.plot.csv"
+    write_wigner_json(path, grid)
+    assert path.read_bytes() == _json_reference(grid)
+    write_wigner_json(path, grid, plot_csv=plot)
+    assert path.read_bytes() == _json_reference(grid)
+    write_wigner_csv(tmp_path / "w.csv", grid)
+    assert plot.read_bytes() == (tmp_path / "w.csv").read_bytes()
+    back = read_wigner_json(path)
+    assert back == grid and back.meta == grid.meta
 
 
 def _run_python(*args, check=True):
@@ -207,14 +239,26 @@ def test_wl_single_cell_matches_grid_cell(tmp_path):
     assert np.abs(cell - full.values[50]).max() < 1e-13
 
 
-def test_wl_json_output(tmp_path):
+def test_wl_json_output(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    # every number of the grid is formatted once for both files
+    monkeypatch.setattr(rio, "repr", counting_repr, raising=False)
     out = tmp_path / "w.json"
-    rc = main(["wl", "--l", "0", "--gamma", "-2:1:31", "--delta", "-2:2:21",
+    rc = main(["wl", "--l", "2", "--gamma", "-2:1:31", "--delta", "-2:2:21",
                "--out", str(out), "--format", "json"])
     assert rc == 0
-    grid = read_wigner_json(out)
-    assert grid.meta["l"] == 0
-    assert (tmp_path / "w.plot.csv").exists()
+    assert len(calls) == 31 * 21 + 31 + 21
+    grid = wigner_l0_grid(2, Grid1D(-2.0, 1.0, 31), Grid1D(-2.0, 2.0, 21))
+    assert out.read_bytes() == _json_reference(grid)
+    assert read_wigner_json(out).meta["l"] == 2
+    write_wigner_csv(tmp_path / "ref.csv", grid)
+    assert ((tmp_path / "w.plot.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
 
 
 def test_wl_gamma_guard(tmp_path, capsys):
@@ -309,6 +353,44 @@ def test_input_error_is_one_error_line(tmp_path, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert sorted(os.listdir(tmp_path)) == ["rho.json"]
+
+
+@pytest.mark.parametrize("command", [
+    ["wl", "--gamma", "-1:1:3", "--delta", "-1:1:3"],
+    ["wl", "--gamma", "-1:1:3", "--delta", "-1:1:3", "--format", "json"],
+    ["fock", "--input", "rho.json", "--gamma", "-1:1:3", "--delta", "-1:1:3"],
+], ids=" ".join)
+def test_out_named_as_plot_script(tmp_path, capsys, command):
+    # the script <stem>.gp would overwrite the grid written to --out
+    (tmp_path / "rho.json").write_text(json.dumps(vacuum_doc()))
+    argv = [str(tmp_path / a) if a == "rho.json" else a for a in command]
+    out = tmp_path / "grid.gp"
+    assert main(argv + ["--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert sorted(os.listdir(tmp_path)) == ["rho.json"]
+    assert main(argv + ["--out", str(out), "--no-plot-script"]) == 0
+    grid = (read_wigner_json if "json" in command else read_wigner_csv)(out)
+    assert grid.values.shape == (3, 3)
+
+
+def _readme_block(after, lang):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return text.split(after, 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch):
+    # each radwig line of README's command-line block, in order, on the
+    # README's own Fock input
+    monkeypatch.chdir(tmp_path)
+    Path("rho.json").write_text(_readme_block("Fock input format:", "json"))
+    runs = [shlex.split(line)[1:] for line in
+            _readme_block("## Command line", "sh").splitlines()
+            if line.startswith("radwig ")]
+    assert ["marginals", "--input", "wide.json", "--out-stem", "wide"] in runs
+    for argv in runs:
+        assert main(argv) == 0, argv
 
 
 # ------------------------------------------------------------------ fock
