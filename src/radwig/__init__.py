@@ -21,8 +21,8 @@ from .special import LaguerreEval, laguerre_assoc, log_factorial
 from .states import (SchwingerLabel, WavefunctionR, WavefunctionV,
                      default_vbar_grid, dilaton_coherent, dilaton_vacuum,
                      radial_wavefunction, to_vbar, vbar_schwinger_l0)
-from .operators import (OperatorAction, apply_displacement, apply_pd,
-                        apply_pr, expectation, momentum_transform)
+from .operators import (apply_displacement, apply_pd, apply_pr, expectation,
+                        momentum_transform)
 from .wigner import (OVERLAP_FACTOR, WIGNER_LOWER_BOUND, DensityMatrixV,
                      WignerGrid, marginal_momentum, marginal_position,
                      overlap, s_smooth, schwinger_density,
@@ -43,8 +43,8 @@ __all__ = [
     "SchwingerLabel", "WavefunctionR", "WavefunctionV", "default_vbar_grid",
     "dilaton_coherent", "dilaton_vacuum", "radial_wavefunction", "to_vbar",
     "vbar_schwinger_l0",
-    "OperatorAction", "apply_displacement", "apply_pd", "apply_pr",
-    "expectation", "momentum_transform",
+    "apply_displacement", "apply_pd", "apply_pr", "expectation",
+    "momentum_transform",
     "OVERLAP_FACTOR", "WIGNER_LOWER_BOUND", "DensityMatrixV", "WignerGrid",
     "marginal_momentum", "marginal_position", "overlap", "s_smooth",
     "schwinger_density", "wigner_from_density", "wigner_l0_grid",

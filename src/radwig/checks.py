@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
 from .grids import Grid1D
 from .operators import _displace, apply_displacement, apply_pr, expectation
 from .special import laguerre_assoc
@@ -447,17 +446,12 @@ def available_invariants() -> list:
     return [name for name, _, _, _ in _REGISTRY]
 
 
-def run_invariants(names=None, tolerance_scale: float = 1.0) -> list:
+def run_invariants(names=None) -> list:
     """Measure the selected invariants (all by default).
 
-    ``tolerance_scale`` multiplies every tolerance, which is mainly a
-    hook for forcing the failure path; it must be finite and at least 0
-    (0 fails every invariant with a nonzero residual).  Each result
-    records the wall-clock seconds its measurement took.
+    Each invariant is held to the tolerance its registry entry states.
+    Each result records the wall-clock seconds its measurement took.
     """
-    if not (np.isfinite(tolerance_scale) and tolerance_scale >= 0):
-        raise DomainError(
-            f"tolerance scale must be finite and >= 0, got {tolerance_scale}")
     selected = set(names) if names is not None else None
     unknown = (selected or set()) - set(available_invariants())
     if unknown:
@@ -469,8 +463,7 @@ def run_invariants(names=None, tolerance_scale: float = 1.0) -> list:
         start = time.perf_counter()
         measured = float(fn())
         seconds = time.perf_counter() - start
-        tol_eff = tol * tolerance_scale
         results.append(InvariantResult(
             name=name, description=description, measured=measured,
-            tolerance=tol_eff, passed=measured <= tol_eff, seconds=seconds))
+            tolerance=tol, passed=measured <= tol, seconds=seconds))
     return results

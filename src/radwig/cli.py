@@ -23,7 +23,7 @@ from .errors import (DomainError, GridAlignmentError, RadwigError,
                      SchemaError, TruncationError, ValidationError)
 from .fock import end_to_end, load_fock_density
 from .grids import Grid1D
-from .states import default_vbar_grid, dilaton_coherent, dilaton_vacuum
+from .states import dilaton_coherent, dilaton_vacuum
 from .wigner import (WignerGrid, marginal_momentum, marginal_position,
                      wigner_l0_grid)
 
@@ -123,7 +123,7 @@ def cmd_fock(args) -> int:
     script = _script_path(args)
     gamma, delta = parse_axis(args.gamma), parse_axis(args.delta)
     rho = load_fock_density(args.input)
-    grid = end_to_end(rho, gamma, delta, vbar_grid=default_vbar_grid())
+    grid = end_to_end(rho, gamma, delta)
     _emit_wigner(args, grid, "W (Fock pipeline)", script)
     # marginals need windows wide enough to hold the tails; a grid meant
     # only for the 2D map should not fail the whole command
@@ -162,7 +162,7 @@ def cmd_marginals(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        results = run_invariants(args.only, tolerance_scale=args.tolerance_scale)
+        results = run_invariants(args.only)
     except KeyError as exc:
         raise CliInputError(str(exc)) from None
     for res in results:
@@ -228,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--only", nargs="+", metavar="NAME",
                      help=f"subset of: {', '.join(available_invariants())}")
     chk.add_argument("--json", dest="json_report")
-    chk.add_argument("--tolerance-scale", type=float, default=1.0)
     chk.set_defaults(handler=cmd_check)
 
     return parser

@@ -62,9 +62,6 @@ class FockDensityMatrix(_DensityMatrix):
                          what="Fock density matrix", meta=meta)
         self.n_max = n_max
 
-    def index(self, nx: int, ny: int) -> int:
-        return _fock_index(self.n_max, nx, ny)
-
     @classmethod
     def from_pure(cls, n_max: int, amplitudes: dict) -> "FockDensityMatrix":
         """|phi><phi| from a {(nx, ny): amplitude} dictionary; all-zero
@@ -96,8 +93,6 @@ def _fock_index(n_max: int, nx: int, ny: int) -> int:
 
 
 def _schwinger_index(n_max: int, label: SchwingerLabel) -> int:
-    if label.beta != 1.0:       # the stored circular modes are at beta = 1
-        raise DomainError(f"label {label}: the basis has beta = 1")
     total = label.n_plus + label.n_minus
     if total > 2 * n_max:
         raise DomainError(f"label {label} outside cutoff 2l <= {2 * n_max}")
@@ -343,25 +338,18 @@ def end_to_end(rho: FockDensityMatrix, gamma_grid: Grid1D, delta_grid: Grid1D,
 _ENTRY_INT_FIELDS = ("nx", "ny", "nxp", "nyp")
 
 
-def load_fock_density(source) -> FockDensityMatrix:
-    """Parse the JSON interchange format for Fock density matrices.
+def load_fock_density(path) -> FockDensityMatrix:
+    """Read a Fock density matrix from the JSON file at ``path``.
 
     Schema: ``{"n_max": N, "entries": [{"nx", "ny", "nxp", "nyp", "re",
-    "im"}, ...]}``; omitted entries are zero.  Hermiticity is validated
+    "im"}, ...]}``; omitted entries are zero.  A file that breaks the
+    schema raises SchemaError naming the field.  Hermiticity is validated
     by :class:`FockDensityMatrix`, not assumed: the mirror of every stored
     entry must be stored too (or both zero), and the worst violating pair
     is named in the error.
-
-    ``source`` may be a path, an open file object or an already-parsed
-    dictionary.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
 
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")

@@ -42,6 +42,9 @@ class Grid1D:
             raise ValidationError("a one-point Grid1D needs max == min")
         if self.n_points > 1 and self.max <= self.min:
             raise ValidationError("Grid1D needs max > min")
+        if not np.isfinite(self.max - self.min):
+            raise ValidationError(
+                f"Grid1D span from {self.min} to {self.max} overflows")
         object.__setattr__(
             self, "_points", np.linspace(self.min, self.max, self.n_points)
         )

@@ -21,8 +21,6 @@ adjoint action would depend on an arbitrary ordering choice.  The
 translate/phase/translate sandwich D(lambda, mu) has no such ambiguity.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (BasisMismatchError, DomainError, TruncationError,
@@ -32,38 +30,11 @@ from .states import WavefunctionR, WavefunctionV
 
 import warnings
 
-__all__ = ["OperatorAction", "apply_pd", "apply_pr", "apply_displacement",
+__all__ = ["apply_pd", "apply_pr", "apply_displacement",
            "momentum_transform", "expectation"]
 
 _EDGE_DECAY = 1e-10
 _HERMITIAN_KINDS = frozenset({"Pr", "V", "R"})
-_KINDS = frozenset({"PD", "Pr", "V", "R", "D"})
-
-
-def _check_displacement_parameters(lam, mu):
-    if np.ndim(lam) or np.ndim(mu):
-        raise DomainError("displacement parameters must be scalars, got "
-                          f"shapes {np.shape(lam)} and {np.shape(mu)}")
-    if not (np.isfinite(lam) and np.isfinite(mu)):
-        raise DomainError("displacement parameters must be finite")
-
-
-@dataclass(frozen=True)
-class OperatorAction:
-    """Named operator with its parameters.
-
-    kind: one of "PD", "Pr", "V", "R", "D"; "D" takes the scale
-    displacement parameters ``lam`` and ``mu``.
-    """
-
-    kind: str
-    lam: float = 0.0
-    mu: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown operator kind {self.kind!r}")
-        _check_displacement_parameters(self.lam, self.mu)
 
 
 def _fd_derivative(samples: np.ndarray, h: float) -> np.ndarray:
@@ -178,7 +149,11 @@ def apply_displacement(lam: float, mu: float, psi: WavefunctionV) -> Wavefunctio
     """
     if not isinstance(psi, WavefunctionV):
         raise BasisMismatchError("the displacement acts on log-radius states")
-    _check_displacement_parameters(lam, mu)
+    if np.ndim(lam) or np.ndim(mu):
+        raise DomainError("displacement parameters must be scalars, got "
+                          f"shapes {np.shape(lam)} and {np.shape(mu)}")
+    if not (np.isfinite(lam) and np.isfinite(mu)):
+        raise DomainError("displacement parameters must be finite")
     out = _displace(psi.grid, psi.samples, lam, mu)
     return WavefunctionV(psi.grid, out, norm_tol=None, meta=dict(psi.meta))
 
@@ -197,38 +172,38 @@ def momentum_transform(psi: WavefunctionV, p_grid: Grid1D) -> np.ndarray:
     return phases @ psi.samples * (psi.grid.spacing / np.sqrt(2.0 * np.pi))
 
 
-def _apply(op: OperatorAction, psi):
-    if op.kind == "Pr":
+def _apply(kind: str, psi):
+    if kind == "Pr":
         return apply_pr(psi)
-    if op.kind == "PD":
+    if kind == "PD":
         return apply_pd(psi)
-    if op.kind == "D":
-        return apply_displacement(op.lam, op.mu, psi).samples
     if isinstance(psi, WavefunctionV):
         v = psi.grid.points
-        return (v if op.kind == "V" else np.exp(v)) * psi.samples
+        return (v if kind == "V" else np.exp(v)) * psi.samples
     if isinstance(psi, WavefunctionR):
-        return (np.log(psi.r) if op.kind == "V" else psi.r) * psi.samples
-    raise BasisMismatchError(f"cannot apply {op.kind} to {type(psi).__name__}")
+        return (np.log(psi.r) if kind == "V" else psi.r) * psi.samples
+    raise BasisMismatchError(f"cannot apply {kind} to {type(psi).__name__}")
 
 
-def expectation(op, psi) -> complex:
+def expectation(kind: str, psi) -> complex:
     """<psi| O |psi> by trapezoidal quadrature in the state's measure.
 
-    ``op`` may be an OperatorAction or a bare kind string.  For the
-    Hermitian kinds (Pr, V, R) the imaginary part is asserted below 1e-9
-    and the full complex value returned.
+    ``kind`` names the operator: "PD", "Pr", "V" (vbar) or "R" (r); any
+    other name raises DomainError.  For the Hermitian kinds (Pr, V, R)
+    the imaginary part is asserted below 1e-9 and the full complex value
+    returned.  The expectation of a scale displacement D(lam, mu) is the
+    inner product of ``psi`` with :func:`apply_displacement`'s result.
     """
-    if isinstance(op, str):
-        op = OperatorAction(op)
-    acted = _apply(op, psi)
+    if kind != "PD" and kind not in _HERMITIAN_KINDS:
+        raise DomainError(f"unknown operator kind {kind!r}")
+    acted = _apply(kind, psi)
     if isinstance(psi, WavefunctionV):
         val = np.trapezoid(np.conj(psi.samples) * acted, dx=psi.grid.spacing)
     else:
         val = np.trapezoid(psi.r * np.conj(psi.samples) * acted, psi.r)
     val = complex(val)
-    if op.kind in _HERMITIAN_KINDS and abs(val.imag) > 1e-9:
+    if kind in _HERMITIAN_KINDS and abs(val.imag) > 1e-9:
         raise ValidationError(
-            f"expectation of Hermitian {op.kind} has imaginary part "
+            f"expectation of Hermitian {kind} has imaginary part "
             f"{val.imag:.3e}")
     return val

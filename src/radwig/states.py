@@ -125,24 +125,24 @@ class SchwingerLabel:
     ``n_plus = l + m`` and ``n_minus = l - m`` so that half-integer labels
     stay exact; ``l`` and ``m`` are exposed as `fractions.Fraction`.
     Half-integer labels (odd total quanta) are valid inputs everywhere.
+    Levels are those of the oscillator of unit length (beta = 1); another
+    length beta is the scale displacement D(0, ln beta) of
+    :func:`radwig.operators.apply_displacement`.
     """
 
-    def __init__(self, l, m, beta: float = 1.0):
+    def __init__(self, l, m):
         lf, mf = Fraction(l), Fraction(m)
         n_plus, n_minus = lf + mf, lf - mf
         if n_plus.denominator != 1 or n_minus.denominator != 1:
             raise DomainError(f"l+m and l-m must be integers, got l={l}, m={m}")
         if n_plus < 0 or n_minus < 0:
             raise DomainError(f"l+m and l-m must be nonnegative, got l={l}, m={m}")
-        if beta <= 0:
-            raise DomainError(f"length scale beta must be positive, got {beta}")
         self.n_plus = int(n_plus)
         self.n_minus = int(n_minus)
-        self.beta = float(beta)
 
     @classmethod
-    def from_occupations(cls, n_plus: int, n_minus: int, beta: float = 1.0):
-        return cls(Fraction(n_plus + n_minus, 2), Fraction(n_plus - n_minus, 2), beta)
+    def from_occupations(cls, n_plus: int, n_minus: int):
+        return cls(Fraction(n_plus + n_minus, 2), Fraction(n_plus - n_minus, 2))
 
     @property
     def l(self) -> Fraction:
@@ -154,14 +154,13 @@ class SchwingerLabel:
 
     def __eq__(self, other):
         return (isinstance(other, SchwingerLabel)
-                and (self.n_plus, self.n_minus, self.beta)
-                == (other.n_plus, other.n_minus, other.beta))
+                and (self.n_plus, self.n_minus) == (other.n_plus, other.n_minus))
 
     def __hash__(self):
-        return hash((self.n_plus, self.n_minus, self.beta))
+        return hash((self.n_plus, self.n_minus))
 
     def __repr__(self):
-        return f"SchwingerLabel(l={self.l}, m={self.m}, beta={self.beta})"
+        return f"SchwingerLabel(l={self.l}, m={self.m})"
 
 
 def _radial_rows(alpha: int, count: int, v: np.ndarray, first: int = 0):
@@ -170,7 +169,7 @@ def _radial_rows(alpha: int, count: int, v: np.ndarray, first: int = 0):
         psi_k(v) = sqrt(2 k! / (k+alpha)!) e^{(alpha+1) v} e^{-e^{2v}/2}
                    L_k^alpha(e^{2v}) (-1)^k
 
-    is e^v R_{l,m}(e^v) at beta = 1, for k = l - |m| and alpha = 2|m|.
+    is e^v R_{l,m}(e^v), for k = l - |m| and alpha = 2|m|.
     One Laguerre recurrence in k at fixed alpha gives every row as a pair
     ``(cur, offset)`` with psi_k = cur * exp(offset), the magnitude kept
     in the log domain so that no row overflows; rows below ``first`` are
@@ -198,12 +197,13 @@ def _radial_rows(alpha: int, count: int, v: np.ndarray, first: int = 0):
 def radial_wavefunction(label: SchwingerLabel, r):
     """Radial eigenfunction R_{l,m}(r) of the 2D isotropic oscillator.
 
-    R_{l,m}(r) = beta * sqrt(2 (l-|m|)! / (l+|m|)!) (beta r)^{2|m|}
-                 * exp(-beta^2 r^2 / 2) * L_{l-|m|}^{2|m|}(beta^2 r^2)
-                 * (-1)^{l-|m|}
+    R_{l,m}(r) = sqrt(2 (l-|m|)! / (l+|m|)!) r^{2|m|} exp(-r^2 / 2)
+                 * L_{l-|m|}^{2|m|}(r^2) * (-1)^{l-|m|}
 
-    normalised so that  integral r R^2 dr = 1.  Read off the last row of
-    the log-radius producer as R(r) = psi(ln beta r) / r, with ln r taken
+    normalised so that  integral r R^2 dr = 1, at unit oscillator length
+    (hbar = 1, beta = 1); the level of length beta is beta R(beta r), the
+    scale displacement D(0, ln beta) of this one.  Read off the last row
+    of the log-radius producer as R(r) = psi(ln r) / r, with ln r taken
     off in the log domain, so neither large degrees nor large radii
     overflow.
     Accepts a scalar or an array of radii; r must be strictly positive.
@@ -212,10 +212,10 @@ def radial_wavefunction(label: SchwingerLabel, r):
     if np.any(r_arr <= 0) or not np.all(np.isfinite(r_arr)):
         raise DomainError("radius must be strictly positive and finite")
     k = min(label.n_plus, label.n_minus)
+    log_r = np.log(r_arr)
     cur, _, log_psi = _last_log(_radial_rows(
-        abs(label.n_plus - label.n_minus), k + 1, np.log(label.beta * r_arr),
-        first=k))
-    out = np.sign(cur) * np.exp(log_psi - np.log(r_arr))
+        abs(label.n_plus - label.n_minus), k + 1, log_r, first=k))
+    out = np.sign(cur) * np.exp(log_psi - log_r)
     return float(out) if r_arr.ndim == 0 else out
 
 

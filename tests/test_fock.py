@@ -371,21 +371,6 @@ def test_from_pure_rejects_all_zero_amplitudes(amplitudes):
             FockDensityMatrix.from_pure(2, amplitudes)
 
 
-def test_angular_momentum_labels_need_beta_one():
-    # the stored basis is the beta = 1 circular modes; another beta would
-    # alias onto the beta = 1 state of the same occupations
-    rho = SchwingerDensityMatrix.pure(SchwingerLabel(1, 0), 2)
-    wide = SchwingerLabel(1, 0, beta=2.0)
-    with pytest.raises(DomainError, match="beta"):
-        SchwingerDensityMatrix.pure(wide, 2)
-    with pytest.raises(DomainError, match="beta"):
-        rho.index(wide)
-    with pytest.raises(DomainError, match="beta"):
-        rho.coefficient(wide, SchwingerLabel(1, 0, beta=3.0))
-    assert rho.coefficient(SchwingerLabel(1, 0, beta=1.0),
-                           SchwingerLabel(1, 0)) == 1.0
-
-
 CUTOFF_CASES = [-1, 2.5, 3.0, True, None]
 
 
@@ -491,8 +476,11 @@ def test_load_rejects_bad_types_and_ranges(tmp_path):
         load_fock_density(write_json(tmp_path, doc))
 
 
-def test_load_accepts_parsed_dict():
+def test_load_reads_a_path_only(tmp_path):
     doc = {"n_max": 0, "entries": [
         {"nx": 0, "ny": 0, "nxp": 0, "nyp": 0, "re": 1.0, "im": 0.0}]}
-    rho = load_fock_density(doc)
-    assert rho.n_max == 0
+    path = write_json(tmp_path, doc)
+    for source in (path, str(path)):
+        assert load_fock_density(source).n_max == 0
+    with pytest.raises(TypeError):
+        load_fock_density(doc)

@@ -1,12 +1,16 @@
 """Static hygiene of the package source: exported names exist, imports are
-used, and the package depends on numpy alone."""
+used, the package depends on numpy alone, and README names exactly the
+command-line options the parser has."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import radwig
+from radwig.cli import _build_parser
 
 MODULES = sorted(Path(radwig.__file__).parent.glob("*.py"))
 
@@ -154,3 +158,22 @@ def test_laguerre_values_come_from_one_producer(path):
                  if isinstance(n, ast.ImportFrom) for alias in n.names)
     assert not names & LAGUERRE_NAMES, \
         f"{path.name} names {sorted(names & LAGUERRE_NAMES)}"
+
+
+def _subcommand_options():
+    """Long options of every ``radwig`` subcommand, help excluded."""
+    sub, = [a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return {opt for parser in sub.choices.values()
+            for action in parser._actions for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"}
+
+
+def test_readme_flags_match_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    named.discard("--no-build-isolation")           # pip's, in Install
+    options = _subcommand_options()
+    assert not named - options, f"README names unknown {sorted(named - options)}"
+    assert not options - named, f"README omits {sorted(options - named)}"

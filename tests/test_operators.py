@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from radwig import (BasisMismatchError, DomainError, Grid1D, OperatorAction,
-                    SchwingerLabel, TruncationError, TruncationWarning,
+from radwig import (BasisMismatchError, DomainError, Grid1D, SchwingerLabel, TruncationError, TruncationWarning,
                     WavefunctionR, WavefunctionV, apply_displacement, apply_pd,
                     apply_pr, dilaton_coherent, dilaton_vacuum, expectation,
                     momentum_transform, radial_wavefunction,
@@ -94,6 +93,17 @@ def test_pr_expectation_on_boosted_coherent():
     psi = dilaton_coherent(1j / SQRT2, Grid1D(-10.0, 10.0, 2001))
     val = np.sum(np.conj(psi.samples) * apply_pr(psi)).real * psi.grid.spacing
     assert val == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("n_points", [2000, 2001], ids=["even", "odd"])
+def test_pr_matches_exact_derivative_on_either_parity(n_points):
+    # an even grid has a Nyquist wavenumber, whose odd-derivative weight
+    # is zeroed; it stays as exact as the odd grid on a band-limited state
+    alpha = 0.3 + 0.2j
+    psi = dilaton_coherent(alpha, Grid1D(-10.0, 10.0, n_points))
+    v0, p0 = SQRT2 * alpha.real, SQRT2 * alpha.imag
+    exact = (p0 + 1j * (psi.grid.points - v0)) * psi.samples   # -i psi'
+    assert np.abs(apply_pr(psi) - exact).max() < 1e-12
 
 
 def test_pr_r_basis_form():
@@ -247,22 +257,49 @@ def test_expectation_momentum_of_real_state():
     assert abs(expectation("Pr", psi)) < 1e-9
 
 
+@pytest.mark.parametrize("l, m, mean_r", [
+    (0, 0, np.sqrt(np.pi) / 2),
+    ("1/2", "1/2", 3 * np.sqrt(np.pi) / 4),
+    (1, 1, 15 * np.sqrt(np.pi) / 16),
+], ids=["R00", "R(1/2,1/2)", "R11"])
+def test_expectation_on_r_basis_states(l, m, mean_r):
+    # <r> of the nodeless level alpha = 2|m| is Gamma(alpha + 3/2) / alpha!;
+    # the unsampled strip [0, 0.001] holds ~1e-6 of R00's norm and ~7e-10
+    # of its <r>
+    r = np.linspace(0.001, 12.0, 12000)
+    psi = WavefunctionR(r, radial_wavefunction(SchwingerLabel(l, m), r),
+                        norm_tol=1e-5)
+    val = expectation("R", psi)
+    assert val.imag == 0.0
+    assert val.real == pytest.approx(mean_r, abs=2e-9)
+
+
+def test_expectation_of_log_radius_on_r_basis_state():
+    # <ln r> of R11 is digamma(3) / 2 = (3/2 - Euler's gamma) / 2
+    r = np.linspace(0.001, 12.0, 12000)
+    psi = WavefunctionR(r, radial_wavefunction(SchwingerLabel(1, 1), r))
+    val = expectation("V", psi)
+    assert val.real == pytest.approx((1.5 - np.euler_gamma) / 2, abs=1e-9)
+
+
 def test_expectation_basis_mismatch():
-    r = np.linspace(0.1, 5.0, 500)
-    psi_r = WavefunctionR(r, np.ones(500), norm_tol=None)
-    with pytest.raises(BasisMismatchError):
-        expectation("D", psi_r)
     with pytest.raises(BasisMismatchError):
         expectation("PD", make_vacuum())
+    with pytest.raises(BasisMismatchError):
+        expectation("V", np.ones(5))
 
 
 def test_operator_action_validation():
-    with pytest.raises(DomainError):
-        OperatorAction("Q")
-    act = OperatorAction("D", lam=0.5, mu=-0.25)
+    # the kinds are PD, Pr, V and R; a displacement's expectation is an
+    # inner product with apply_displacement's result, on the vacuum
+    # <D(lam, mu)> = exp(-(lam^2 + mu^2) / 4)
     psi = make_vacuum()
-    out = expectation(act, psi)
-    assert np.isfinite(out.real)
+    for kind in ("Q", "D", "pr"):
+        with pytest.raises(DomainError, match="unknown operator kind"):
+            expectation(kind, psi)
+    out = apply_displacement(0.5, -0.25, psi)
+    val = np.sum(np.conj(psi.samples) * out.samples) * psi.grid.spacing
+    assert abs(val - np.exp(-(0.5 ** 2 + 0.25 ** 2) / 4)) < 1e-12
 
 
 @pytest.mark.parametrize("lam, mu", [(np.array([0.1, 0.2]), 0.3),
@@ -272,8 +309,6 @@ def test_operator_action_validation():
 def test_displacement_parameters_must_be_scalars(lam, mu):
     with pytest.raises(DomainError, match="scalars"):
         apply_displacement(lam, mu, make_vacuum())
-    with pytest.raises(DomainError, match="scalars"):
-        OperatorAction("D", lam=lam, mu=mu)
 
 
 # ------------------------------------------------------ algebra residuals

@@ -7,8 +7,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from radwig import (BasisMismatchError, DomainError, Grid1D, SchwingerLabel,
                     TruncationWarning, ValidationError, WavefunctionR, WavefunctionV,
-                    default_vbar_grid, dilaton_coherent, dilaton_vacuum,
-                    radial_wavefunction, to_vbar, vbar_schwinger_l0)
+                    apply_displacement, default_vbar_grid, dilaton_coherent,
+                    dilaton_vacuum, radial_wavefunction, to_vbar,
+                    vbar_schwinger_l0)
 
 from reference import scipy_psi
 
@@ -26,8 +27,6 @@ def test_label_validation():
         SchwingerLabel(1, 0.4)
     with pytest.raises(DomainError):
         SchwingerLabel(1, 2)         # l - m < 0
-    with pytest.raises(DomainError):
-        SchwingerLabel(1, 0, beta=0.0)
 
 
 # ------------------------------------------------- radial wavefunctions
@@ -64,13 +63,16 @@ def test_radial_normalization_by_quadrature(l, m):
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
-def test_radial_wavefunction_beta_scaling():
-    lab1 = SchwingerLabel(1, 1, beta=1.0)
-    lab2 = SchwingerLabel(1, 1, beta=2.0)
-    # R_beta(r) = beta * R_1(beta r)
-    for r in (0.3, 1.0, 2.4):
-        assert radial_wavefunction(lab2, r) == pytest.approx(
-            2.0 * radial_wavefunction(lab1, 2.0 * r), rel=1e-12)
+def test_oscillator_length_is_a_scale_displacement():
+    # the level of length beta, beta R(beta r), is D(0, ln beta) of the
+    # unit-length level: a translation of vbar by ln beta
+    lab, beta = SchwingerLabel(1, 1), 2.0
+    grid = default_vbar_grid()
+    psi = to_vbar(lambda r: radial_wavefunction(lab, r), grid)
+    shifted = apply_displacement(0.0, np.log(beta), psi)
+    r = np.exp(grid.points)
+    oracle = r * beta * radial_wavefunction(lab, beta * r)
+    assert np.abs(shifted.samples - oracle).max() < 1e-11
 
 
 def test_radial_l1m1_shape_and_ode_oracle():
@@ -238,3 +240,27 @@ def test_wavefunction_r_validation():
         WavefunctionR(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValidationError):
         WavefunctionR(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
+
+
+def test_wavefunction_v_rejects_bad_samples():
+    grid = Grid1D(-5.0, 5.0, 101)
+    with pytest.raises(ValidationError, match="shape"):
+        WavefunctionV(grid, np.ones(100), norm_tol=None)
+    bad = np.ones(101)
+    bad[50] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        WavefunctionV(grid, bad, norm_tol=None)
+
+
+def test_wavefunction_r_rejects_bad_samples():
+    r = np.linspace(0.1, 5.0, 50)
+    with pytest.raises(ValidationError, match="two radius samples"):
+        WavefunctionR(r[:1], np.ones(1), norm_tol=None)
+    with pytest.raises(ValidationError, match="same length"):
+        WavefunctionR(r, np.ones(49), norm_tol=None)
+    bad = np.ones(50)
+    bad[7] = np.inf
+    with pytest.raises(ValidationError, match="finite"):
+        WavefunctionR(r, bad, norm_tol=None)
+    with pytest.raises(ValidationError, match="norm"):
+        WavefunctionR(r, np.ones(50))

@@ -485,6 +485,24 @@ def test_one_point_grid_has_no_spacing():
         Grid1D(0.0, 0.0, 0)
 
 
+@pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.inf),
+                                    (-np.inf, 0.0)],
+                         ids=["nan-min", "inf-max", "inf-min"])
+def test_grid_bounds_must_be_finite(lo, hi):
+    with pytest.raises(ValidationError, match="bounds must be finite"):
+        Grid1D(lo, hi, 3)
+
+
+def test_grid_span_must_not_overflow():
+    # finite bounds whose difference is not: the spacing and the points
+    # would be inf and nan
+    with pytest.raises(ValidationError, match="overflows"):
+        Grid1D(-1e308, 1e308, 3)
+    wide = Grid1D(-8e307, 8e307, 3)
+    assert wide.points.tolist() == [-8e307, 0.0, 8e307]
+    assert wide.spacing == 8e307
+
+
 def test_marginal_along_one_point_axis_is_truncation():
     for axis, marginal in (("delta", marginal_position),
                            ("gamma", marginal_momentum)):
