@@ -5,7 +5,7 @@ basis labelled by angular momentum (a beam-splitter-type unitary, block
 diagonal in the total quantum number, applied one sector block at a
 time), trace out the angle (which kills every coherence between
 different angular momenta m), and accumulate the radial kernel on a
-log-radius grid with two real matrix products over the stacked radial
+log-radius grid with real matrix products over the stacked radial
 basis of every |m| (m and -m share their radial eigenfunctions, so
 their two blocks are summed first), whose rows come from the one
 radial-eigenfunction producer of :mod:`radwig.states`.  The result
@@ -251,6 +251,10 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
     C = blockdiag(C_{+m} + C_{-m}) the kernel is Phi^T (Re C) Phi
     + i Phi^T (Im C) Phi: two real products, through one real buffer
     that holds a column strip of (Re C) Phi and then of (Im C) Phi.
+    When no block has a nonzero imaginary part (a level mixture, a pure
+    label) the second product is skipped and the kernel is float64; a
+    rotated real Fock input keeps rounding-level imaginary parts and
+    stays complex128.
     The first product is symmetric and the second antisymmetric, so each
     forms only the upper triangle, one column strip at a time, and the
     lower one is mirrored from it.  The sum over m runs over every label
@@ -287,9 +291,13 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
         row *= np.sign(cur)
     _flush_tiny(phi)
 
-    kernel = np.empty((g, g), dtype=complex)
+    imaginary = any(block.imag.any() for _, block in blocks)
+    kernel = np.empty((g, g), dtype=complex if imaginary else float)
+    halves = [(kernel.real, np.real)]
+    if imaginary:
+        halves.append((kernel.imag, np.imag))
     y = np.empty((len(phi), _STRIP))
-    for target, part in ((kernel.real, np.real), (kernel.imag, np.imag)):
+    for target, part in halves:
         coeffs = [np.ascontiguousarray(part(block)) for _, block in blocks]
         for a in range(0, g, _STRIP):
             cols = slice(a, min(a + _STRIP, g))

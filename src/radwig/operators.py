@@ -191,8 +191,11 @@ def expectation(kind: str, psi) -> complex:
     ``kind`` names the operator: "PD", "Pr", "V" (vbar) or "R" (r); any
     other name raises DomainError.  For the Hermitian kinds (Pr, V, R)
     the imaginary part is asserted below 1e-9 and the full complex value
-    returned.  The expectation of a scale displacement D(lam, mu) is the
-    inner product of ``psi`` with :func:`apply_displacement`'s result.
+    returned; for Pr on r-basis samples the error names the boundary
+    terms r^2 |psi|^2 / 2 at the first and last radius, which is what an
+    imaginary part there measures.  The expectation of a scale
+    displacement D(lam, mu) is the inner product of ``psi`` with
+    :func:`apply_displacement`'s result.
     """
     if kind != "PD" and kind not in _HERMITIAN_KINDS:
         raise DomainError(f"unknown operator kind {kind!r}")
@@ -203,7 +206,15 @@ def expectation(kind: str, psi) -> complex:
         val = np.trapezoid(psi.r * np.conj(psi.samples) * acted, psi.r)
     val = complex(val)
     if kind in _HERMITIAN_KINDS and abs(val.imag) > 1e-9:
-        raise ValidationError(
-            f"expectation of Hermitian {kind} has imaginary part "
-            f"{val.imag:.3e}")
+        msg = f"expectation of Hermitian {kind} has imaginary part {val.imag:.3e}"
+        if kind == "Pr" and isinstance(psi, WavefunctionR):
+            # in r dr, Im <psi| -i (r d/dr + 1) |psi> is the boundary term
+            # r^2 |psi|^2 / 2 at the first radius less the one at the last
+            edges = [0, -1]
+            first, last = (psi.r[edges] * np.abs(psi.samples[edges])) ** 2 / 2
+            msg += (f": the boundary term r^2 |psi|^2 / 2 is {first:.3e} at the "
+                    f"first radius r_min = {psi.r[0]:g} and {last:.3e} at the "
+                    f"last, r_max = {psi.r[-1]:g}; start the radii nearer 0 "
+                    "and end them where psi has decayed")
+        raise ValidationError(msg)
     return val

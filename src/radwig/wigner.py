@@ -9,7 +9,11 @@ Two independent routes produce the same distribution:
                         <gamma + eps/2| rho |gamma - eps/2>,
 
   by gathering anti-diagonal slices of the sampled kernel, folding each
-  Hermitian slice onto eps >= 0 and transforming it in real products.
+  Hermitian slice onto eps >= 0 and transforming it in real products:
+  a cosine product always, and a sine product only for a complex
+  kernel.  A kernel whose input carries no imaginary part (any
+  oscillator level, any mixture of real states) is stored as float64,
+  so it is gathered real and its sine half, exactly 0, is never formed.
   A slice through an odd or even anti-diagonal only has samples at odd
   or even multiples of the spacing, so the rows go in those two classes,
   each on the columns it fills.
@@ -156,6 +160,7 @@ def _flush_tiny(a: np.ndarray) -> np.ndarray:
 class _DensityMatrix:
     """A validated density matrix, the one contract of every basis.
 
+    Real input is stored as float64 and anything else as complex128.
     Construction checks the ``(dim, dim)`` shape and runs
     :func:`validate_density_matrix`, keeping its Hermiticity residual as
     ``meta["hermiticity_residual"]``; ``trace`` and :meth:`min_eigenvalue`
@@ -165,7 +170,8 @@ class _DensityMatrix:
     def __init__(self, entries, dim: int, *, spacing: float = 1.0,
                  trace_tol: float = 1e-10, label=None,
                  what: str = "density matrix", meta=None):
-        entries = np.asarray(entries, dtype=complex)
+        entries = np.asarray(
+            entries, dtype=complex if np.iscomplexobj(entries) else float)
         if entries.shape != (dim, dim):
             raise ValidationError(
                 f"{what} entries shape {entries.shape} does not match "
@@ -190,7 +196,9 @@ class DensityMatrixV(_DensityMatrix):
     """Hermitian density-matrix kernel sampled on a log-radius grid.
 
     ``entries[i, j]`` holds <vbar_i| rho |vbar_j>; the trace convention is
-    sum(diagonal) * spacing == 1, validated to 1e-8.
+    sum(diagonal) * spacing == 1, validated to 1e-8.  The entries are
+    float64 when the kernel is real (a real symmetric matrix) and
+    complex128 otherwise.
     """
 
     def __init__(self, grid: Grid1D, entries, *, trace_tol=1e-8, meta=None):
@@ -207,7 +215,9 @@ class DensityMatrixV(_DensityMatrix):
     def from_mixture(cls, weights, states) -> "DensityMatrixV":
         """Convex mixture of pure states on a common grid, one weight per
         state: one product (S^T w) S^* of the normalised sample stack S,
-        its tails zeroed below sqrt(tiny) (see :func:`_flush_tiny`)."""
+        its tails zeroed below sqrt(tiny) (see :func:`_flush_tiny`).  If no
+        sample of S has a nonzero imaginary part, the product is taken
+        over Re S and the kernel is float64."""
         weights = np.asarray(weights, dtype=float)
         if len(states) == 0 or weights.shape != (len(states),):
             raise ValidationError(
@@ -220,6 +230,8 @@ class DensityMatrixV(_DensityMatrix):
             raise GridMismatchError("mixture states must share one grid")
         stack = _flush_tiny(np.array([psi.samples / np.sqrt(psi.norm())
                                       for psi in states]))
+        if not stack.imag.any():
+            stack = stack.real
         return cls(grid, (stack.T * weights) @ stack.conj())
 
 
@@ -272,13 +284,17 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     f(tau) = <gamma + tau/2| rho |gamma - tau/2> is folded onto tau >= 0 as
     g = f(tau) + f(-tau)^* (g(0) halved), and
     Re g cos(tau delta) + Im g sin(tau delta) is summed by two real
-    products: the real part of the two-sided sum.  The slice through
-    anti-diagonal s = i + j of the n x n samples only holds tau = i - j of
-    the parity of s, so the rows go in two parity classes, each gathered
-    on its ceil((n - p) / 2) columns tau = p, p + 2, ... with cosine and
-    sine tables over those tau alone; the gathered slices are zeroed below
-    sqrt(tiny) first (see :func:`_flush_tiny`).  Hermiticity was checked
-    at construction; its residual is copied into ``meta``.
+    products: the real part of the two-sided sum.  The slices are
+    gathered in the dtype of ``rho.entries``; for a real (float64) kernel
+    Im g is 0 and only the cosine product runs, with the same result to
+    the bit as the complex route on the kernel cast to complex.  The
+    slice through anti-diagonal s = i + j of the n x n samples only holds
+    tau = i - j of the parity of s, so the rows go in two parity classes,
+    each gathered on its ceil((n - p) / 2) columns tau = p, p + 2, ...
+    with a cosine table (and a sine table for a complex kernel) over
+    those tau alone; the gathered slices are zeroed below sqrt(tiny)
+    first (see :func:`_flush_tiny`).  Hermiticity was checked at
+    construction; its residual is copied into ``meta``.
 
     Sampled at tau spacing 2h, each class yields W(delta) + W(delta +- pi/h)
     + ..., so a delta past the band limit pi/(2h) raises DomainError.
@@ -311,7 +327,7 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     for p in np.unique(s_idx % 2):
         rows = np.flatnonzero(s_idx % 2 == p)
         tau = np.arange(p, n, 2)
-        gather = np.zeros((rows.size, tau.size), dtype=complex)
+        gather = np.zeros((rows.size, tau.size), dtype=rho.entries.dtype)
         for k, s in enumerate(s_idx[rows]):
             a = np.arange((s + 1) // 2, min(n - 1, s) + 1)
             b = s - a
@@ -320,8 +336,10 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
             gather[:, 0] *= 0.5
         _flush_tiny(gather)
         arg = np.outer(tau * h, delta_grid.points)
-        values[rows] = (h / np.pi) * (gather.real @ np.cos(arg)
-                                      + gather.imag @ np.sin(arg))
+        w = gather.real @ np.cos(arg)
+        if np.iscomplexobj(gather):
+            w += gather.imag @ np.sin(arg)
+        values[rows] = (h / np.pi) * w
     meta = {"route": "density-matrix", "overlap_factor": OVERLAP_FACTOR}
     meta.update({k: rho.meta[k] for k in ("hermiticity_residual", "l")
                  if k in rho.meta})
@@ -401,7 +419,8 @@ def wigner_l0_grid(l: int, gamma_grid: Grid1D, delta_grid: Grid1D, *,
     deltas = delta_grid.points
     step, counts = _ladder(l, gammas, float(np.abs(deltas).max()))
     eps = np.arange(counts.max()) * step
-    kernel = np.cos(2.0 * np.outer(eps, deltas))
+    kernel = np.outer(eps, 2.0 * deltas)
+    np.cos(kernel, out=kernel)      # in place: one table, not two at once
     values = np.empty((gammas.size, deltas.size))
     order = np.argsort(counts, kind="stable")
     for a in range(0, order.size, _LADDER_STRIP):

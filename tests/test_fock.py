@@ -194,6 +194,24 @@ def test_radial_reduce_diagonal_mixture():
     assert herm < 1e-12
 
 
+def test_radial_reduce_of_a_level_mixture_is_real():
+    # every m = 0 block is real, so the kernel is float64, and its W is
+    # the complex route's on the same kernel cast to complex, bitwise
+    n_max = 10
+    tmp = SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max)
+    entries = np.zeros_like(tmp.entries)
+    weights = np.random.default_rng(10).dirichlet(np.ones(n_max + 1))
+    for w, l in zip(weights, range(n_max + 1)):
+        i = tmp.index(SchwingerLabel(l, 0))
+        entries[i, i] = w
+    rho_v = radial_reduce(SchwingerDensityMatrix(n_max, entries))
+    assert rho_v.entries.dtype == np.float64
+    cast = DensityMatrixV(rho_v.grid, rho_v.entries.astype(complex))
+    assert np.array_equal(wigner_from_density(rho_v, GAMMA, DELTA).values,
+                          wigner_from_density(cast, GAMMA, DELTA).values)
+    assert radial_reduce(tmp).entries.dtype == np.float64
+
+
 def test_radial_reduce_cross_sector_coherence():
     # (|l=0,m=0> + |l=1,m=0>)/sqrt(2) keeps its m=0 coherence through the
     # angular trace
@@ -232,6 +250,7 @@ def test_radial_reduce_folds_both_signs_of_m(two_m):
     grid = default_vbar_grid()
     rho_v = radial_reduce(rho_s, grid)
     ref = per_block_radial_kernel(rho_s, grid)
+    assert rho_v.entries.dtype == np.complex128     # complex blocks
     assert np.abs(rho_v.entries - ref).max() < 1e-12
     assert rho_v.meta["m_values"] == [-two_m / 2, two_m / 2]
 

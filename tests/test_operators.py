@@ -3,7 +3,8 @@ import pytest
 from scipy.special import erf
 
 from radwig import (BasisMismatchError, DomainError, Grid1D, SchwingerLabel, TruncationError, TruncationWarning,
-                    WavefunctionR, WavefunctionV, apply_displacement, apply_pd,
+                    ValidationError, WavefunctionR, WavefunctionV,
+                    apply_displacement, apply_pd,
                     apply_pr, dilaton_coherent, dilaton_vacuum, expectation,
                     momentum_transform, radial_wavefunction,
                     vbar_schwinger_l0)
@@ -60,7 +61,6 @@ def test_pd_requires_r_basis_and_enough_points():
     with pytest.raises(BasisMismatchError):
         apply_pd(make_vacuum())
     tiny = WavefunctionR(np.linspace(1.0, 2.0, 4), np.ones(4), norm_tol=None)
-    from radwig import ValidationError
     with pytest.raises(ValidationError):
         apply_pd(tiny)
 
@@ -272,6 +272,19 @@ def test_expectation_on_r_basis_states(l, m, mean_r):
     val = expectation("R", psi)
     assert val.imag == 0.0
     assert val.real == pytest.approx(mean_r, abs=2e-9)
+
+
+def test_pr_expectation_error_names_the_first_radius():
+    # for m = 0, R(0) = sqrt(2): the boundary term r^2 |psi|^2 / 2 at the
+    # first radius 0.001 is 1e-6, above the 1e-9 imaginary-part threshold
+    r = np.linspace(0.001, 12.0, 12000)
+    psi = WavefunctionR(r, radial_wavefunction(SchwingerLabel(0, 0), r),
+                        norm_tol=1e-5)
+    with pytest.raises(ValidationError,
+                       match=r"boundary term r\^2 \|psi\|\^2 / 2 is 1\.000e-06 at "
+                             r"the first radius r_min = 0\.001 .*start the "
+                             r"radii nearer 0"):
+        expectation("Pr", psi)
 
 
 def test_expectation_of_log_radius_on_r_basis_state():

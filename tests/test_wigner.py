@@ -125,6 +125,35 @@ def test_mixture_is_the_weighted_sum_of_outer_products():
     assert np.abs(pure.entries - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+def test_real_states_store_a_real_kernel():
+    # a real sample stack gives a float64 kernel; a phase e^{iv} on one
+    # state of the mixture keeps it complex128
+    for l in (0, 3):
+        assert schwinger_density(l).entries.dtype == np.float64
+    grid = default_vbar_grid()
+    v = grid.points
+    psi2 = WavefunctionV(grid, vbar_schwinger_l0(2, v))
+    psi5 = vbar_schwinger_l0(5, v)
+    real = DensityMatrixV.from_mixture(
+        [0.3, 0.7], [psi2, WavefunctionV(grid, psi5)])
+    assert real.entries.dtype == np.float64
+    phased = DensityMatrixV.from_mixture(
+        [0.3, 0.7], [psi2, WavefunctionV(grid, psi5 * np.exp(1j * v))])
+    assert phased.entries.dtype == np.complex128
+
+
+@pytest.mark.parametrize("l", [0, 3, 16])
+def test_real_kernel_w_equals_its_complex_cast(l):
+    # the cosine-only route of a real kernel is the complex route with its
+    # sine half exactly 0
+    rho = schwinger_density(l)
+    cast = DensityMatrixV(rho.grid, rho.entries.astype(complex))
+    assert (rho.entries.dtype, cast.entries.dtype) == (np.float64,
+                                                       np.complex128)
+    assert np.array_equal(wigner_from_density(rho, GAMMA, DELTA).values,
+                          wigner_from_density(cast, GAMMA, DELTA).values)
+
+
 @pytest.mark.parametrize("weights, n_states", [
     ([0.4, 0.6], 3), ([1.0], 2), ([0.4, 0.6], 1), ([1.0], 0), ([], 0)],
     ids=["fewer-weights", "one-weight", "more-weights", "no-states",
@@ -246,8 +275,10 @@ def test_planted_subnormal_entries_move_w_within_the_flush_bound():
     # below _FLUSH and are zeroed, and W = (h/pi) (Re g cos + Im g sin)
     # moves by at most the bound of wigner._flush_tiny, 2 K _FLUSH h/pi
     # for K <= n gathered columns and |cos|, |sin| <= 1
+    # the level-1 kernel is real; plant into a complex copy, so that the
+    # complex values keep their imaginary parts and the sine half runs
     grid = Grid1D(-9.5, 4.0, 136)
-    base = schwinger_density(1, grid).entries
+    base = schwinger_density(1, grid).entries.astype(complex)
     rng = np.random.default_rng(5)
     i, j = rng.choice(grid.n_points, size=(2, 40))
     values = rng.choice([5e-320, 1e-200 + 3e-310j, 7e-160j, -2e-170], size=40)
