@@ -50,7 +50,7 @@ class FockDensityMatrix(_DensityMatrix):
     construction; positivity via :meth:`min_eigenvalue`.
     """
 
-    def __init__(self, n_max: int, entries, *, meta=None):
+    def __init__(self, n_max: int, entries):
         n_max = _check_cutoff(n_max, MAX_FOCK_CUTOFF)
         side = n_max + 1
 
@@ -59,7 +59,7 @@ class FockDensityMatrix(_DensityMatrix):
                 *divmod(row, side), *divmod(col, side))
 
         super().__init__(entries, side ** 2, label=label,
-                         what="Fock density matrix", meta=meta)
+                         what="Fock density matrix")
         self.n_max = n_max
 
     @classmethod
@@ -117,10 +117,10 @@ class SchwingerDensityMatrix(_DensityMatrix):
     cutoff whose radial rows :func:`radial_reduce` can expand.
     """
 
-    def __init__(self, n_max: int, entries, *, meta=None):
+    def __init__(self, n_max: int, entries):
         n_max = _check_cutoff(n_max, MAX_DEGREE)
         super().__init__(entries, _schwinger_dim(n_max),
-                         what="Schwinger density matrix", meta=meta)
+                         what="Schwinger density matrix")
         self.n_max = n_max
 
     @property
@@ -200,8 +200,9 @@ def fock_to_schwinger(rho: FockDensityMatrix) -> SchwingerDensityMatrix:
     no dense map is formed.
     Coherences between different totals are carried along unchanged in
     structure.  Trace and spectrum are preserved because every B_T is an
-    isometry.  Rounding asymmetry is averaged away one row strip at a
-    time.
+    isometry.  The result is stored as computed, not re-symmetrised: its
+    rounding asymmetry is measured as ``meta["hermiticity_residual"]``,
+    and :func:`radial_reduce` reads the Hermitian part of each block.
     """
     n_max = rho.n_max
     blocks = [sector_isometry(t, n_max) for t in range(2 * n_max + 1)]
@@ -220,14 +221,7 @@ def fock_to_schwinger(rho: FockDensityMatrix) -> SchwingerDensityMatrix:
         entries[:, s_off[t]:s_off[t + 1]] = \
             left[:, f_off[t]:f_off[t + 1]] @ b.conj().T
     del left
-    for a, b in zip(s_off[:-1], s_off[1:]):
-        strip = entries[a:b, a:] + entries[a:, a:b].conj().T
-        strip *= 0.5
-        entries[a:b, a:] = strip
-        entries[a:, a:b] = strip.conj().T
-    out = SchwingerDensityMatrix(n_max, entries, meta=dict(rho.meta))
-    out.meta["source"] = "fock"
-    return out
+    return SchwingerDensityMatrix(n_max, entries)
 
 
 def radial_reduce(rho_s: SchwingerDensityMatrix,
@@ -241,7 +235,8 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
 
     with the radial eigenfunctions rescaled into the log-radius basis.
     R_{l,m} depends on m only through alpha = |2m|, so m and -m share
-    their rows and enter through one block C_{+m} + C_{-m} per alpha.
+    their rows and enter through one block C_{+m} + C_{-m} per alpha,
+    each C_m read as its exactly Hermitian part (C_m + C_m^dag) / 2.
     The basis rows of every alpha are exponentiated from the log-domain
     producer straight into one real matrix Phi (N rows x grid points;
     N = 961 at n_max = 30, against 1891 labels), its tails zeroed below
@@ -275,6 +270,7 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
             idx = [_schwinger_flat(alpha + 2 * k, k + max(two_m, 0))
                    for k in range((2 * n_max - alpha) // 2 + 1)]
             part = rho_s.entries[np.ix_(idx, idx)]
+            part = 0.5 * (part + part.conj().T)
             if np.abs(part).max() != 0.0:
                 two_ms.append(two_m)
                 parts.append(part)
@@ -343,7 +339,9 @@ def end_to_end(rho: FockDensityMatrix, gamma_grid: Grid1D, delta_grid: Grid1D,
     return w
 
 
-_ENTRY_INT_FIELDS = ("nx", "ny", "nxp", "nyp")
+# entry field -> (accepted types, their name); occupations are range-checked
+_ENTRY_FIELDS = {f: (int, "an integer") for f in ("nx", "ny", "nxp", "nyp")} \
+    | {f: ((int, float), "a number") for f in ("re", "im")}
 
 
 def load_fock_density(path) -> FockDensityMatrix:
@@ -378,20 +376,15 @@ def load_fock_density(path) -> FockDensityMatrix:
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise SchemaError(f"entries[{i}]: expected an object, got {type(item).__name__}")
-        for f in _ENTRY_INT_FIELDS:
+        for f, (kinds, noun) in _ENTRY_FIELDS.items():
             if f not in item:
                 raise SchemaError(f"entries[{i}]: missing field '{f}'")
             val = item[f]
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise SchemaError(f"entries[{i}]: field '{f}' must be an integer")
-            if not 0 <= val <= n_max:
+            if not isinstance(val, kinds) or isinstance(val, bool):
+                raise SchemaError(f"entries[{i}]: field '{f}' must be {noun}")
+            if kinds is int and not 0 <= val <= n_max:
                 raise SchemaError(
                     f"entries[{i}]: field '{f}' = {val} outside [0, {n_max}]")
-        for f in ("re", "im"):
-            if f not in item:
-                raise SchemaError(f"entries[{i}]: missing field '{f}'")
-            if not isinstance(item[f], (int, float)) or isinstance(item[f], bool):
-                raise SchemaError(f"entries[{i}]: field '{f}' must be a number")
         key = (item["nx"], item["ny"], item["nxp"], item["nyp"])
         if key in seen:
             raise SchemaError(

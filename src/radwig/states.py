@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (BasisMismatchError, DomainError, TruncationWarning,
-                     ValidationError)
+from .errors import (BasisMismatchError, DomainError, TruncationError,
+                     TruncationWarning, ValidationError)
 from .grids import Grid1D
 from .special import (_check_degree_order, _last_log, _scaled_recurrence,
                       log_factorial)
@@ -268,20 +268,25 @@ def dilaton_coherent(alpha: complex, grid: Grid1D) -> WavefunctionV:
 
     with v0 = sqrt(2) Re alpha and p0 = sqrt(2) Im alpha, so
     <vbar> = v0, <P> = p0 and both spreads equal 1/sqrt(2).  Warns if the
-    grid holds less than 1 - 1e-8 of the probability; a one-point grid
-    holds no normalisable state and raises DomainError.
+    grid holds less than 1 - 1e-8 of the probability and raises
+    TruncationError below 1/2; a non-finite alpha, or a one-point grid
+    (no normalisable state), raises DomainError.
     """
     if grid.n_points < 2:
         raise DomainError(f"a coherent state needs at least two grid "
                           f"points, got one at {grid.min}")
     alpha = complex(alpha)
+    if not np.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
     v0 = _SQRT2 * alpha.real
     p0 = _SQRT2 * alpha.imag
     lost = 0.5 * (math.erfc(grid.max - v0) + math.erfc(v0 - grid.min))
     if lost > 1e-8:
-        warnings.warn(
-            f"grid [{grid.min}, {grid.max}] holds only {1 - lost:.10f} of the "
-            "coherent-state probability", TruncationWarning, stacklevel=2)
+        msg = (f"grid [{grid.min}, {grid.max}] holds only {1 - lost:.10f} "
+               "of the coherent-state probability")
+        if lost > 0.5:
+            raise TruncationError(msg, lost_mass=lost)
+        warnings.warn(msg, TruncationWarning, stacklevel=2)
     v = grid.points
     samples = _VACUUM_NORM * np.exp(1j * p0 * (v - v0 / 2.0) - (v - v0) ** 2 / 2.0)
     tol = max(1e-6, 10.0 * lost)

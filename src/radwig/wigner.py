@@ -162,24 +162,24 @@ class _DensityMatrix:
 
     Real input is stored as float64 and anything else as complex128.
     Construction checks the ``(dim, dim)`` shape and runs
-    :func:`validate_density_matrix`, keeping its Hermiticity residual as
+    :func:`validate_density_matrix`.  Hermiticity is measured, not imposed:
+    the entries are stored as given, their residual in
     ``meta["hermiticity_residual"]``; ``trace`` and :meth:`min_eigenvalue`
     are scaled by ``spacing``, which is 1 in a discrete basis.
     """
 
     def __init__(self, entries, dim: int, *, spacing: float = 1.0,
                  trace_tol: float = 1e-10, label=None,
-                 what: str = "density matrix", meta=None):
+                 what: str = "density matrix"):
         entries = np.asarray(
             entries, dtype=complex if np.iscomplexobj(entries) else float)
         if entries.shape != (dim, dim):
             raise ValidationError(
                 f"{what} entries shape {entries.shape} does not match "
                 f"dimension {dim}")
-        self.meta = dict(meta) if meta else {}
-        self.meta["hermiticity_residual"] = validate_density_matrix(
+        self.meta = {"hermiticity_residual": validate_density_matrix(
             entries, spacing=spacing, trace_tol=trace_tol, label=label,
-            what=what)
+            what=what)}
         self.entries = entries
         self._spacing = spacing
 
@@ -201,9 +201,9 @@ class DensityMatrixV(_DensityMatrix):
     complex128 otherwise.
     """
 
-    def __init__(self, grid: Grid1D, entries, *, trace_tol=1e-8, meta=None):
+    def __init__(self, grid: Grid1D, entries, *, trace_tol=1e-8):
         super().__init__(entries, grid.n_points, spacing=grid.spacing,
-                         trace_tol=trace_tol, meta=meta)
+                         trace_tol=trace_tol)
         self.grid = grid
 
     @classmethod

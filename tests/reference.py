@@ -38,6 +38,7 @@ same kernel radius (10 standard deviations) and zero padding, instead of
 the library's two matrix products.
 """
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.ndimage import gaussian_filter
@@ -98,8 +99,6 @@ def wigner_bessel_sum(k: int, alpha: int, gamma: float, delta: float) -> float:
     k and z, so a 30-digit probe first finds the largest term, |K_n|
     included, and the sum runs at 30 digits past it: about 1e-30 absolute.
     """
-    import mpmath
-
     def parts():
         z = mpmath.exp(2 * mpmath.mpf(gamma))
         nu = mpmath.mpc(0, -delta)

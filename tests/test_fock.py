@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,8 +72,8 @@ def test_every_density_type_records_its_own_residual():
     rho_v = radial_reduce(rho_s)
     assert rho_f.meta["hermiticity_residual"] == \
         pytest.approx(1e-13, rel=1e-3)
-    # the rotation re-symmetrises, so the Schwinger matrix has its own
-    # residual, not the one in the Fock input's meta
+    # each stage measures its own entries: the Schwinger matrix records
+    # the rotation's rounding asymmetry, not the Fock input's residual
     assert rho_s.meta["hermiticity_residual"] == \
         validate_density_matrix(rho_s.entries) < 1e-13
     assert rho_v.meta["hermiticity_residual"] <= 1e-10
@@ -81,6 +82,15 @@ def test_every_density_type_records_its_own_residual():
         assert rho.min_eigenvalue() >= -1e-12
     w = end_to_end(rho_f, GAMMA, DELTA)
     assert w.meta["radial_trace"] == rho_v.trace
+
+
+def test_rotation_records_its_measured_residual():
+    # the rotated matrix is stored as computed, not re-symmetrised, so its
+    # residual is the rotation's own rounding asymmetry, which is not 0
+    rho_s = fock_to_schwinger(dense_state(10, seed=1010))
+    fresh = np.abs(rho_s.entries - rho_s.entries.conj().T).max()
+    assert rho_s.meta == {"hermiticity_residual": fresh}
+    assert 0.0 < fresh < 1e-13
 
 
 def test_folded_route_matches_two_sided_on_fock_kernel():
@@ -210,6 +220,28 @@ def test_radial_reduce_of_a_level_mixture_is_real():
     assert np.array_equal(wigner_from_density(rho_v, GAMMA, DELTA).values,
                           wigner_from_density(cast, GAMMA, DELTA).values)
     assert radial_reduce(tmp).entries.dtype == np.float64
+
+
+def test_radial_reduce_takes_the_hermitian_part_of_each_block():
+    # an imaginary diagonal within the validator's tolerance is not
+    # Hermitian; the Hermitian part of each block drops it, so the kernel
+    # stays float64 and W is the clean mixture's, bitwise
+    n_max = 6
+    tmp = SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max)
+    labels = [SchwingerLabel(l, 0) for l in range(n_max + 1)] + [
+        SchwingerLabel(2, 1), SchwingerLabel(2, -1),
+        SchwingerLabel(Fraction(5, 2), Fraction(-3, 2))]
+    weights = np.random.default_rng(23).dirichlet(np.ones(len(labels)))
+    clean = np.zeros_like(tmp.entries)
+    for w, lab in zip(weights, labels):
+        clean[tmp.index(lab), tmp.index(lab)] = w
+    noisy = clean + 1e-14j * (clean != 0)
+    kernels = [radial_reduce(SchwingerDensityMatrix(n_max, e))
+               for e in (clean, noisy)]
+    assert kernels[1].entries.dtype == np.float64
+    assert kernels[1].meta["m_values"] == kernels[0].meta["m_values"]
+    assert np.array_equal(wigner_from_density(kernels[1], GAMMA, DELTA).values,
+                          wigner_from_density(kernels[0], GAMMA, DELTA).values)
 
 
 def test_radial_reduce_cross_sector_coherence():

@@ -320,6 +320,22 @@ def test_coherent_bad_alpha(tmp_path):
                  "--out", str(tmp_path / "c.csv")]) == 2
 
 
+@pytest.mark.parametrize("alpha, code, prefix", [
+    ("1e200", 1, "numerical error: grid"),  # the grid holds none of the state
+    ("nan", 2, "error: alpha"),
+    ("inf", 2, "error: alpha"),
+])
+def test_coherent_unusable_alpha_is_one_error_line(tmp_path, alpha, code,
+                                                   prefix):
+    proc = _run_python("-m", "radwig.cli", "coherent", "--alpha", alpha,
+                       "--grid", "-3:3:101", "--out", str(tmp_path / "c.csv"),
+                       check=False)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+    assert os.listdir(tmp_path) == []
+
+
 def test_library_warning_prints_one_warning_line(tmp_path):
     proc = _run_python("-m", "radwig.cli", "coherent", "--alpha",
                        "-0.5+0.3j", "--grid", "-3:3:101",

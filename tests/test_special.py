@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -75,7 +76,6 @@ def test_log_sign_consistency():
 
 
 def test_log_form_survives_huge_arguments():
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 60
     for x in (600.0, 3000.0, math.exp(10)):
         out = laguerre_assoc(64, 0.0, x)
@@ -90,7 +90,6 @@ def test_log_form_survives_huge_arguments():
 # L_n^alpha(x) is its leading term (-x)^n / n!, to a relative n (n + alpha) / x
 @pytest.mark.parametrize("x", [1e155, 1e200, 1e308])
 def test_far_arguments_take_the_leading_term(x):
-    mpmath = pytest.importorskip("mpmath")
     for n, alpha in ((0, 2.0), (1, 0.0), (2, 0.0), (7, 3.0), (64, 5.0)):
         out = laguerre_assoc(n, alpha, x)
         with mpmath.workdps(60):

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from radwig import (BasisMismatchError, DomainError, Grid1D, SchwingerLabel,
-                    TruncationWarning, ValidationError, WavefunctionR, WavefunctionV,
+                    TruncationError, TruncationWarning, ValidationError,
+                    WavefunctionR, WavefunctionV,
                     apply_displacement, default_vbar_grid, dilaton_coherent,
                     dilaton_vacuum, radial_wavefunction, to_vbar,
                     vbar_schwinger_l0)
@@ -220,8 +221,30 @@ def test_coherent_momentum_expectation_spectral_oracle():
 
 
 def test_coherent_truncation_warning():
+    # lost = 0.404: past the 1e-8 warning rule, short of the 1/2 error rule
     with pytest.warns(TruncationWarning):
-        dilaton_coherent(2.0, Grid1D(-3.0, 3.0, 301))
+        psi = dilaton_coherent(2.0, Grid1D(-3.0, 3.0, 301))
+    assert psi.meta["lost_mass"] == pytest.approx(0.404, abs=1e-3)
+
+
+@pytest.mark.parametrize("alpha", [1e200, -1e200, 5.0])
+def test_coherent_off_the_grid_raises(alpha):
+    # the grid holds less than half the state: an error, not a warning
+    # followed by samples that are all zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationError, match="holds only") as info:
+            dilaton_coherent(alpha, Grid1D(-3.0, 3.0, 101))
+    assert info.value.lost_mass > 0.5
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"),
+                                   complex(0.0, float("-inf"))])
+def test_coherent_rejects_a_non_finite_alpha(alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            dilaton_coherent(alpha, Grid1D(-3.0, 3.0, 101))
 
 
 # ------------------------------------------------------------ validation

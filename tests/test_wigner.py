@@ -451,7 +451,6 @@ BESSEL_POINTS = [(-32.0, 0.0), (-9.0, 8.0), (-2.5, -3.0), (0.0, 0.5),
 
 @pytest.mark.parametrize("l", [0, 1, 4, 16, 32, 64])
 def test_closed_form_matches_bessel_sum(l):
-    pytest.importorskip("mpmath")
     for gamma, delta in BESSEL_POINTS:
         w = wigner_l0_grid(l, Grid1D(gamma, gamma, 1), Grid1D(delta, delta, 1),
                            allow_deep_tail=True).values[0, 0]
@@ -464,7 +463,6 @@ def test_closed_form_matches_bessel_sum(l):
                                   (2, 1), (Fraction(7, 2), Fraction(5, 2)),
                                   (5, -3)])
 def test_density_route_matches_bessel_sum_off_m0(l, m):
-    pytest.importorskip("mpmath")
     label = SchwingerLabel(l, m)
     grid = default_vbar_grid()
     psi = to_vbar(lambda r: radial_wavefunction(label, r), grid)
