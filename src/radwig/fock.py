@@ -193,16 +193,16 @@ def fock_to_schwinger(rho: FockDensityMatrix) -> SchwingerDensityMatrix:
     """Rotate a cartesian Fock density matrix into angular-momentum labels.
 
     The change of basis B is block diagonal in the total quantum number T,
-    with the blocks B_T of :func:`sector_isometry`.  The Fock matrix is
-    gathered once into total-sorted order (the Schwinger labels are
-    stored in that order already), one sector's rows at a time; B_T acts
-    on the row strip of sector T, then B_T^dag on its column strip, so
-    no dense map is formed.
-    Coherences between different totals are carried along unchanged in
-    structure.  Trace and spectrum are preserved because every B_T is an
-    isometry.  The result is stored as computed, not re-symmetrised: its
-    rounding asymmetry is measured as ``meta["hermiticity_residual"]``,
-    and :func:`radial_reduce` reads the Hermitian part of each block.
+    with the blocks B_T of :func:`sector_isometry`.  The Hermitian part
+    H = (rho + rho^dag) / 2 of the Fock matrix is gathered into
+    total-sorted order (the Schwinger labels are stored in that order),
+    one sector's rows at a time; B_T acts on the row strip of sector T,
+    then B_T^dag on its column strip, so no dense map is formed.
+    Coherences between different totals keep their structure.  Trace and
+    spectrum are preserved because every B_T is an isometry.  B H B^dag is
+    stored as computed, so its ``meta["hermiticity_residual"]`` measures
+    the rotation's own rounding; :func:`radial_reduce` reads the Hermitian
+    part of each block.
     """
     n_max = rho.n_max
     blocks = [sector_isometry(t, n_max) for t in range(2 * n_max + 1)]
@@ -212,11 +212,13 @@ def fock_to_schwinger(rho: FockDensityMatrix) -> SchwingerDensityMatrix:
     s_off = np.cumsum([0] + [b.shape[0] for b in blocks])
     dim_s = _schwinger_dim(n_max)
 
-    left = np.empty((dim_s, order.size), dtype=complex)      # B rho
+    left = np.empty((dim_s, order.size), dtype=complex)      # B H
     for t, b in enumerate(blocks):
-        rows = rho.entries[np.ix_(order[f_off[t]:f_off[t + 1]], order)]
+        sector = order[f_off[t]:f_off[t + 1]]
+        rows = 0.5 * (rho.entries[np.ix_(sector, order)]
+                      + rho.entries[np.ix_(order, sector)].conj().T)
         np.matmul(b, rows, out=left[s_off[t]:s_off[t + 1]])
-    entries = np.empty((dim_s, dim_s), dtype=complex)        # B rho B^dag
+    entries = np.empty((dim_s, dim_s), dtype=complex)        # B H B^dag
     for t, b in enumerate(blocks):
         entries[:, s_off[t]:s_off[t + 1]] = \
             left[:, f_off[t]:f_off[t + 1]] @ b.conj().T
@@ -339,9 +341,10 @@ def end_to_end(rho: FockDensityMatrix, gamma_grid: Grid1D, delta_grid: Grid1D,
     return w
 
 
-# entry field -> (accepted types, their name); occupations are range-checked
-_ENTRY_FIELDS = {f: (int, "an integer") for f in ("nx", "ny", "nxp", "nyp")} \
-    | {f: ((int, float), "a number") for f in ("re", "im")}
+_ENTRY_INT_FIELDS = ("nx", "ny", "nxp", "nyp")      # occupations, range-checked
+# entry field -> (accepted types, their name)
+_ENTRY_FIELDS = dict.fromkeys(_ENTRY_INT_FIELDS, (int, "an integer")) \
+    | dict.fromkeys(("re", "im"), ((int, float), "a number"))
 
 
 def load_fock_density(path) -> FockDensityMatrix:
@@ -382,7 +385,7 @@ def load_fock_density(path) -> FockDensityMatrix:
             val = item[f]
             if not isinstance(val, kinds) or isinstance(val, bool):
                 raise SchemaError(f"entries[{i}]: field '{f}' must be {noun}")
-            if kinds is int and not 0 <= val <= n_max:
+            if f in _ENTRY_INT_FIELDS and not 0 <= val <= n_max:
                 raise SchemaError(
                     f"entries[{i}]: field '{f}' = {val} outside [0, {n_max}]")
         key = (item["nx"], item["ny"], item["nxp"], item["nyp"])

@@ -33,7 +33,7 @@ __all__ = [
     "dilaton_vacuum", "dilaton_coherent", "default_vbar_grid",
 ]
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
 _VACUUM_NORM = np.pi ** -0.25
 
 
@@ -269,17 +269,17 @@ def dilaton_coherent(alpha: complex, grid: Grid1D) -> WavefunctionV:
     with v0 = sqrt(2) Re alpha and p0 = sqrt(2) Im alpha, so
     <vbar> = v0, <P> = p0 and both spreads equal 1/sqrt(2).  Warns if the
     grid holds less than 1 - 1e-8 of the probability and raises
-    TruncationError below 1/2; a non-finite alpha, or a one-point grid
-    (no normalisable state), raises DomainError.
+    TruncationError below 1/2; an alpha whose v0 or p0 is not finite, or
+    a one-point grid (no normalisable state), raises DomainError.
     """
     if grid.n_points < 2:
         raise DomainError(f"a coherent state needs at least two grid "
                           f"points, got one at {grid.min}")
     alpha = complex(alpha)
-    if not np.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha!r}")
     v0 = _SQRT2 * alpha.real
     p0 = _SQRT2 * alpha.imag
+    if not (math.isfinite(v0) and math.isfinite(p0)):
+        raise DomainError(f"alpha and sqrt(2) alpha must be finite, got {alpha!r}")
     lost = 0.5 * (math.erfc(grid.max - v0) + math.erfc(v0 - grid.min))
     if lost > 1e-8:
         msg = (f"grid [{grid.min}, {grid.max}] holds only {1 - lost:.10f} "

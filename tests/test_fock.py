@@ -72,10 +72,11 @@ def test_every_density_type_records_its_own_residual():
     rho_v = radial_reduce(rho_s)
     assert rho_f.meta["hermiticity_residual"] == \
         pytest.approx(1e-13, rel=1e-3)
-    # each stage measures its own entries: the Schwinger matrix records
-    # the rotation's rounding asymmetry, not the Fock input's residual
+    # each stage measures its own entries: the rotation acts on the Fock
+    # input's Hermitian part, so the Schwinger matrix records only the
+    # rotation's rounding asymmetry, not the 1e-13 planted in the input
     assert rho_s.meta["hermiticity_residual"] == \
-        validate_density_matrix(rho_s.entries) < 1e-13
+        validate_density_matrix(rho_s.entries) < 1e-15
     assert rho_v.meta["hermiticity_residual"] <= 1e-10
     for rho in (rho_f, rho_s):
         assert rho.trace == pytest.approx(1.0, abs=1e-12)
@@ -91,6 +92,23 @@ def test_rotation_records_its_measured_residual():
     fresh = np.abs(rho_s.entries - rho_s.entries.conj().T).max()
     assert rho_s.meta == {"hermiticity_residual": fresh}
     assert 0.0 < fresh < 1e-13
+
+
+def test_rotation_takes_the_hermitian_part_of_its_input():
+    # an anti-Hermitian error inside the Fock tolerance must not be carried
+    # through the rotation, where it can grow: this block reads 0.7e-10 in
+    # Fock labels but would land as 0.7e-10j on a Schwinger diagonal entry,
+    # a residual of 1.4e-10
+    e = 0.7e-10
+    clean = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
+    noisy = clean.copy()
+    noisy[1:3, 1:3] += 0.5 * e * np.array([[1j, 1], [-1, 1j]])
+    rho_f = FockDensityMatrix(1, noisy)
+    assert rho_f.meta["hermiticity_residual"] == pytest.approx(e)
+    assert fock_to_schwinger(rho_f).meta["hermiticity_residual"] < 1e-15
+    assert np.array_equal(
+        end_to_end(rho_f, GAMMA, DELTA).values,
+        end_to_end(FockDensityMatrix(1, clean), GAMMA, DELTA).values)
 
 
 def test_folded_route_matches_two_sided_on_fock_kernel():

@@ -239,11 +239,12 @@ def test_coherent_off_the_grid_raises(alpha):
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"),
-                                   complex(0.0, float("-inf"))])
+                                   complex(0.0, float("-inf")), 1.5e308j])
 def test_coherent_rejects_a_non_finite_alpha(alpha):
+    # 1.5e308j is finite, but p0 = sqrt(2) Im alpha overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="alpha must be finite"):
+        with pytest.raises(DomainError, match="sqrt\\(2\\) alpha must be finite"):
             dilaton_coherent(alpha, Grid1D(-3.0, 3.0, 101))
 
 
