@@ -11,6 +11,11 @@ their two blocks are summed first), whose rows come from the one
 radial-eigenfunction producer of :mod:`radwig.states`.  The result
 feeds straight into :func:`radwig.wigner.wigner_from_density`.
 
+:func:`fock_to_schwinger` forms the whole angular-momentum matrix, and
+:func:`radial_reduce` reads its equal-m blocks.  :func:`end_to_end`
+rotates only those blocks, from the half-rotated rows, so the angle
+trace never pays for the coherences it removes.
+
 The sector blocks are built from exact integer coefficients, so the
 whole chain holds to rounding at every cutoff up to ``MAX_FOCK_CUTOFF``.
 """
@@ -29,7 +34,7 @@ from .grids import Grid1D
 from .special import MAX_DEGREE, log_factorial
 from .states import SchwingerLabel, _radial_rows, default_vbar_grid
 from .wigner import (_STRIP, DensityMatrixV, WignerGrid, _DensityMatrix,
-                     _flush_tiny, wigner_from_density)
+                     _flush_tiny, _validate_blocks, wigner_from_density)
 
 __all__ = [
     "FockDensityMatrix", "SchwingerDensityMatrix", "fock_to_schwinger",
@@ -107,29 +112,42 @@ def _schwinger_flat(total: int, n_plus: int) -> int:
     return total * (total + 1) // 2 + n_plus
 
 
+def _schwinger_sector(index: int) -> tuple[int, int]:
+    """(total, n_plus) of the label stored at flat Schwinger ``index``."""
+    total = (math.isqrt(8 * index + 1) - 1) // 2
+    return total, index - _schwinger_flat(total, 0)
+
+
+def _schwinger_label(index: int) -> SchwingerLabel:
+    total, n_plus = _schwinger_sector(index)
+    return SchwingerLabel.from_occupations(n_plus, total - n_plus)
+
+
+def _schwinger_pair(row: int, col: int) -> str:
+    bra, ket = _schwinger_label(row), _schwinger_label(col)
+    return f"(l={bra.l}, m={bra.m}; l'={ket.l}, m'={ket.m})"
+
+
 class SchwingerDensityMatrix(_DensityMatrix):
     """Density matrix over angular-momentum labels (l, m).
 
     Labels are stored through the circular occupations (n_plus, n_minus)
     with n_plus + n_minus <= 2 n_max, flattened sector by sector; the
-    exact half-integer (l, m) of each index is available via ``labels``.
+    exact half-integer (l, m) of each index is available via ``labels``,
+    and a Hermiticity error names the pair by both labels.
     ``n_max`` is an integer in [0, ``special.MAX_DEGREE``], the largest
     cutoff whose radial rows :func:`radial_reduce` can expand.
     """
 
     def __init__(self, n_max: int, entries):
         n_max = _check_cutoff(n_max, MAX_DEGREE)
-        super().__init__(entries, _schwinger_dim(n_max),
+        super().__init__(entries, _schwinger_dim(n_max), label=_schwinger_pair,
                          what="Schwinger density matrix")
         self.n_max = n_max
 
     @property
     def labels(self) -> list:
-        out = []
-        for total in range(2 * self.n_max + 1):
-            for n_plus in range(total + 1):
-                out.append(SchwingerLabel.from_occupations(n_plus, total - n_plus))
-        return out
+        return [_schwinger_label(i) for i in range(_schwinger_dim(self.n_max))]
 
     def index(self, label: SchwingerLabel) -> int:
         return _schwinger_index(self.n_max, label)
@@ -189,41 +207,64 @@ def sector_isometry(total: int, n_max: int) -> np.ndarray:
     return phase * conv * np.exp(log_norm)
 
 
-def fock_to_schwinger(rho: FockDensityMatrix) -> SchwingerDensityMatrix:
-    """Rotate a cartesian Fock density matrix into angular-momentum labels.
+def _rotated_rows(rho: FockDensityMatrix):
+    """B H, the row half of the rotation, with the sector blocks B_T and
+    the first Fock column of every sector (and one past the last).
 
-    The change of basis B is block diagonal in the total quantum number T,
-    with the blocks B_T of :func:`sector_isometry`.  The Hermitian part
-    H = (rho + rho^dag) / 2 of the Fock matrix is gathered into
-    total-sorted order (the Schwinger labels are stored in that order),
-    one sector's rows at a time; B_T acts on the row strip of sector T,
-    then B_T^dag on its column strip, so no dense map is formed.
-    Coherences between different totals keep their structure.  Trace and
-    spectrum are preserved because every B_T is an isometry.  B H B^dag is
-    stored as computed, so its ``meta["hermiticity_residual"]`` measures
-    the rotation's own rounding; :func:`radial_reduce` reads the Hermitian
-    part of each block.
+    The Hermitian part H = (rho + rho^dag) / 2 of the Fock matrix is
+    gathered into total-sorted order (the Schwinger labels are stored in
+    that order), one sector's rows at a time, and B_T acts on the row
+    strip of sector T, so no dense map is formed.
     """
     n_max = rho.n_max
     blocks = [sector_isometry(t, n_max) for t in range(2 * n_max + 1)]
     order = np.array([nx * (n_max + 1) + t - nx for t in range(2 * n_max + 1)
                       for nx in range(max(0, t - n_max), min(t, n_max) + 1)])
     f_off = np.cumsum([0] + [b.shape[1] for b in blocks])
-    s_off = np.cumsum([0] + [b.shape[0] for b in blocks])
-    dim_s = _schwinger_dim(n_max)
-
-    left = np.empty((dim_s, order.size), dtype=complex)      # B H
+    left = np.empty((_schwinger_dim(n_max), order.size), dtype=complex)
     for t, b in enumerate(blocks):
         sector = order[f_off[t]:f_off[t + 1]]
         rows = 0.5 * (rho.entries[np.ix_(sector, order)]
                       + rho.entries[np.ix_(order, sector)].conj().T)
-        np.matmul(b, rows, out=left[s_off[t]:s_off[t + 1]])
-    entries = np.empty((dim_s, dim_s), dtype=complex)        # B H B^dag
+        s = _schwinger_flat(t, 0)
+        np.matmul(b, rows, out=left[s:s + len(b)])
+    return left, blocks, f_off
+
+
+def _rotated_block(left, isometries, f_off, idx) -> np.ndarray:
+    """(B H B^dag)[idx, idx] = (B H)[idx] B[idx]^dag, from the rows B H.
+
+    Row k of B[idx] is row n_plus of the sector block B_T of label idx[k],
+    on the Fock columns of sector T, and zero elsewhere.
+    """
+    rows = np.zeros((len(idx), left.shape[1]), dtype=complex)     # B[idx]
+    for k, i in enumerate(idx):
+        t, n_plus = _schwinger_sector(i)
+        rows[k, f_off[t]:f_off[t + 1]] = isometries[t][n_plus]
+    return left[idx] @ rows.conj().T
+
+
+def fock_to_schwinger(rho: FockDensityMatrix) -> SchwingerDensityMatrix:
+    """Rotate a cartesian Fock density matrix into angular-momentum labels.
+
+    The change of basis B is block diagonal in the total quantum number T,
+    with the blocks B_T of :func:`sector_isometry`.  B acts on the
+    Hermitian part H of the Fock matrix: B_T on the row strip of sector T,
+    then B_T^dag on its column strip of B H, so no dense map is formed.
+    Coherences between different totals keep their structure.  Trace and
+    spectrum are preserved because every B_T is an isometry.  B H B^dag is
+    stored as computed, so its ``meta["hermiticity_residual"]`` measures
+    the rotation's own rounding.  :func:`end_to_end` does not call this,
+    so the residual belongs to this stage alone: the pipeline rotates
+    only the equal-m blocks that the angle trace keeps.
+    """
+    left, blocks, f_off = _rotated_rows(rho)
+    entries = np.empty((len(left), len(left)), dtype=complex)    # B H B^dag
     for t, b in enumerate(blocks):
-        entries[:, s_off[t]:s_off[t + 1]] = \
-            left[:, f_off[t]:f_off[t + 1]] @ b.conj().T
+        s = _schwinger_flat(t, 0)
+        entries[:, s:s + len(b)] = left[:, f_off[t]:f_off[t + 1]] @ b.conj().T
     del left
-    return SchwingerDensityMatrix(n_max, entries)
+    return SchwingerDensityMatrix(rho.n_max, entries)
 
 
 def radial_reduce(rho_s: SchwingerDensityMatrix,
@@ -239,6 +280,8 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
     R_{l,m} depends on m only through alpha = |2m|, so m and -m share
     their rows and enter through one block C_{+m} + C_{-m} per alpha,
     each C_m read as its exactly Hermitian part (C_m + C_m^dag) / 2.
+    The label walk and the kernel products are those of
+    :func:`end_to_end`, which takes its blocks from the rows B H instead.
     The basis rows of every alpha are exponentiated from the log-domain
     producer straight into one real matrix Phi (N rows x grid points;
     N = 961 at n_max = 30, against 1891 labels), its tails zeroed below
@@ -250,8 +293,8 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
     that holds a column strip of (Re C) Phi and then of (Im C) Phi.
     When no block has a nonzero imaginary part (a level mixture, a pure
     label) the second product is skipped and the kernel is float64; a
-    rotated real Fock input keeps rounding-level imaginary parts and
-    stays complex128.
+    real Fock input rotated by :func:`fock_to_schwinger` keeps
+    rounding-level imaginary parts and stays complex128.
     The first product is symmetric and the second antisymmetric, so each
     forms only the upper triangle, one column strip at a time, and the
     lower one is mirrored from it.  The sum over m runs over every label
@@ -259,26 +302,45 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
     every nonzero block, ascending, is recorded as ``meta["m_values"]``.
     Warns if grid truncation loses more than 1e-8 of the trace.
     """
-    if grid is None:
-        grid = default_vbar_grid()
-    v = grid.points
-    n_max = rho_s.n_max
+    blocks, two_ms = _equal_m_blocks(
+        rho_s.n_max, lambda idx: rho_s.entries[np.ix_(idx, idx)])
+    return _radial_kernel(blocks, two_ms, grid)
+
+
+def _equal_m_blocks(n_max: int, block):
+    """The blocks the angle trace keeps, summed per alpha = |2m|.
+
+    Walks every signed m the cutoff admits, alpha ascending and -m first,
+    and reads C_m = block(idx) over the stored indices idx of its labels
+    (k = l - |m| ascending) as its exactly Hermitian part
+    (C_m + C_m^dag) / 2.  m and -m share the radial rows of alpha, so they
+    enter as one block C_{+m} + C_{-m}.  Returns the (alpha, block) pairs
+    of every alpha with a nonzero block and the signed 2m of every
+    nonzero C_m.
+    """
     blocks, two_ms = [], []
     for alpha in range(2 * n_max + 1):
         # labels of m = +-alpha/2 in stored order: k = l - |m| at total
-        # 2k + alpha; both signs share the radial rows of alpha
+        # 2k + alpha
         parts = []
         for two_m in sorted({-alpha, alpha}):
-            idx = [_schwinger_flat(alpha + 2 * k, k + max(two_m, 0))
-                   for k in range((2 * n_max - alpha) // 2 + 1)]
-            part = rho_s.entries[np.ix_(idx, idx)]
+            part = block([_schwinger_flat(alpha + 2 * k, k + max(two_m, 0))
+                          for k in range((2 * n_max - alpha) // 2 + 1)])
             part = 0.5 * (part + part.conj().T)
             if np.abs(part).max() != 0.0:
                 two_ms.append(two_m)
                 parts.append(part)
         if parts:
             blocks.append((alpha, sum(parts)))
+    return blocks, two_ms
 
+
+def _radial_kernel(blocks, two_ms, grid: Grid1D | None) -> DensityMatrixV:
+    """The radial kernel of the (alpha, C_{+m} + C_{-m}) blocks of
+    :func:`_equal_m_blocks`, sampled on ``grid``; see :func:`radial_reduce`."""
+    if grid is None:
+        grid = default_vbar_grid()
+    v = grid.points
     g = grid.n_points
     phi = np.empty((sum(len(block) for _, block in blocks), g))
     rows = chain.from_iterable(_radial_rows(alpha, len(block), v)
@@ -318,7 +380,7 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
     if loss > 1e-8:
         warnings.warn(
             f"radial grid truncation lost {loss:.2e} of the trace "
-            f"(measured {trace})", TruncationWarning, stacklevel=2)
+            f"(measured {trace})", TruncationWarning, stacklevel=3)
     out = DensityMatrixV(grid, kernel, trace_tol=max(1e-8, 10.0 * loss))
     out.meta["m_values"] = [two_m / 2.0 for two_m in sorted(two_ms)]
     return out
@@ -328,9 +390,36 @@ def end_to_end(rho: FockDensityMatrix, gamma_grid: Grid1D, delta_grid: Grid1D,
                vbar_grid: Grid1D | None = None) -> WignerGrid:
     """Full chain: Fock basis -> angular-momentum basis -> radial kernel
     -> Wigner function, with the tolerances met along the way recorded in
-    the output metadata."""
-    rho_s = fock_to_schwinger(rho)
-    rho_v = radial_reduce(rho_s, vbar_grid)
+    the output metadata.
+
+    The angle trace keeps only the coherences between labels of equal m,
+    so the Schwinger matrix B H B^dag of :func:`fock_to_schwinger` is
+    never formed (57 MB at n_max = 30): each block C_m = (B H)[m] B[m]^dag
+    is contracted from the rows B H, which are freed before the radial
+    products of :func:`radial_reduce`.  W agrees with
+    ``wigner_from_density(radial_reduce(fock_to_schwinger(rho)))`` to
+    rounding.  C_{-m} and C_{+m} come from products of one shape, so a
+    real input's imaginary parts cancel between them and its kernel comes
+    out float64, where the whole matrix keeps ~1e-18 of them.  The checks
+    of
+    :class:`SchwingerDensityMatrix` hold on the entries used, through the
+    one validator: every C_m is finite and Hermitian to 1e-10 of the
+    largest entry (a violation names both (l, m) labels), and their
+    traces sum to 1 within 1e-10.
+    """
+    left, isometries, f_off = _rotated_rows(rho)
+    rotated, labels = [], []
+
+    def block(idx):
+        rotated.append(_rotated_block(left, isometries, f_off, idx))
+        labels.extend(idx)
+        return rotated[-1]
+
+    blocks, two_ms = _equal_m_blocks(rho.n_max, block)
+    del left
+    _validate_blocks(rotated, what="Schwinger density matrix",
+                     label=lambda r, c: _schwinger_pair(labels[r], labels[c]))
+    rho_v = _radial_kernel(blocks, two_ms, vbar_grid)
     w = wigner_from_density(rho_v, gamma_grid, delta_grid)
     w.meta.update({
         "pipeline": "fock",

@@ -98,27 +98,41 @@ def validate_density_matrix(entries: np.ndarray, *, spacing: float = 1.0,
     ``label(row, col)`` when given.  Raises ValidationError, else returns
     the Hermiticity residual max |rho - rho^dagger| (the one such check).
     """
-    if not np.all(np.isfinite(entries)):
+    return _validate_blocks([entries], spacing=spacing, trace_tol=trace_tol,
+                            label=label, what=what)
+
+
+def _validate_blocks(blocks, *, spacing: float = 1.0, trace_tol: float = 1e-10,
+                     label=None, what: str = "density matrix"):
+    """:func:`validate_density_matrix` of the block-diagonal matrix whose
+    diagonal blocks are ``blocks``, without forming it; ``label`` counts
+    rows and columns across the blocks in order."""
+    if not all(np.all(np.isfinite(block)) for block in blocks):
         raise ValidationError(f"{what} entries must be finite")
     # rho - rho^dagger one row strip at a time, so no temporary has the
     # full size (a 1891^2 complex Schwinger matrix, n_max 30, is 57 MB).
     # |rho_ij - rho_ji^*| is symmetric in (i, j), so the strip starting at
     # row a needs only the columns j >= a: they still hold the first
     # occurrence, in row-major order, of every deviation
-    worst, (row, col), scale = 0.0, (0, 0), 0.0
-    for a in range(0, entries.shape[0], _STRIP):
-        rows = entries[a:a + _STRIP]
-        dev = np.abs(rows[:, a:] - entries[a:, a:a + _STRIP].T.conj())
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        if dev[i, j] > worst:
-            worst, row, col = float(dev[i, j]), a + i, a + j
-        scale = max(scale, float(np.abs(rows).max()))
+    worst, scale, offset = 0.0, 0.0, 0
+    for block in blocks:
+        for a in range(0, block.shape[0], _STRIP):
+            rows = block[a:a + _STRIP]
+            dev = np.abs(rows[:, a:] - block[a:, a:a + _STRIP].T.conj())
+            i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+            if dev[i, j] > worst:
+                # the worst pair's block, its first row and the pair in it
+                worst, entries, first = float(dev[i, j]), block, offset
+                row, col = a + i, a + j
+            scale = max(scale, float(np.abs(rows).max()))
+        offset += block.shape[0]
     if worst > 1e-10 * max(1.0, scale):
-        pair = label(row, col) if label else f"({row}, {col})"
+        pair = label(first + row, first + col) if label \
+            else f"({first + row}, {first + col})"
         raise ValidationError(
             f"{what} violates Hermiticity: entry {pair} = {entries[row, col]} "
             f"but its mirror is {entries[col, row]} (deviation {worst:.3e})")
-    tr = float(np.trace(entries).real) * spacing
+    tr = sum(float(np.trace(block).real) for block in blocks) * spacing
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError(
             f"{what} trace {tr} deviates from 1 by more than {trace_tol}")

@@ -51,12 +51,14 @@ def test_sector_isometry_rejects_total_outside_cutoff():
             sector_isometry(total, 2)
 
 
-def dense_state(n_max, seed, rank=3):
+def dense_state(n_max, seed, rank=3, real=False):
     """Seeded low-rank mixed state with every entry nonzero."""
     rng = np.random.default_rng(seed)
     dim = (n_max + 1) ** 2
     nx, ny = np.divmod(np.arange(dim), n_max + 1)
-    vecs = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    vecs = rng.normal(size=(dim, rank))
+    if not real:
+        vecs = vecs + 1j * rng.normal(size=(dim, rank))
     vecs *= np.exp(-(nx + ny) / (0.5 * n_max))[:, None]
     rho = (vecs * rng.dirichlet(np.ones(rank))) @ vecs.conj().T
     rho = 0.5 * (rho + rho.conj().T)
@@ -390,6 +392,87 @@ def test_end_to_end_matches_unflushed_dense_reference(n_max):
         if np.abs(rho_s.entries[np.ix_(m == mu, m == mu)]).max() > 0]
 
 
+def level_mixture(n_max, seed):
+    """Fock form of sum_l p_l |l, 0><l, 0| over 2 l <= n_max."""
+    weights = np.random.default_rng(seed).dirichlet(np.ones(n_max // 2 + 1))
+    entries = 0.0
+    for l, p in enumerate(weights):
+        vec = np.zeros((n_max + 1) ** 2, dtype=complex)
+        nx = np.arange(max(0, 2 * l - n_max), min(2 * l, n_max) + 1)
+        vec[nx * (n_max + 1) + 2 * l - nx] = sector_isometry(2 * l, n_max)[l].conj()
+        entries = entries + p * np.outer(vec, vec.conj())
+    return FockDensityMatrix(n_max, entries)
+
+
+AGREEMENT_CASES = {
+    "dense-n1": lambda: dense_state(1, seed=2401),
+    "dense-n4": lambda: dense_state(4, seed=2404),
+    "dense-n10": lambda: dense_state(10, seed=2410),
+    "dense-n30": lambda: dense_state(30, seed=2430),
+    "real-n10": lambda: dense_state(10, seed=2411, real=True),
+    "levels-n10": lambda: level_mixture(10, seed=2412),
+    "half-integer-m": lambda: FockDensityMatrix.from_pure(
+        3, {(2, 1): 0.6, (0, 1): 0.8j, (3, 0): 0.3}),
+}
+
+
+@pytest.mark.parametrize("case", AGREEMENT_CASES)
+def test_end_to_end_agrees_with_the_full_rotation(case, monkeypatch):
+    # end_to_end rotates only the equal-m blocks, from B H; the route
+    # through the whole Schwinger matrix must give the same W to rounding,
+    # the same kernel dtype, the same m values and the same radial trace.
+    # One exception: for a real input end_to_end forms C_{-m} and C_{+m}
+    # by mirrored products of one shape, so their imaginary parts cancel
+    # to the bit and the kernel is real, where the whole matrix keeps
+    # rounding-level imaginary parts in the kernel
+    rho = AGREEMENT_CASES[case]()
+    kernels = []
+
+    def capture(rho_v, gamma, delta):
+        kernels.append(rho_v)
+        return wigner_from_density(rho_v, gamma, delta)
+
+    monkeypatch.setattr(radwig.fock, "wigner_from_density", capture)
+    w = end_to_end(rho, GAMMA, DELTA)
+    rho_v = radial_reduce(fock_to_schwinger(rho))
+    full = wigner_from_density(rho_v, GAMMA, DELTA)
+    assert np.abs(w.values - full.values).max() <= 1e-15
+    real = np.isrealobj(rho.entries)
+    assert kernels[0].entries.dtype == \
+        (np.float64 if real else rho_v.entries.dtype)
+    if real:
+        assert np.abs(rho_v.entries.imag).max() < 1e-15
+    assert w.meta["m_values"] == rho_v.meta["m_values"]
+    assert abs(w.meta["radial_trace"] - rho_v.trace) <= 1e-15
+
+
+def test_end_to_end_never_forms_the_schwinger_matrix():
+    # the 1891^2 complex Schwinger matrix of n_max = 30 alone is 57 MB;
+    # B H (29 MB) and the 1351^2 kernel (29 MB) are never live together
+    rho = dense_state(30, seed=2431)
+    gamma, delta = Grid1D(-3.0, 2.0, 26), Grid1D(-4.0, 4.0, 33)
+    tracemalloc.start()
+    try:
+        end_to_end(rho, gamma, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+def test_end_to_end_checks_the_rotated_trace(monkeypatch):
+    # an isometry scaled by 1 + 1e-6 keeps every block Hermitian but moves
+    # the trace of its sector; the pipeline's trace check must catch it
+    isometry = radwig.fock.sector_isometry
+
+    def scaled(total, n_max):
+        return isometry(total, n_max) * (1.0 + 1e-6 * (total == 1))
+
+    monkeypatch.setattr(radwig.fock, "sector_isometry", scaled)
+    with pytest.raises(ValidationError, match="Schwinger density matrix trace"):
+        end_to_end(dense_state(4, seed=2440), GAMMA, DELTA)
+
+
 def test_end_to_end_linearity():
     rho_a = fock_vacuum(2)
     rho_b = FockDensityMatrix.from_pure(
@@ -497,6 +580,22 @@ def test_schwinger_matrix_validation():
     bad = good.copy()
     bad[0, 2] = 0.5
     with pytest.raises(ValidationError, match="Hermiticity"):
+        SchwingerDensityMatrix(1, bad)
+
+
+def test_schwinger_matrix_validation_names_both_labels():
+    # stored index 0 is (l, m) = (0, 0) and index 2 is (1/2, 1/2)
+    good = np.zeros((6, 6), dtype=complex)
+    good[0, 0] = 1.0
+    bad = good.copy()
+    bad[0, 2] = 0.5
+    with pytest.raises(ValidationError,
+                       match=r"entry \(l=0, m=0; l'=1/2, m'=1/2\) = "):
+        SchwingerDensityMatrix(1, bad)
+    bad = good.copy()
+    bad[2, 2] = 0.7e-10j
+    with pytest.raises(ValidationError,
+                       match=r"entry \(l=1/2, m=1/2; l'=1/2, m'=1/2\) = 7e-11j"):
         SchwingerDensityMatrix(1, bad)
 
 

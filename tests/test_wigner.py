@@ -92,6 +92,26 @@ def test_validate_density_matrix_scans_each_pair_once():
         validate_density_matrix(rho, trace_tol=1e-6)
 
 
+def test_validation_over_diagonal_blocks_counts_across_them():
+    # the blocks of a block-diagonal matrix: one residual, one trace and
+    # one scale over all of them, the worst pair named by its row and
+    # column in the whole matrix
+    from radwig.wigner import _validate_blocks, validate_density_matrix
+    a = np.diag([0.25, 0.25]).astype(complex)
+    b = np.diag([0.25, 0.125, 0.125]).astype(complex)
+    b[0, 2] = 1e-12j
+    whole = np.zeros((5, 5), dtype=complex)
+    whole[:2, :2], whole[2:, 2:] = a, b
+    assert _validate_blocks([a, b]) == validate_density_matrix(whole) == 1e-12
+    b[2, 1] = 3e-3
+    with pytest.raises(ValidationError, match=r"entry \(3, 4\) = 0j"):
+        _validate_blocks([a, b])
+    with pytest.raises(ValidationError, match=r"entry <3\|4> = 0j"):
+        _validate_blocks([a, b], label=lambda r, c: f"<{r}|{c}>")
+    with pytest.raises(ValidationError, match="trace 0.5 deviates"):
+        _validate_blocks([a])
+
+
 def test_density_matrix_mixture_is_psd():
     grid = Grid1D(-8.0, 8.0, 401)
     states = [
