@@ -308,16 +308,11 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
 
 
 def _equal_m_blocks(n_max: int, block):
-    """The blocks the angle trace keeps, summed per alpha = |2m|.
-
-    Walks every signed m the cutoff admits, alpha ascending and -m first,
-    and reads C_m = block(idx) over the stored indices idx of its labels
-    (k = l - |m| ascending) as its exactly Hermitian part
-    (C_m + C_m^dag) / 2.  m and -m share the radial rows of alpha, so they
-    enter as one block C_{+m} + C_{-m}.  Returns the (alpha, block) pairs
-    of every alpha with a nonzero block and the signed 2m of every
-    nonzero C_m.
-    """
+    """The blocks the angle trace keeps: C_m = block(idx) over the stored
+    indices of the labels of every signed m, read as its Hermitian part
+    and summed with -m's.  Returns (alpha, C_{+m} + C_{-m}) for every
+    alpha = |2m| with a nonzero block, and the signed 2m of each nonzero
+    C_m."""
     blocks, two_ms = [], []
     for alpha in range(2 * n_max + 1):
         # labels of m = +-alpha/2 in stored order: k = l - |m| at total
@@ -396,14 +391,14 @@ def end_to_end(rho: FockDensityMatrix, gamma_grid: Grid1D, delta_grid: Grid1D,
     so the Schwinger matrix B H B^dag of :func:`fock_to_schwinger` is
     never formed (57 MB at n_max = 30): each block C_m = (B H)[m] B[m]^dag
     is contracted from the rows B H, which are freed before the radial
+    products, and the blocks then take the label walk and the kernel
     products of :func:`radial_reduce`.  W agrees with
     ``wigner_from_density(radial_reduce(fock_to_schwinger(rho)))`` to
     rounding.  C_{-m} and C_{+m} come from products of one shape, so a
     real input's imaginary parts cancel between them and its kernel comes
     out float64, where the whole matrix keeps ~1e-18 of them.  The checks
-    of
-    :class:`SchwingerDensityMatrix` hold on the entries used, through the
-    one validator: every C_m is finite and Hermitian to 1e-10 of the
+    of :class:`SchwingerDensityMatrix` hold on the entries used, through
+    the one validator: every C_m is finite and Hermitian to 1e-10 of the
     largest entry (a violation names both (l, m) labels), and their
     traces sum to 1 within 1e-10.
     """
