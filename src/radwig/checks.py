@@ -370,8 +370,8 @@ def _check_husimi_exact() -> float:
     return float(np.abs(q.values - exact).max())
 
 
-# A one-line error model above an entry stays below its tolerance, itself
-# >= 100x the measured value; eps = 1.1e-16, grids of n = 2001, h = 0.01
+# A one-line model above an entry stays below its tolerance, itself >= 100x
+# the measured value (husimi-exact: 5x); eps = 1.1e-16, n = 2001, h = 0.01
 _REGISTRY = [
     # rounding: n <= 20 steps x last-step cancellation <= 50 x eps ~ 1.1e-13
     ("laguerre-recurrence",
@@ -420,6 +420,7 @@ _REGISTRY = [
     ("wigner-cross-route",
      "density-matrix route equals the closed form for l = 1",
      2e-7, _check_wigner_cross_route),
+    # window: psi_1's mass e^{-24} ~ 3.8e-11 below gamma = -12; fold ~2e-15
     ("wigner-normalization",
      "phase-space integral of W_1 equals 1",
      1e-6, _check_wigner_normalization),
@@ -427,15 +428,19 @@ _REGISTRY = [
     ("wigner-marginal",
      "delta-marginal of W_2 equals the position density",
      1e-9, _check_wigner_marginal),
+    # min W_0..3 is 0.081 above -1/pi: no rounding or fold error moves 0
     ("wigner-bound",
      "W stays above -1/pi",
      1e-6, _check_wigner_bound),
+    # ratio 1e-3 / depth 0.197; rounding and fold move depth <= 1e-14 max|W|
     ("wigner-negativity",
      "1e-3 over the shallowest negative depth of W_l, l = 1..3",
      1.0, _check_wigner_negativity),
+    # Q >= 0: a dip is W's error where smoothed |W| <= 2.6e-10; fold <= 1e-14
     ("husimi-nonnegativity",
      "ordering -1 smoothing is nonnegative (grid interior)",
      1e-9, _check_husimi_nonnegative),
+    # window: W_1 mass 1.2e-10 past |delta| = 18 lost to padding; fold 2e-15
     ("husimi-exact",
      "ordering -1 smoothing of W_1 equals |<alpha|1,0>|^2 / 2 pi",
      1e-10, _check_husimi_exact),

@@ -299,7 +299,7 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
     forms only the upper triangle, one column strip at a time, and the
     lower one is mirrored from it.  The sum over m runs over every label
     the input cutoff admits, skipping all-zero blocks; the signed m of
-    every nonzero block, ascending, is recorded as ``meta["m_values"]``.
+    every block above rounding, ascending, goes in ``meta["m_values"]``.
     Warns if grid truncation loses more than 1e-8 of the trace.
     """
     blocks, two_ms = _equal_m_blocks(
@@ -311,9 +311,9 @@ def _equal_m_blocks(n_max: int, block):
     """The blocks the angle trace keeps: C_m = block(idx) over the stored
     indices of the labels of every signed m, read as its Hermitian part
     and summed with -m's.  Returns (alpha, C_{+m} + C_{-m}) for every
-    alpha = |2m| with a nonzero block, and the signed 2m of each nonzero
-    C_m."""
-    blocks, two_ms = [], []
+    alpha = |2m| with a nonzero block, and the signed 2m of each C_m above
+    the rotation's rounding, (2 n_max + 1) eps times the largest entry."""
+    blocks, sizes = [], {}
     for alpha in range(2 * n_max + 1):
         # labels of m = +-alpha/2 in stored order: k = l - |m| at total
         # 2k + alpha
@@ -322,12 +322,14 @@ def _equal_m_blocks(n_max: int, block):
             part = block([_schwinger_flat(alpha + 2 * k, k + max(two_m, 0))
                           for k in range((2 * n_max - alpha) // 2 + 1)])
             part = 0.5 * (part + part.conj().T)
-            if np.abs(part).max() != 0.0:
-                two_ms.append(two_m)
+            size = np.abs(part).max()
+            if size != 0.0:
+                sizes[two_m] = size
                 parts.append(part)
         if parts:
             blocks.append((alpha, sum(parts)))
-    return blocks, two_ms
+    floor = (2 * n_max + 1) * np.finfo(float).eps * max(sizes.values())
+    return blocks, [two_m for two_m, size in sizes.items() if size > floor]
 
 
 def _radial_kernel(blocks, two_ms, grid: Grid1D | None) -> DensityMatrixV:

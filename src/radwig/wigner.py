@@ -10,13 +10,9 @@ Two independent routes produce the same distribution:
 
   by gathering anti-diagonal slices of the sampled kernel, folding each
   Hermitian slice onto eps >= 0 and transforming it in real products:
-  a cosine product always, and a sine product only for a complex
-  kernel.  A kernel whose input carries no imaginary part (any
-  oscillator level, any mixture of real states) is stored as float64,
-  so it is gathered real and its sine half, exactly 0, is never formed.
-  A slice through an odd or even anti-diagonal only has samples at odd
-  or even multiples of the spacing, so the rows go in those two classes,
-  each on the columns it fills.
+  a cosine product always, and a sine product only for a complex kernel
+  (a real input, any oscillator level or mixture of real states, is
+  stored as float64, so its sine half, exactly 0, is never formed).
 
 * :func:`wigner_l0_grid` evaluates the closed form for the
   zero-angular-momentum oscillator levels l,
@@ -26,12 +22,16 @@ Two independent routes produce the same distribution:
 
   by the trapezoid rule on nodes of one shared step, both factors the
   last row of the one radial producer (:mod:`radwig.states`) in the log
-  domain.  Each gamma row is cut where the bound
-  ln 2 + 2 gamma - u/2 + l ln(1 + u), u = e^{2(gamma+eps)}, on
-  log|psi_l psi_l| has fallen 45 e-folds below its value at the first
-  two nodes, and evaluates no node past its own cut.  The substitution
-  eps -> 2 eps maps one form onto the other; the cross-route test suite
-  is the arbiter that both agree.
+  domain.  Each gamma row is cut where a bound on log|psi_l psi_l| has
+  fallen 45 e-folds below its peak (see :func:`_ladder`).  The
+  substitution eps -> 2 eps maps one form onto the other; the
+  cross-route test suite is the arbiter that both agree.
+
+Both routes transform only the delta >= 0 half of a symmetric axis
+(min == -max, n > 1; :func:`_delta_fold`): the cosine half of W is even
+in delta and the sine half odd, so column j < n // 2 is read at
+-delta_{n-1-j}, within linspace rounding (<= 7.1e-15 at |delta| <= 27)
+of delta_j, and W of a real state is exactly even.
 
 Operands that reach the far tails of a state are zeroed below
 sqrt(tiny) before they enter a dense product, so that no product meets a
@@ -287,6 +287,19 @@ class WignerGrid:
                 and np.array_equal(self.values, other.values))
 
 
+def _delta_fold(delta_grid: Grid1D):
+    """(cols, col, sign): W at column j of ``delta_grid`` is the cosine
+    half at cols[col[j]] plus sign[j] times the sine half there; a
+    symmetric axis keeps cols = points[n // 2:] (see the module notes)."""
+    points = delta_grid.points
+    n = points.size
+    j = np.arange(n)
+    if n == 1 or delta_grid.min != -delta_grid.max:
+        return points, j, np.ones(n)
+    return (points[n // 2:], np.maximum(j, n - 1 - j) - n // 2,
+            np.where(j < n // 2, -1.0, 1.0))
+
+
 def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
                         delta_grid: Grid1D) -> WignerGrid:
     """Wigner function of a sampled density matrix.
@@ -306,7 +319,9 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     tau = i - j of the parity of s, so the rows go in two parity classes,
     each gathered on its ceil((n - p) / 2) columns tau = p, p + 2, ...
     with a cosine table (and a sine table for a complex kernel) over
-    those tau alone; the gathered slices are zeroed below sqrt(tiny)
+    those tau alone and over the delta >= 0 half of a symmetric axis of
+    m points, column j < m // 2 read at -delta_{m-1-j} (see
+    :func:`_delta_fold`); the gathered slices are zeroed below sqrt(tiny)
     first (see :func:`_flush_tiny`).  Hermiticity was checked at
     construction; its residual is copied into ``meta``.
 
@@ -337,6 +352,7 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     if s_idx.min() < 0 or s_idx.max() > 2 * (n - 1):
         raise GridAlignmentError("gamma grid extends outside the density grid")
 
+    cols, col, sign = _delta_fold(delta_grid)
     values = np.empty((gamma_grid.n_points, delta_grid.n_points))
     for p in np.unique(s_idx % 2):
         rows = np.flatnonzero(s_idx % 2 == p)
@@ -349,10 +365,10 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
         if p == 0:
             gather[:, 0] *= 0.5
         _flush_tiny(gather)
-        arg = np.outer(tau * h, delta_grid.points)
-        w = gather.real @ np.cos(arg)
+        arg = np.outer(tau * h, cols)
+        w = (gather.real @ np.cos(arg))[:, col]
         if np.iscomplexobj(gather):
-            w += gather.imag @ np.sin(arg)
+            w += sign * (gather.imag @ np.sin(arg))[:, col]
         values[rows] = (h / np.pi) * w
     meta = {"route": "density-matrix", "overlap_factor": OVERLAP_FACTOR}
     meta.update({k: rho.meta[k] for k in ("hermiticity_residual", "l")
@@ -413,10 +429,12 @@ def wigner_l0_grid(l: int, gamma_grid: Grid1D, delta_grid: Grid1D, *,
     thousands.  The rows go in strips of similar node counts; each strip
     evaluates log|psi_l psi_l| on its own prefix of the ladder around each
     row's own peak, and maps it to every delta through the same prefix of
-    one cosine table.  The trapezoid rule converges exponentially for this
-    entire, double-exponentially decaying integrand, so the fixed ladder
-    matches an adaptive quadrature of the same integral to ~1e-10.  A
-    gamma below GAMMA_GUARD raises DomainError unless ``allow_deep_tail``.
+    one cosine table, over the delta >= 0 half of a symmetric axis: a
+    column j < n // 2 is read at -delta_{n-1-j} (see :func:`_delta_fold`).
+    The trapezoid rule converges exponentially for this entire,
+    double-exponentially decaying integrand, so the fixed ladder matches
+    an adaptive quadrature of the same integral to ~1e-10.  A gamma below
+    GAMMA_GUARD raises DomainError unless ``allow_deep_tail``.
     """
     if l < 0 or l > MAX_DEGREE:
         raise DomainError(f"l must be in [0, {MAX_DEGREE}], got {l}")
@@ -430,12 +448,12 @@ def wigner_l0_grid(l: int, gamma_grid: Grid1D, delta_grid: Grid1D, *,
             f"gamma = {gamma_grid.max} too large: e^(2 gamma) overflows")
 
     gammas = gamma_grid.points
-    deltas = delta_grid.points
-    step, counts = _ladder(l, gammas, float(np.abs(deltas).max()))
+    cols, col, _ = _delta_fold(delta_grid)
+    step, counts = _ladder(l, gammas, float(np.abs(cols).max()))
     eps = np.arange(counts.max()) * step
-    kernel = np.outer(eps, 2.0 * deltas)
+    kernel = np.outer(eps, 2.0 * cols)
     np.cos(kernel, out=kernel)      # in place: one table, not two at once
-    values = np.empty((gammas.size, deltas.size))
+    values = np.empty((gammas.size, delta_grid.n_points))
     order = np.argsort(counts, kind="stable")
     for a in range(0, order.size, _LADDER_STRIP):
         rows = order[a:a + _LADDER_STRIP]
@@ -447,7 +465,7 @@ def wigner_l0_grid(l: int, gamma_grid: Grid1D, delta_grid: Grid1D, *,
         integrand[:, 0] *= 0.5                      # trapezoid end weight
         # even integrand: full-line integral is twice the cosine half-line sum
         values[rows] = (2.0 / np.pi) * np.exp(peak) * step \
-            * (integrand @ kernel[:m])
+            * (integrand @ kernel[:m])[:, col]
     meta = {"route": "closed-form", "l": int(l),
             "overlap_factor": OVERLAP_FACTOR}
     return WignerGrid(gamma_grid, delta_grid, values, meta=meta)

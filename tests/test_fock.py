@@ -446,6 +446,22 @@ def test_end_to_end_agrees_with_the_full_rotation(case, monkeypatch):
     assert abs(w.meta["radial_trace"] - rho_v.trace) <= 1e-15
 
 
+def test_m_values_skip_blocks_of_rotation_rounding():
+    # a level mixture holds only m = 0; the rotation leaves blocks of at
+    # most ~3e-17 of the largest at other m, which both routes still sum
+    # into the kernel but do not list.  Dense inputs hold every m, their
+    # smallest genuine block ~1e-5 of the largest
+    gamma, delta = Grid1D(-3.0, 2.0, 26), Grid1D(-4.0, 4.0, 9)
+    for seed in range(20):
+        rho = level_mixture(10, seed)
+        assert end_to_end(rho, gamma, delta).meta["m_values"] == [0.0]
+        assert radial_reduce(fock_to_schwinger(rho)).meta["m_values"] == [0.0]
+    for n_max in (10, 20, 30):
+        w = end_to_end(dense_state(n_max, seed=900 + n_max), gamma, delta)
+        assert w.meta["m_values"] == [two_m / 2 for two_m in
+                                      range(-2 * n_max, 2 * n_max + 1)]
+
+
 def test_end_to_end_never_forms_the_schwinger_matrix():
     # the 1891^2 complex Schwinger matrix of n_max = 30 alone is 57 MB;
     # B H (29 MB) and the 1351^2 kernel (29 MB) are never live together

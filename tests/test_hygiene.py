@@ -116,6 +116,29 @@ def test_one_density_matrix_contract():
             [f"wigner._DensityMatrix.{method}"]
 
 
+def test_one_delta_fold_rule():
+    # both Wigner routes fold a symmetric delta axis by the one rule, and
+    # no other code in wigner builds a cos/sin table beside them; the exact
+    # Husimi oracle of checks keeps its full-axis transform, independent
+    # of the fold
+    calls = []
+    for path in MODULES:
+        scopes = _Scopes(path.stem)
+        scopes.visit(_parse(path))
+        calls += scopes.calls
+    routes = ["wigner.wigner_from_density", "wigner.wigner_l0_grid"]
+    assert sorted(scope for name, scope in calls
+                  if name == "_delta_fold") == routes
+    assert sorted({scope for name, scope in calls
+                   if name in ("cos", "sin") and scope.startswith("wigner.")}
+                  ) == routes
+    assert {name for name, scope in calls
+            if scope == "checks._husimi_exact"} >= {"cos", "sin"}
+    checks = (Path(radwig.__file__).parent / "checks.py").read_text(
+        encoding="utf-8")
+    assert "_delta_fold" not in checks
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_scipy_import(path):
     tree = _parse(path)

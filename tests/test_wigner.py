@@ -386,6 +386,75 @@ def test_closed_form_even_in_delta():
     assert np.abs(w.values - w.values[:, ::-1]).max() < 1e-12
 
 
+# ------------------------------------------------------ the delta fold
+
+def _phased_mixture():
+    """Complex two-level mixture with a phase e^{iv} on one state: its W
+    is shifted in delta, so its odd part is as large as its even part."""
+    grid = default_vbar_grid()
+    v = grid.points
+    return DensityMatrixV.from_mixture(
+        [0.3, 0.7], [WavefunctionV(grid, vbar_schwinger_l0(2, v)),
+                     WavefunctionV(grid, vbar_schwinger_l0(5, v)
+                                   * np.exp(1j * v))])
+
+
+FOLD_CASES = {
+    "closed-l0": lambda g, d: wigner_l0_grid(0, g, d),
+    "closed-l16": lambda g, d: wigner_l0_grid(16, g, d),
+    "closed-l64": lambda g, d: wigner_l0_grid(64, g, d),
+    "real-kernel": lambda g, d: wigner_from_density(schwinger_density(3), g, d),
+    "complex-mixture": lambda g, d: wigner_from_density(_phased_mixture(), g, d),
+}
+
+
+def test_delta_fold_maps():
+    fold = radwig.wigner._delta_fold
+    cols, col, sign = fold(Grid1D(-4.0, 4.0, 5))
+    assert np.array_equal(cols, [0.0, 2.0, 4.0])
+    assert np.array_equal(col, [2, 1, 0, 1, 2])
+    assert np.array_equal(sign, [-1, -1, 1, 1, 1])
+    cols, col, sign = fold(Grid1D(-1.5, 1.5, 4))         # no delta = 0
+    assert np.array_equal(cols, [0.5, 1.5])
+    assert np.array_equal(col, [1, 0, 0, 1])
+    assert np.array_equal(sign, [-1, -1, 1, 1])
+    for grid in (Grid1D(-4.0, 3.0, 8), Grid1D(2.0, 2.0, 1),
+                 Grid1D(0.0, 0.0, 1)):
+        cols, col, sign = fold(grid)
+        assert np.array_equal(cols, grid.points)
+        assert np.array_equal(col, np.arange(grid.n_points))
+        assert np.array_equal(sign, np.ones(grid.n_points))
+
+
+@pytest.mark.parametrize("case", ["closed-l0", "closed-l16", "real-kernel"])
+def test_symmetric_axis_gives_an_exactly_even_w(case):
+    # real states: every column j < n // 2 is the column of -delta_j
+    for delta in (Grid1D(-4.0, 4.0, 321), Grid1D(-4.0, 4.0, 320)):
+        w = FOLD_CASES[case](GAMMA, delta)
+        assert np.array_equal(w.values, w.values[:, ::-1])
+
+
+# the asymmetric axes hold the same points, up to linspace rounding, with
+# the same largest |delta|, so the ladder takes the same step; only the
+# symmetric one is folded
+@pytest.mark.parametrize("axes", [
+    (Grid1D(-4.0, 4.0, 321), Grid1D(-4.0, 3.975, 320)),
+    (Grid1D(-4.0, 4.0, 320), Grid1D(-4.0, 4.0 - 8.0 / 319, 319)),
+    (Grid1D(-4.0, 4.0, 2), Grid1D(-4.0, -4.0, 1)),
+    (Grid1D(-4.0, 4.0, 2), Grid1D(4.0, 4.0, 1)),
+], ids=["odd-n", "even-n", "two-point-low", "two-point-high"])
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_folded_axis_matches_the_same_points_unfolded(case, axes):
+    folded, plain = axes
+    w = FOLD_CASES[case](GAMMA, folded).values
+    ref = FOLD_CASES[case](GAMMA, plain).values
+    j = slice(1, None) if plain.min > folded.min else slice(0, plain.n_points)
+    assert np.abs(w[:, j] - ref).max() <= 1e-14 * np.abs(ref).max()
+    if case == "complex-mixture" and folded.n_points > 2:
+        odd = 0.5 * (w - w[:, ::-1])
+        assert np.abs(odd).max() >= 0.3 * np.abs(w).max()
+
+
 def test_gamma_guard():
     deep = Grid1D(-8.0, 2.0, 201)
     with pytest.raises(DomainError):
