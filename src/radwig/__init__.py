@@ -28,8 +28,7 @@ from .wigner import (OVERLAP_FACTOR, WIGNER_LOWER_BOUND, DensityMatrixV,
                      overlap, s_smooth, schwinger_density,
                      wigner_from_density, wigner_l0_grid)
 from .fock import (FockDensityMatrix, SchwingerDensityMatrix, end_to_end,
-                   fock_to_schwinger, load_fock_density, radial_reduce,
-                   sector_isometry)
+                   load_fock_density, radial_reduce, sector_isometry)
 
 __version__ = "0.1.0"
 
@@ -49,7 +48,6 @@ __all__ = [
     "marginal_momentum", "marginal_position", "overlap", "s_smooth",
     "schwinger_density", "wigner_from_density", "wigner_l0_grid",
     "FockDensityMatrix", "SchwingerDensityMatrix", "end_to_end",
-    "fock_to_schwinger", "load_fock_density", "radial_reduce",
-    "sector_isometry",
+    "load_fock_density", "radial_reduce", "sector_isometry",
     "__version__",
 ]

@@ -11,10 +11,11 @@ their two blocks are summed first), whose rows come from the one
 radial-eigenfunction producer of :mod:`radwig.states`.  The result
 feeds straight into :func:`radwig.wigner.wigner_from_density`.
 
-:func:`fock_to_schwinger` forms the whole angular-momentum matrix, and
-:func:`radial_reduce` reads its equal-m blocks.  :func:`end_to_end`
-rotates only those blocks, from the half-rotated rows, so the angle
-trace never pays for the coherences it removes.
+:func:`radial_reduce` is that chain up to the kernel, and
+:func:`end_to_end` adds the Wigner function.  From a Fock matrix it
+rotates only the equal-m blocks, from the half-rotated rows, so the
+angle trace never pays for the coherences it removes; a
+:class:`SchwingerDensityMatrix` gives its stored blocks instead.
 
 The sector blocks are built from exact integer coefficients, so the
 whole chain holds to rounding at every cutoff up to ``MAX_FOCK_CUTOFF``.
@@ -37,9 +38,8 @@ from .wigner import (_STRIP, DensityMatrixV, WignerGrid, _DensityMatrix,
                      _flush_tiny, _validate_blocks, wigner_from_density)
 
 __all__ = [
-    "FockDensityMatrix", "SchwingerDensityMatrix", "fock_to_schwinger",
-    "radial_reduce", "end_to_end", "sector_isometry", "load_fock_density",
-    "MAX_FOCK_CUTOFF",
+    "FockDensityMatrix", "SchwingerDensityMatrix", "radial_reduce",
+    "end_to_end", "sector_isometry", "load_fock_density", "MAX_FOCK_CUTOFF",
 ]
 
 MAX_FOCK_CUTOFF = 40
@@ -131,10 +131,13 @@ def _schwinger_pair(row: int, col: int) -> str:
 class SchwingerDensityMatrix(_DensityMatrix):
     """Density matrix over angular-momentum labels (l, m).
 
-    Labels are stored through the circular occupations (n_plus, n_minus)
-    with n_plus + n_minus <= 2 n_max, flattened sector by sector; the
-    exact half-integer (l, m) of each index is available via ``labels``,
-    and a Hermiticity error names the pair by both labels.
+    The angular-momentum input of :func:`radial_reduce`, which reads its
+    stored equal-m blocks; a Fock input is rotated there block by block,
+    never into this full matrix.  Labels are stored through the circular
+    occupations (n_plus, n_minus) with n_plus + n_minus <= 2 n_max,
+    flattened sector by sector; the exact half-integer (l, m) of each
+    index is available via ``labels``, and a Hermiticity error names the
+    pair by both labels.
     ``n_max`` is an integer in [0, ``special.MAX_DEGREE``], the largest
     cutoff whose radial rows :func:`radial_reduce` can expand.
     """
@@ -244,30 +247,7 @@ def _rotated_block(left, isometries, f_off, idx) -> np.ndarray:
     return left[idx] @ rows.conj().T
 
 
-def fock_to_schwinger(rho: FockDensityMatrix) -> SchwingerDensityMatrix:
-    """Rotate a cartesian Fock density matrix into angular-momentum labels.
-
-    The change of basis B is block diagonal in the total quantum number T,
-    with the blocks B_T of :func:`sector_isometry`.  B acts on the
-    Hermitian part H of the Fock matrix: B_T on the row strip of sector T,
-    then B_T^dag on its column strip of B H, so no dense map is formed.
-    Coherences between different totals keep their structure.  Trace and
-    spectrum are preserved because every B_T is an isometry.  B H B^dag is
-    stored as computed, so its ``meta["hermiticity_residual"]`` measures
-    the rotation's own rounding.  :func:`end_to_end` does not call this,
-    so the residual belongs to this stage alone: the pipeline rotates
-    only the equal-m blocks that the angle trace keeps.
-    """
-    left, blocks, f_off = _rotated_rows(rho)
-    entries = np.empty((len(left), len(left)), dtype=complex)    # B H B^dag
-    for t, b in enumerate(blocks):
-        s = _schwinger_flat(t, 0)
-        entries[:, s:s + len(b)] = left[:, f_off[t]:f_off[t + 1]] @ b.conj().T
-    del left
-    return SchwingerDensityMatrix(rho.n_max, entries)
-
-
-def radial_reduce(rho_s: SchwingerDensityMatrix,
+def radial_reduce(rho: FockDensityMatrix | SchwingerDensityMatrix,
                   grid: Grid1D | None = None) -> DensityMatrixV:
     """Trace out the angle and sample the radial kernel on a log-radius grid.
 
@@ -280,8 +260,21 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
     R_{l,m} depends on m only through alpha = |2m|, so m and -m share
     their rows and enter through one block C_{+m} + C_{-m} per alpha,
     each C_m read as its exactly Hermitian part (C_m + C_m^dag) / 2.
-    The label walk and the kernel products are those of
-    :func:`end_to_end`, which takes its blocks from the rows B H instead.
+
+    A :class:`SchwingerDensityMatrix` gives its stored blocks.  A
+    :class:`FockDensityMatrix` is rotated by the sector blocks B_T of
+    :func:`sector_isometry`, but only where the angle trace keeps it: each
+    C_m = (B H)[m] B[m]^dag is contracted from the rows B H of the
+    Hermitian part H of the input, which are freed before the radial
+    products, so the Schwinger matrix B H B^dag (57 MB at n_max = 30) is
+    never formed.  C_{-m} and C_{+m} come from products of one shape, so
+    a real input's imaginary parts cancel between them.  The rotated
+    blocks meet the checks of :class:`SchwingerDensityMatrix` through the
+    one validator: every C_m is finite and Hermitian to 1e-10 of the
+    largest entry (a violation names both (l, m) labels), and their traces
+    sum to 1 within 1e-10.  Their Hermiticity residual, the rotation's own
+    rounding, goes in ``meta["rotation_residual"]``.
+
     The basis rows of every alpha are exponentiated from the log-domain
     producer straight into one real matrix Phi (N rows x grid points;
     N = 961 at n_max = 30, against 1891 labels), its tails zeroed below
@@ -291,10 +284,9 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
     C = blockdiag(C_{+m} + C_{-m}) the kernel is Phi^T (Re C) Phi
     + i Phi^T (Im C) Phi: two real products, through one real buffer
     that holds a column strip of (Re C) Phi and then of (Im C) Phi.
-    When no block has a nonzero imaginary part (a level mixture, a pure
-    label) the second product is skipped and the kernel is float64; a
-    real Fock input rotated by :func:`fock_to_schwinger` keeps
-    rounding-level imaginary parts and stays complex128.
+    When no block has a nonzero imaginary part (a real Fock input, a
+    level mixture, a pure label) the second product is skipped and the
+    kernel is float64.
     The first product is symmetric and the second antisymmetric, so each
     forms only the upper triangle, one column strip at a time, and the
     lower one is mirrored from it.  The sum over m runs over every label
@@ -302,39 +294,25 @@ def radial_reduce(rho_s: SchwingerDensityMatrix,
     every block above rounding, ascending, goes in ``meta["m_values"]``.
     Warns if grid truncation loses more than 1e-8 of the trace.
     """
-    blocks, two_ms = _equal_m_blocks(
-        rho_s.n_max, lambda idx: rho_s.entries[np.ix_(idx, idx)])
-    return _radial_kernel(blocks, two_ms, grid)
+    if isinstance(rho, FockDensityMatrix):
+        left, isometries, f_off = _rotated_rows(rho)
+        rotated, labels = [], []
 
+        def block(idx):
+            rotated.append(_rotated_block(left, isometries, f_off, idx))
+            labels.extend(idx)
+            return rotated[-1]
 
-def _equal_m_blocks(n_max: int, block):
-    """The blocks the angle trace keeps: C_m = block(idx) over the stored
-    indices of the labels of every signed m, read as its Hermitian part
-    and summed with -m's.  Returns (alpha, C_{+m} + C_{-m}) for every
-    alpha = |2m| with a nonzero block, and the signed 2m of each C_m above
-    the rotation's rounding, (2 n_max + 1) eps times the largest entry."""
-    blocks, sizes = [], {}
-    for alpha in range(2 * n_max + 1):
-        # labels of m = +-alpha/2 in stored order: k = l - |m| at total
-        # 2k + alpha
-        parts = []
-        for two_m in sorted({-alpha, alpha}):
-            part = block([_schwinger_flat(alpha + 2 * k, k + max(two_m, 0))
-                          for k in range((2 * n_max - alpha) // 2 + 1)])
-            part = 0.5 * (part + part.conj().T)
-            size = np.abs(part).max()
-            if size != 0.0:
-                sizes[two_m] = size
-                parts.append(part)
-        if parts:
-            blocks.append((alpha, sum(parts)))
-    floor = (2 * n_max + 1) * np.finfo(float).eps * max(sizes.values())
-    return blocks, [two_m for two_m, size in sizes.items() if size > floor]
+        blocks, two_ms = _equal_m_blocks(rho.n_max, block)
+        del left
+        meta = {"rotation_residual": _validate_blocks(
+            rotated, what="Schwinger density matrix",
+            label=lambda r, c: _schwinger_pair(labels[r], labels[c]))}
+    else:
+        blocks, two_ms = _equal_m_blocks(
+            rho.n_max, lambda idx: rho.entries[np.ix_(idx, idx)])
+        meta = {}
 
-
-def _radial_kernel(blocks, two_ms, grid: Grid1D | None) -> DensityMatrixV:
-    """The radial kernel of the (alpha, C_{+m} + C_{-m}) blocks of
-    :func:`_equal_m_blocks`, sampled on ``grid``; see :func:`radial_reduce`."""
     if grid is None:
         grid = default_vbar_grid()
     v = grid.points
@@ -377,51 +355,53 @@ def _radial_kernel(blocks, two_ms, grid: Grid1D | None) -> DensityMatrixV:
     if loss > 1e-8:
         warnings.warn(
             f"radial grid truncation lost {loss:.2e} of the trace "
-            f"(measured {trace})", TruncationWarning, stacklevel=3)
+            f"(measured {trace})", TruncationWarning, stacklevel=2)
     out = DensityMatrixV(grid, kernel, trace_tol=max(1e-8, 10.0 * loss))
     out.meta["m_values"] = [two_m / 2.0 for two_m in sorted(two_ms)]
+    out.meta.update(meta)
     return out
+
+
+def _equal_m_blocks(n_max: int, block):
+    """The blocks the angle trace keeps: C_m = block(idx) over the stored
+    indices of the labels of every signed m, read as its Hermitian part
+    and summed with -m's.  Returns (alpha, C_{+m} + C_{-m}) for every
+    alpha = |2m| with a nonzero block, and the signed 2m of each C_m above
+    the rotation's rounding, (2 n_max + 1) eps times the largest entry."""
+    blocks, sizes = [], {}
+    for alpha in range(2 * n_max + 1):
+        # labels of m = +-alpha/2 in stored order: k = l - |m| at total
+        # 2k + alpha
+        parts = []
+        for two_m in sorted({-alpha, alpha}):
+            part = block([_schwinger_flat(alpha + 2 * k, k + max(two_m, 0))
+                          for k in range((2 * n_max - alpha) // 2 + 1)])
+            part = 0.5 * (part + part.conj().T)
+            size = np.abs(part).max()
+            if size != 0.0:
+                sizes[two_m] = size
+                parts.append(part)
+        if parts:
+            blocks.append((alpha, sum(parts)))
+    floor = (2 * n_max + 1) * np.finfo(float).eps * max(sizes.values())
+    return blocks, [two_m for two_m, size in sizes.items() if size > floor]
 
 
 def end_to_end(rho: FockDensityMatrix, gamma_grid: Grid1D, delta_grid: Grid1D,
                vbar_grid: Grid1D | None = None) -> WignerGrid:
-    """Full chain: Fock basis -> angular-momentum basis -> radial kernel
-    -> Wigner function, with the tolerances met along the way recorded in
-    the output metadata.
-
-    The angle trace keeps only the coherences between labels of equal m,
-    so the Schwinger matrix B H B^dag of :func:`fock_to_schwinger` is
-    never formed (57 MB at n_max = 30): each block C_m = (B H)[m] B[m]^dag
-    is contracted from the rows B H, which are freed before the radial
-    products, and the blocks then take the label walk and the kernel
-    products of :func:`radial_reduce`.  W agrees with
-    ``wigner_from_density(radial_reduce(fock_to_schwinger(rho)))`` to
-    rounding.  C_{-m} and C_{+m} come from products of one shape, so a
-    real input's imaginary parts cancel between them and its kernel comes
-    out float64, where the whole matrix keeps ~1e-18 of them.  The checks
-    of :class:`SchwingerDensityMatrix` hold on the entries used, through
-    the one validator: every C_m is finite and Hermitian to 1e-10 of the
-    largest entry (a violation names both (l, m) labels), and their
-    traces sum to 1 within 1e-10.
+    """Full chain: the radial kernel of :func:`radial_reduce` on
+    ``vbar_grid``, then its Wigner function on (``gamma_grid``,
+    ``delta_grid``), with the tolerances met along the way (the kernel's
+    ``m_values`` and ``rotation_residual``, and its trace as
+    ``radial_trace``) recorded in the output metadata.
     """
-    left, isometries, f_off = _rotated_rows(rho)
-    rotated, labels = [], []
-
-    def block(idx):
-        rotated.append(_rotated_block(left, isometries, f_off, idx))
-        labels.extend(idx)
-        return rotated[-1]
-
-    blocks, two_ms = _equal_m_blocks(rho.n_max, block)
-    del left
-    _validate_blocks(rotated, what="Schwinger density matrix",
-                     label=lambda r, c: _schwinger_pair(labels[r], labels[c]))
-    rho_v = _radial_kernel(blocks, two_ms, vbar_grid)
+    rho_v = radial_reduce(rho, vbar_grid)
     w = wigner_from_density(rho_v, gamma_grid, delta_grid)
     w.meta.update({
         "pipeline": "fock",
         "fock_n_max": rho.n_max,
-        "m_values": rho_v.meta.get("m_values", []),
+        "m_values": rho_v.meta["m_values"],
+        "rotation_residual": rho_v.meta["rotation_residual"],
         "radial_trace": rho_v.trace,
     })
     return w

@@ -18,6 +18,9 @@ ladder, in one product, instead of stopping at its own cut.
 pipeline's first two stages in their direct form: one dense unitary
 U rho U^dag over every sector, and one complex ``basis.T @ block @ basis``
 update per angular momentum m, with basis rows from :func:`scipy_psi`.
+:func:`fock_to_schwinger` wraps the first as a ``SchwingerDensityMatrix``,
+the whole angular-momentum matrix that ``radwig.radial_reduce`` never
+forms from a Fock input.
 
 :func:`scipy_psi` assembles the rescaled radial eigenfunction psi_k(v)
 from scipy's Laguerre values and log-gamma, independent of the library's
@@ -44,8 +47,8 @@ from scipy.integrate import quad
 from scipy.ndimage import gaussian_filter
 from scipy.special import eval_genlaguerre, gammaln
 
-from radwig import (AccuracyError, WavefunctionV, apply_displacement,
-                    laguerre_assoc, sector_isometry)
+from radwig import (AccuracyError, SchwingerDensityMatrix, WavefunctionV,
+                    apply_displacement, laguerre_assoc, sector_isometry)
 from radwig.wigner import _ladder, _log_integrand
 
 
@@ -163,6 +166,12 @@ def dense_u_rotation(rho) -> np.ndarray:
         u[np.ix_(rows, cols)] = sector_isometry(total, n_max)
     entries = u @ rho.entries @ u.conj().T
     return 0.5 * (entries + entries.conj().T)
+
+
+def fock_to_schwinger(rho):
+    """The FockDensityMatrix ``rho`` in angular-momentum labels, as a
+    SchwingerDensityMatrix of :func:`dense_u_rotation`."""
+    return SchwingerDensityMatrix(rho.n_max, dense_u_rotation(rho))
 
 
 def per_block_radial_kernel(rho_s, grid) -> np.ndarray:

@@ -10,13 +10,13 @@ import radwig.fock
 from radwig import (DomainError, FockDensityMatrix, Grid1D, SchemaError,
                     SchwingerDensityMatrix, SchwingerLabel, TruncationWarning,
                     ValidationError, default_vbar_grid, end_to_end,
-                    fock_to_schwinger, load_fock_density, radial_reduce,
-                    radial_wavefunction, sector_isometry, vbar_schwinger_l0,
-                    wigner_from_density, wigner_l0_grid)
+                    load_fock_density, radial_reduce, radial_wavefunction,
+                    sector_isometry, vbar_schwinger_l0, wigner_from_density,
+                    wigner_l0_grid)
 from radwig.states import _radial_rows
-from radwig.wigner import DensityMatrixV, validate_density_matrix
+from radwig.wigner import DensityMatrixV
 
-from reference import (dense_u_rotation, per_block_radial_kernel, scipy_psi,
+from reference import (fock_to_schwinger, per_block_radial_kernel, scipy_psi,
                        wigner_two_sided)
 
 GAMMA = Grid1D(-3.0, 2.0, 126)
@@ -70,30 +70,28 @@ def test_every_density_type_records_its_own_residual():
     skew = np.zeros_like(dense.entries)
     skew[0, 1] = 1e-13j                     # inside the 1e-10 tolerance
     rho_f = FockDensityMatrix(3, dense.entries + skew)
-    rho_s = fock_to_schwinger(rho_f)
-    rho_v = radial_reduce(rho_s)
+    rho_v = radial_reduce(rho_f)
     assert rho_f.meta["hermiticity_residual"] == \
         pytest.approx(1e-13, rel=1e-3)
     # each stage measures its own entries: the rotation acts on the Fock
-    # input's Hermitian part, so the Schwinger matrix records only the
+    # input's Hermitian part, so the rotated blocks record only the
     # rotation's rounding asymmetry, not the 1e-13 planted in the input
-    assert rho_s.meta["hermiticity_residual"] == \
-        validate_density_matrix(rho_s.entries) < 1e-15
+    assert 0.0 < rho_v.meta["rotation_residual"] < 1e-15
     assert rho_v.meta["hermiticity_residual"] <= 1e-10
-    for rho in (rho_f, rho_s):
-        assert rho.trace == pytest.approx(1.0, abs=1e-12)
-        assert rho.min_eigenvalue() >= -1e-12
+    assert rho_f.trace == pytest.approx(1.0, abs=1e-12)
+    assert rho_f.min_eigenvalue() >= -1e-12
     w = end_to_end(rho_f, GAMMA, DELTA)
     assert w.meta["radial_trace"] == rho_v.trace
+    assert w.meta["rotation_residual"] == rho_v.meta["rotation_residual"]
 
 
 def test_rotation_records_its_measured_residual():
-    # the rotated matrix is stored as computed, not re-symmetrised, so its
-    # residual is the rotation's own rounding asymmetry, which is not 0
-    rho_s = fock_to_schwinger(dense_state(10, seed=1010))
-    fresh = np.abs(rho_s.entries - rho_s.entries.conj().T).max()
-    assert rho_s.meta == {"hermiticity_residual": fresh}
-    assert 0.0 < fresh < 1e-13
+    # the residual is measured on the rotated blocks before their
+    # Hermitian parts are taken: the rotation's own rounding asymmetry,
+    # which is not 0
+    residual = radial_reduce(dense_state(10, seed=1010)).meta[
+        "rotation_residual"]
+    assert 0.0 < residual < 1e-13
 
 
 def test_rotation_takes_the_hermitian_part_of_its_input():
@@ -107,15 +105,14 @@ def test_rotation_takes_the_hermitian_part_of_its_input():
     noisy[1:3, 1:3] += 0.5 * e * np.array([[1j, 1], [-1, 1j]])
     rho_f = FockDensityMatrix(1, noisy)
     assert rho_f.meta["hermiticity_residual"] == pytest.approx(e)
-    assert fock_to_schwinger(rho_f).meta["hermiticity_residual"] < 1e-15
+    assert radial_reduce(rho_f).meta["rotation_residual"] < 1e-15
     assert np.array_equal(
         end_to_end(rho_f, GAMMA, DELTA).values,
         end_to_end(FockDensityMatrix(1, clean), GAMMA, DELTA).values)
 
 
 def test_folded_route_matches_two_sided_on_fock_kernel():
-    rho_v = radial_reduce(fock_to_schwinger(dense_state(3, seed=903)),
-                          default_vbar_grid())
+    rho_v = radial_reduce(dense_state(3, seed=903), default_vbar_grid())
     w = wigner_from_density(rho_v, GAMMA, DELTA)
     assert np.abs(w.values - wigner_two_sided(rho_v, GAMMA, DELTA).real
                   ).max() <= 1e-14
@@ -126,11 +123,10 @@ def test_folded_route_matches_two_sided_on_fock_kernel():
 @pytest.mark.parametrize("n_max", [3, 10, 20, 30])
 def test_block_pipeline_matches_dense_reference(n_max):
     rho = dense_state(n_max, seed=700 + n_max)
-    rho_s = fock_to_schwinger(rho)
-    assert np.abs(rho_s.entries - dense_u_rotation(rho)).max() < 1e-12
     grid = default_vbar_grid()
-    kernel = radial_reduce(rho_s, grid).entries
-    assert np.abs(kernel - per_block_radial_kernel(rho_s, grid)).max() < 1e-12
+    kernel = radial_reduce(rho, grid).entries
+    ref = per_block_radial_kernel(fock_to_schwinger(rho), grid)
+    assert np.abs(kernel - ref).max() < 1e-12
 
 
 def test_recurrence_rows_match_radial_wavefunction():
@@ -242,6 +238,15 @@ def test_radial_reduce_of_a_level_mixture_is_real():
     assert radial_reduce(tmp).entries.dtype == np.float64
 
 
+@pytest.mark.parametrize("n_max", [4, 10, 20, 40])
+def test_radial_reduce_of_a_real_fock_input_is_real(n_max):
+    # C_{-m} and C_{+m} of a real input come from mirrored products of one
+    # shape, so their imaginary parts cancel to the bit and the kernel is
+    # float64, with no imaginary product
+    rho = dense_state(n_max, seed=2600 + n_max, real=True)
+    assert radial_reduce(rho).entries.dtype == np.float64
+
+
 def test_radial_reduce_takes_the_hermitian_part_of_each_block():
     # an imaginary diagonal within the validator's tolerance is not
     # Hermitian; the Hermitian part of each block drops it, so the kernel
@@ -327,7 +332,7 @@ def test_radial_reduce_builds_one_row_block_per_abs_m(monkeypatch):
         return radial_rows(alpha, count, v)
 
     monkeypatch.setattr(radwig.fock, "_radial_rows", counted)
-    rho_v = radial_reduce(fock_to_schwinger(dense_state(3, seed=303)))
+    rho_v = radial_reduce(dense_state(3, seed=303))
     assert alphas == list(range(7))
     assert rho_v.meta["m_values"] == [two_m / 2 for two_m in range(-6, 7)]
 
@@ -337,7 +342,7 @@ def test_radial_reduce_kernel_holds_few_subnormal_parts():
     # _FLUSH, no product of two basis tails is subnormal (> 11,000 such
     # parts without the flush).  What can remain comes from single strip
     # entries of C Phi below _FLUSH, one output part each (5-7 measured)
-    kernel = radial_reduce(fock_to_schwinger(dense_state(30, seed=930))).entries
+    kernel = radial_reduce(dense_state(30, seed=930)).entries
     tiny = np.finfo(float).tiny
     assert sum(int(np.count_nonzero((part != 0) & (np.abs(part) < tiny)))
                for part in (kernel.real, kernel.imag)) <= 50
@@ -419,12 +424,9 @@ AGREEMENT_CASES = {
 @pytest.mark.parametrize("case", AGREEMENT_CASES)
 def test_end_to_end_agrees_with_the_full_rotation(case, monkeypatch):
     # end_to_end rotates only the equal-m blocks, from B H; the route
-    # through the whole Schwinger matrix must give the same W to rounding,
-    # the same kernel dtype, the same m values and the same radial trace.
-    # One exception: for a real input end_to_end forms C_{-m} and C_{+m}
-    # by mirrored products of one shape, so their imaginary parts cancel
-    # to the bit and the kernel is real, where the whole matrix keeps
-    # rounding-level imaginary parts in the kernel
+    # through the whole, symmetrised Schwinger matrix of the dense
+    # reference must give the same W to rounding, the same kernel dtype,
+    # the same m values and the same radial trace
     rho = AGREEMENT_CASES[case]()
     kernels = []
 
@@ -437,20 +439,17 @@ def test_end_to_end_agrees_with_the_full_rotation(case, monkeypatch):
     rho_v = radial_reduce(fock_to_schwinger(rho))
     full = wigner_from_density(rho_v, GAMMA, DELTA)
     assert np.abs(w.values - full.values).max() <= 1e-15
-    real = np.isrealobj(rho.entries)
-    assert kernels[0].entries.dtype == \
-        (np.float64 if real else rho_v.entries.dtype)
-    if real:
-        assert np.abs(rho_v.entries.imag).max() < 1e-15
+    assert kernels[0].entries.dtype == rho_v.entries.dtype
     assert w.meta["m_values"] == rho_v.meta["m_values"]
     assert abs(w.meta["radial_trace"] - rho_v.trace) <= 1e-15
 
 
 def test_m_values_skip_blocks_of_rotation_rounding():
     # a level mixture holds only m = 0; the rotation leaves blocks of at
-    # most ~3e-17 of the largest at other m, which both routes still sum
-    # into the kernel but do not list.  Dense inputs hold every m, their
-    # smallest genuine block ~1e-5 of the largest
+    # most ~3e-17 of the largest at other m, which the kernel still sums
+    # but does not list, from the Fock input and from the dense
+    # reference's Schwinger matrix alike.  Dense inputs hold every m,
+    # their smallest genuine block ~1e-5 of the largest
     gamma, delta = Grid1D(-3.0, 2.0, 26), Grid1D(-4.0, 4.0, 9)
     for seed in range(20):
         rho = level_mixture(10, seed)

@@ -110,7 +110,7 @@ def test_one_density_matrix_contract():
     # blocks it rotates without forming the Schwinger matrix
     assert sorted(scope for name, scope in calls
                   if name == "_validate_blocks") == \
-        ["fock.end_to_end", "wigner.validate_density_matrix"]
+        ["fock.radial_reduce", "wigner.validate_density_matrix"]
     for method in ("trace", "min_eigenvalue"):
         assert [d for d in defs if d.rsplit(".", 1)[1] == method] == \
             [f"wigner._DensityMatrix.{method}"]
