@@ -416,10 +416,10 @@ _REGISTRY = [
     ("displacement-trace-kernel",
      "packet elements <D^dag g|D'^dag g> equal their closed form",
      1e-12, _check_trace_kernel),
-    # window: psi_1's mass e^{-19} below v = -9.5 times |W| <= 1/pi ~ 1.8e-9
+    # rounding: 671 + 153 terms (density, ladder), sum|.| <= 2/pi: ~5.8e-14
     ("wigner-cross-route",
      "density-matrix route equals the closed form for l = 1",
-     2e-7, _check_wigner_cross_route),
+     1e-13, _check_wigner_cross_route),
     # window: psi_1's mass e^{-24} ~ 3.8e-11 below gamma = -12; fold ~2e-15
     ("wigner-normalization",
      "phase-space integral of W_1 equals 1",

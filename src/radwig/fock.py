@@ -24,13 +24,11 @@ whole chain holds to rounding at every cutoff up to ``MAX_FOCK_CUTOFF``.
 import json
 import math
 import numbers
-import warnings
 from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import (DomainError, SchemaError, TruncationWarning,
-                     ValidationError)
+from .errors import DomainError, SchemaError, ValidationError
 from .grids import Grid1D
 from .special import MAX_DEGREE, log_factorial
 from .states import SchwingerLabel, _radial_rows, default_vbar_grid
@@ -292,7 +290,9 @@ def radial_reduce(rho: FockDensityMatrix | SchwingerDensityMatrix,
     lower one is mirrored from it.  The sum over m runs over every label
     the input cutoff admits, skipping all-zero blocks; the signed m of
     every block above rounding, ascending, goes in ``meta["m_values"]``.
-    Warns if grid truncation loses more than 1e-8 of the trace.
+    The kernel keeps its samples: :class:`radwig.wigner.DensityMatrixV`
+    records their trace as ``meta["radial_trace"]`` and raises if the
+    grid's window loses more than 1e-8 of it.
     """
     if isinstance(rho, FockDensityMatrix):
         left, isometries, f_off = _rotated_rows(rho)
@@ -349,14 +349,7 @@ def radial_reduce(rho: FockDensityMatrix | SchwingerDensityMatrix,
     for a in range(0, g, _STRIP):
         kernel[a + _STRIP:, a:a + _STRIP] = \
             kernel[a:a + _STRIP, a + _STRIP:].conj().T
-
-    trace = float(np.trace(kernel).real) * grid.spacing
-    loss = abs(trace - 1.0)
-    if loss > 1e-8:
-        warnings.warn(
-            f"radial grid truncation lost {loss:.2e} of the trace "
-            f"(measured {trace})", TruncationWarning, stacklevel=2)
-    out = DensityMatrixV(grid, kernel, trace_tol=max(1e-8, 10.0 * loss))
+    out = DensityMatrixV(grid, kernel)
     out.meta["m_values"] = [two_m / 2.0 for two_m in sorted(two_ms)]
     out.meta.update(meta)
     return out
@@ -391,19 +384,14 @@ def end_to_end(rho: FockDensityMatrix, gamma_grid: Grid1D, delta_grid: Grid1D,
                vbar_grid: Grid1D | None = None) -> WignerGrid:
     """Full chain: the radial kernel of :func:`radial_reduce` on
     ``vbar_grid``, then its Wigner function on (``gamma_grid``,
-    ``delta_grid``), with the tolerances met along the way (the kernel's
-    ``m_values`` and ``rotation_residual``, and its trace as
-    ``radial_trace``) recorded in the output metadata.
+    ``delta_grid``).  W's metadata holds the kernel's (``m_values``,
+    ``rotation_residual`` and the measured ``radial_trace``, forwarded by
+    :func:`radwig.wigner.wigner_from_density`), plus ``pipeline`` and
+    ``fock_n_max``.
     """
-    rho_v = radial_reduce(rho, vbar_grid)
-    w = wigner_from_density(rho_v, gamma_grid, delta_grid)
-    w.meta.update({
-        "pipeline": "fock",
-        "fock_n_max": rho.n_max,
-        "m_values": rho_v.meta["m_values"],
-        "rotation_residual": rho_v.meta["rotation_residual"],
-        "radial_trace": rho_v.trace,
-    })
+    w = wigner_from_density(radial_reduce(rho, vbar_grid), gamma_grid,
+                            delta_grid)
+    w.meta.update({"pipeline": "fock", "fock_n_max": rho.n_max})
     return w
 
 

@@ -209,29 +209,36 @@ class _DensityMatrix:
 class DensityMatrixV(_DensityMatrix):
     """Hermitian density-matrix kernel sampled on a log-radius grid.
 
-    ``entries[i, j]`` holds <vbar_i| rho |vbar_j>; the trace convention is
-    sum(diagonal) * spacing == 1, validated to 1e-8.  The entries are
-    float64 when the kernel is real (a real symmetric matrix) and
-    complex128 otherwise.
+    ``entries[i, j]`` holds <vbar_i| rho |vbar_j>, float64 when the kernel
+    is real (a real symmetric matrix) and complex128 otherwise.  This is
+    the one trace rule of a log-radius kernel: the entries are stored as
+    given, never rescaled, and their trace sum(diagonal) * spacing, which
+    lacks whatever mass lies outside the grid's window, is measured and
+    recorded as ``meta["radial_trace"]``.  A trace more than 1e-8 from 1
+    raises ValidationError naming the window.
     """
 
-    def __init__(self, grid: Grid1D, entries, *, trace_tol=1e-8):
+    def __init__(self, grid: Grid1D, entries):
         super().__init__(entries, grid.n_points, spacing=grid.spacing,
-                         trace_tol=trace_tol)
+                         trace_tol=1e-8, what="log-radius kernel (window "
+                         f"[{grid.min}, {grid.max}])")
         self.grid = grid
+        self.meta["radial_trace"] = self.trace
 
     @classmethod
     def from_pure(cls, psi: WavefunctionV) -> "DensityMatrixV":
-        """|psi><psi| with the discrete norm divided out exactly."""
+        """|psi><psi| of the samples as given (see :meth:`from_mixture`)."""
         return cls.from_mixture([1.0], [psi])
 
     @classmethod
     def from_mixture(cls, weights, states) -> "DensityMatrixV":
         """Convex mixture of pure states on a common grid, one weight per
-        state: one product (S^T w) S^* of the normalised sample stack S,
-        its tails zeroed below sqrt(tiny) (see :func:`_flush_tiny`).  If no
-        sample of S has a nonzero imaginary part, the product is taken
-        over Re S and the kernel is float64."""
+        state: one product (S^T w) S^* of the sample stack S, its tails
+        zeroed below sqrt(tiny) (see :func:`_flush_tiny`).  The samples
+        are not renormalised, so the kernel's trace is the weighted sum of
+        the states' discrete norms, held to 1e-8 of 1.  If no sample of S
+        has a nonzero imaginary part, the product is taken over Re S and
+        the kernel is float64."""
         weights = np.asarray(weights, dtype=float)
         if len(states) == 0 or weights.shape != (len(states),):
             raise ValidationError(
@@ -242,8 +249,7 @@ class DensityMatrixV(_DensityMatrix):
         grid = states[0].grid
         if any(psi.grid != grid for psi in states):
             raise GridMismatchError("mixture states must share one grid")
-        stack = _flush_tiny(np.array([psi.samples / np.sqrt(psi.norm())
-                                      for psi in states]))
+        stack = _flush_tiny(np.array([psi.samples for psi in states]))
         if not stack.imag.any():
             stack = stack.real
         return cls(grid, (stack.T * weights) @ stack.conj())
@@ -323,7 +329,8 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     m points, column j < m // 2 read at -delta_{m-1-j} (see
     :func:`_delta_fold`); the gathered slices are zeroed below sqrt(tiny)
     first (see :func:`_flush_tiny`).  Hermiticity was checked at
-    construction; its residual is copied into ``meta``.
+    construction; the kernel's whole ``meta`` (its residual and trace,
+    and what its producer recorded) is copied into W's.
 
     Sampled at tau spacing 2h, each class yields W(delta) + W(delta +- pi/h)
     + ..., so a delta past the band limit pi/(2h) raises DomainError.
@@ -371,8 +378,7 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
             w += sign * (gather.imag @ np.sin(arg))[:, col]
         values[rows] = (h / np.pi) * w
     meta = {"route": "density-matrix", "overlap_factor": OVERLAP_FACTOR}
-    meta.update({k: rho.meta[k] for k in ("hermiticity_residual", "l")
-                 if k in rho.meta})
+    meta.update(rho.meta)
     return WignerGrid(gamma_grid, delta_grid, values, meta=meta)
 
 

@@ -348,10 +348,16 @@ def test_radial_reduce_kernel_holds_few_subnormal_parts():
                for part in (kernel.real, kernel.imag)) <= 50
 
 
-def test_radial_reduce_narrow_grid_warns():
+def test_radial_reduce_narrow_grid_raises():
+    # the window [-2, 2] holds 1 - 1.8e-2 of the vacuum's radial mass; the
+    # kernel keeps its samples, so DensityMatrixV's one trace rule raises
+    # and names the window, with no warning and no widened tolerance
     rho_s = SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max=1)
-    with pytest.warns(TruncationWarning):
-        radial_reduce(rho_s, Grid1D(-2.0, 2.0, 201))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match=r"window \[-2\.0, 2\.0\]\) trace 0\.98"):
+            radial_reduce(rho_s, Grid1D(-2.0, 2.0, 201))
 
 
 # ------------------------------------------------------------ pipeline

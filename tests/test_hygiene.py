@@ -4,6 +4,7 @@ command-line options the parser has."""
 
 import argparse
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -114,6 +115,30 @@ def test_one_density_matrix_contract():
     for method in ("trace", "min_eigenvalue"):
         assert [d for d in defs if d.rsplit(".", 1)[1] == method] == \
             [f"wigner._DensityMatrix.{method}"]
+
+
+def test_one_trace_rule():
+    # a log-radius kernel keeps its samples, and DensityMatrixV alone
+    # measures, records and checks their trace: the discrete norm is read
+    # only where a state validates itself (and the Fock amplitudes of
+    # FockDensityMatrix.from_pure, which are not samples), and fock neither
+    # measures a kernel's trace nor warns about it
+    calls, fock_names = [], set()
+    for path in MODULES:
+        tree = _parse(path)
+        scopes = _Scopes(path.stem)
+        scopes.visit(tree)
+        calls += scopes.calls
+        if path.stem == "fock":
+            fock_names = {getattr(n, "attr", getattr(n, "id", getattr(
+                n, "arg", None))) for n in ast.walk(tree)}
+    assert sorted(scope for name, scope in calls if name == "norm") == [
+        "fock.FockDensityMatrix.from_pure", "states.WavefunctionR.__init__",
+        "states.WavefunctionV.__init__"]
+    assert not fock_names & {"trace", "trace_tol", "warn", "warnings",
+                             "TruncationWarning"}
+    assert list(inspect.signature(radwig.DensityMatrixV).parameters) == \
+        ["grid", "entries"]
 
 
 def test_one_delta_fold_rule():

@@ -404,6 +404,26 @@ def test_out_named_as_plot_script(tmp_path, capsys, command):
     assert grid.values.shape == (3, 3)
 
 
+@pytest.mark.parametrize("command", [
+    ["wl", "--gamma", "-1:1:3", "--delta", "-1:1:3"],
+    ["fock", "--input", "rho.json", "--gamma", "-1:1:3", "--delta", "-1:1:3"],
+], ids=lambda c: c[0])
+def test_json_output_writes_its_plot_csv_without_a_script(tmp_path, command):
+    # --format json always writes the grid as <stem>.plot.csv too, even
+    # under --no-plot-script, where no gnuplot script reads it; other
+    # commands read it as a CSV grid (e.g. marginals --input wide.plot.csv)
+    (tmp_path / "rho.json").write_text(json.dumps(vacuum_doc()))
+    argv = [str(tmp_path / a) if a == "rho.json" else a for a in command]
+    out = tmp_path / "grid.json"
+    assert main(argv + ["--out", str(out), "--format", "json",
+                        "--no-plot-script"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["grid.json", "grid.plot.csv",
+                                            "rho.json"]
+    write_wigner_csv(tmp_path / "ref.csv", read_wigner_json(out))
+    assert ((tmp_path / "grid.plot.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
 def _readme_block(after, lang):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")

@@ -132,17 +132,49 @@ def _mixture_states():
 
 
 def test_mixture_is_the_weighted_sum_of_outer_products():
-    # reference: the per-state loop of outer products that the stacked
-    # product replaced; only the summation order differs
+    # reference: the per-state loop of outer products of the raw samples,
+    # which the stacked product replaced; only the summation order differs
     states = _mixture_states()
     weights = [0.2, 0.5, 0.3]
-    unit = [psi.samples / np.sqrt(psi.norm()) for psi in states]
-    ref = sum(w * np.outer(s, s.conj()) for w, s in zip(weights, unit))
+    raw = [psi.samples for psi in states]
+    ref = sum(w * np.outer(s, s.conj()) for w, s in zip(weights, raw))
     rho = DensityMatrixV.from_mixture(weights, states)
     assert np.abs(rho.entries - ref).max() <= 1e-15 * np.abs(ref).max()
     pure = DensityMatrixV.from_pure(states[2])
-    ref = np.outer(unit[2], unit[2].conj())
+    ref = np.outer(raw[2], raw[2].conj())
     assert np.abs(pure.entries - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_mixture_keeps_the_scale_of_its_samples():
+    # the samples are not renormalised: a state scaled by 1 + 1e-9 keeps
+    # that scale, squared, in the kernel's trace; one scaled by 1 + 1e-7,
+    # which WavefunctionV still accepts at norm_tol = 1e-6, is a kernel
+    # 2e-7 off unit trace and raises, naming the window
+    grid = Grid1D(-8.0, 8.0, 1601)
+    samples = dilaton_vacuum("vbar", grid.points)
+    base = DensityMatrixV.from_pure(WavefunctionV(grid, samples))
+    scaled = DensityMatrixV.from_mixture(
+        [1.0], [WavefunctionV(grid, (1.0 + 1e-9) * samples)])
+    assert scaled.meta["radial_trace"] == scaled.trace
+    assert scaled.trace == pytest.approx((1.0 + 1e-9) ** 2 * base.trace,
+                                         rel=1e-15, abs=0.0)
+    psi = WavefunctionV(grid, (1.0 + 1e-7) * samples)
+    with pytest.raises(ValidationError, match=r"window \[-8\.0, 8\.0\]"):
+        DensityMatrixV.from_pure(psi)
+
+
+@pytest.mark.parametrize("l", [0, 1, 16, 64])
+def test_schwinger_density_records_its_window_trace(l):
+    # psi_l(v) ~ sqrt(2) e^v as v -> -inf, so the default window [-9.5, 4]
+    # misses e^{-19} = 5.6e-9 of every level's mass; the kernel records
+    # what it holds, and W carries that record
+    rho = schwinger_density(l)
+    assert 1.0 - rho.meta["radial_trace"] == pytest.approx(5.547e-9,
+                                                            rel=1e-3)
+    assert rho.meta["radial_trace"] == rho.trace
+    w = wigner_from_density(rho, GAMMA, DELTA)
+    assert w.meta["radial_trace"] == rho.meta["radial_trace"]
+    assert w.meta["l"] == l
 
 
 def test_real_states_store_a_real_kernel():
@@ -248,10 +280,15 @@ def test_parity_split_matches_two_sided(gamma):
 
 
 def test_density_route_matches_closed_form():
-    rho = schwinger_density(0)
-    w_dens = wigner_from_density(rho, GAMMA, DELTA)
-    w_closed = wigner_l0_grid(0, GAMMA, DELTA)
-    assert np.abs(w_dens.values - w_closed.values).max() < 1e-6
+    # on the CLI's default 251 x 321 window the two routes share only the
+    # radial producer; with the samples kept as given they agree at
+    # rounding (<= 4.7e-15 measured against |W| <= 1/pi)
+    gamma, delta = Grid1D(-3.0, 2.0, 251), Grid1D(-4.0, 4.0, 321)
+    worst = {l: float(np.abs(
+        wigner_from_density(schwinger_density(l), gamma, delta).values
+        - wigner_l0_grid(l, gamma, delta).values).max())
+        for l in (0, 1, 4, 16, 32, 64)}
+    assert max(worst.values()) <= 1e-13, worst
 
 
 def test_density_route_refuses_delta_past_its_band():
@@ -488,7 +525,7 @@ def test_gamma_overflow_is_a_domain_error():
 def test_high_level_ladder_matches_density_route(l):
     w_dens = wigner_from_density(schwinger_density(l), GAMMA, DELTA)
     w_closed = wigner_l0_grid(l, GAMMA, DELTA)
-    assert np.abs(w_dens.values - w_closed.values).max() < 1e-8
+    assert np.abs(w_dens.values - w_closed.values).max() <= 1e-13
 
 
 # each row stops at its own cut instead of the deepest row's: only terms
