@@ -11,11 +11,20 @@ their two blocks are summed first), whose rows come from the one
 radial-eigenfunction producer of :mod:`radwig.states`.  The result
 feeds straight into :func:`radwig.wigner.wigner_from_density`.
 
-:func:`radial_reduce` is that chain up to the kernel, and
-:func:`end_to_end` adds the Wigner function.  From a Fock matrix it
-rotates only the equal-m blocks, from the half-rotated rows, so the
-angle trace never pays for the coherences it removes; a
+:func:`radial_reduce` is that chain up to the kernel, on the grid it is
+given, and :func:`end_to_end` adds the Wigner function.  From a Fock
+matrix it rotates only the equal-m blocks, from the half-rotated rows,
+so the angle trace never pays for the coherences it removes; a
 :class:`SchwingerDensityMatrix` gives its stored blocks instead.
+
+:func:`end_to_end` reads its log-radius grid as a window and a finest
+spacing h_0, and samples the kernel on every j-th point of it, for the
+coarsest stride whose aliasing images stay clear of W's band: a cutoff
+n_max holds dilation momentum up to about 2 n_max + 1, and the images
+must clear it by a margin of 26 + 4.5 sqrt(n_max) (see
+:func:`_kernel_grid`).  W moves by <= 1e-14 max|W| from the h_0 kernel
+where the window holds its anti-diagonals, and the sampled grid is
+recorded as ``meta["radial_grid"]``.
 
 The sector blocks are built from exact integer coefficients, so the
 whole chain holds to rounding at every cutoff up to ``MAX_FOCK_CUTOFF``.
@@ -33,7 +42,8 @@ from .grids import Grid1D
 from .special import MAX_DEGREE, log_factorial
 from .states import SchwingerLabel, _radial_rows, default_vbar_grid
 from .wigner import (_STRIP, DensityMatrixV, WignerGrid, _DensityMatrix,
-                     _flush_tiny, _validate_blocks, wigner_from_density)
+                     _flush_tiny, _gamma_nodes, _validate_blocks,
+                     wigner_from_density)
 
 __all__ = [
     "FockDensityMatrix", "SchwingerDensityMatrix", "radial_reduce",
@@ -380,17 +390,77 @@ def _equal_m_blocks(n_max: int, block):
     return blocks, [two_m for two_m, size in sizes.items() if size > floor]
 
 
+# Past B = 2l + 1, max |W_l| over gamma falls to 2^-52 of its peak within
+# x = 26 + 4.5 sqrt(l) in delta (see _kernel_grid)
+_BAND_MARGIN = (26.0, 4.5)
+
+
+def _kernel_grid(window: Grid1D, n_max: int, gamma_grid: Grid1D,
+                 delta_grid: Grid1D) -> Grid1D:
+    """Every j-th point of ``window`` from its left edge, for the largest
+    stride j that keeps W of a cutoff-``n_max`` input at rounding.
+
+    - Alignment: j divides every node index s_i = 2 (gamma_i - v_0) / h_0
+      of :func:`radwig.wigner._gamma_nodes` (which raises on a gamma off
+      the window's nodes), so every gamma stays on a half-integer node.
+    - Window: the sub-grid's last point still covers the gamma range.
+    - Band: a level l holds dilation momentum up to about B = 2l + 1 <=
+      2 n_max + 1, and sampling at h = j h_0 adds W's images at
+      delta +- pi / h, so pi / h - max|delta| >= 2 n_max + 1 + margin,
+      and pi / (2h) >= max|delta| (the density route's own band limit).
+
+    The margin is how far past B the tail of W_l takes to reach rounding.
+    psi_l(v) is analytic and bounded in the strip |Im v| < pi/4, so W_l
+    falls as e^{-pi x / 2} far past B: (2/pi) ln 2^52 = 23 to rounding.
+    Its degree-2l polynomial factor slows that fall near B: max|W_l| over
+    gamma in [-6, 3.5], on the density route at h = 0.005, reaches 2^-52
+    of its peak at x = 24 (l = 0), 32 (4), 42 (16), 44 (20), 53 (40) and
+    60 (64), and no later at m != 0.  The margin 26 + 4.5 sqrt(n_max)
+    lies past all of them.  On the default window and the CLI's axes that
+    is h = 0.04 up to n_max = 15 and h = 0.02 up to 40, where W moves by
+    <= 1e-14 max|W| from its h_0 = 0.01 value wherever the window holds
+    W's anti-diagonals (gamma >= -3.8).  Deeper, the window's cut of
+    them, up to 4e-5 against the closed form at h_0, dominates, and the
+    stride moves W by up to 4e-6 of max|W| there.  The kernel's trace, a
+    rectangle sum, moves by its left-edge term (j - 1) h_0 rho(v_0, v_0)
+    / 2, up to 1.7e-10 on the default window at j = 4.
+    """
+    s = _gamma_nodes(gamma_grid, window)
+    delta_max = float(np.abs(delta_grid.points).max())
+    reach = max(2.0 * delta_max, delta_max + 2 * n_max + 1
+                + _BAND_MARGIN[0] + _BAND_MARGIN[1] * math.sqrt(n_max))
+    common = int(np.gcd.reduce(s))
+    last = window.n_points - 1
+    coarsest = min(last, int(np.pi / (window.spacing * reach)))
+    stride = next(j for j in range(max(1, coarsest), 0, -1)
+                  if common % j == 0 and 2 * (last // j * j) >= s.max())
+    end = last // stride * stride
+    return Grid1D(window.min, float(window.points[end]), end // stride + 1)
+
+
 def end_to_end(rho: FockDensityMatrix, gamma_grid: Grid1D, delta_grid: Grid1D,
                vbar_grid: Grid1D | None = None) -> WignerGrid:
-    """Full chain: the radial kernel of :func:`radial_reduce` on
-    ``vbar_grid``, then its Wigner function on (``gamma_grid``,
-    ``delta_grid``).  W's metadata holds the kernel's (``m_values``,
-    ``rotation_residual`` and the measured ``radial_trace``, forwarded by
-    :func:`radwig.wigner.wigner_from_density`), plus ``pipeline`` and
-    ``fock_n_max``.
+    """Full chain: the radial kernel of :func:`radial_reduce`, then its
+    Wigner function on (``gamma_grid``, ``delta_grid``).
+
+    ``vbar_grid`` (default :func:`radwig.states.default_vbar_grid`) is the
+    window and the finest spacing h_0 allowed.  The kernel is sampled on
+    every j-th point of it, from its left edge, for the largest stride j
+    whose images stay clear of W's band (see :func:`_kernel_grid`: j
+    keeps every gamma on a node, the sub-grid covers the gamma range,
+    and pi / (j h_0) - max|delta| >= 2 n_max + 1 + 26 + 4.5 sqrt(n_max)).
+    j = 1 is the window itself.  On the default window and axes, W moves
+    by <= 1e-14 max|W| from the j = 1 kernel (gamma >= -3.8; see
+    :func:`_kernel_grid` for deeper gamma).  W's metadata holds the
+    kernel's (``m_values``, ``rotation_residual``, the measured
+    ``radial_trace`` and the sampled ``radial_grid`` [min, max,
+    n_points], forwarded by :func:`radwig.wigner.wigner_from_density`),
+    plus ``pipeline`` and ``fock_n_max``.
     """
-    w = wigner_from_density(radial_reduce(rho, vbar_grid), gamma_grid,
-                            delta_grid)
+    if vbar_grid is None:
+        vbar_grid = default_vbar_grid()
+    grid = _kernel_grid(vbar_grid, rho.n_max, gamma_grid, delta_grid)
+    w = wigner_from_density(radial_reduce(rho, grid), gamma_grid, delta_grid)
     w.meta.update({"pipeline": "fock", "fock_n_max": rho.n_max})
     return w
 

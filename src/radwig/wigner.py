@@ -214,8 +214,9 @@ class DensityMatrixV(_DensityMatrix):
     the one trace rule of a log-radius kernel: the entries are stored as
     given, never rescaled, and their trace sum(diagonal) * spacing, which
     lacks whatever mass lies outside the grid's window, is measured and
-    recorded as ``meta["radial_trace"]``.  A trace more than 1e-8 from 1
-    raises ValidationError naming the window.
+    recorded as ``meta["radial_trace"]``, beside the grid itself as
+    ``meta["radial_grid"] = [min, max, n_points]``.  A trace more than
+    1e-8 from 1 raises ValidationError naming the window.
     """
 
     def __init__(self, grid: Grid1D, entries):
@@ -224,6 +225,7 @@ class DensityMatrixV(_DensityMatrix):
                          f"[{grid.min}, {grid.max}])")
         self.grid = grid
         self.meta["radial_trace"] = self.trace
+        self.meta["radial_grid"] = [grid.min, grid.max, grid.n_points]
 
     @classmethod
     def from_pure(cls, psi: WavefunctionV) -> "DensityMatrixV":
@@ -306,6 +308,25 @@ def _delta_fold(delta_grid: Grid1D):
             np.where(j < n // 2, -1.0, 1.0))
 
 
+def _gamma_nodes(gamma_grid: Grid1D, grid: Grid1D) -> np.ndarray:
+    """Index s = 2 (gamma - v_0) / h of every gamma on the half-integer
+    nodes of the log-radius ``grid``: gamma sits on the anti-diagonal
+    i + j = s of the kernel's samples.  A gamma off its node by more than
+    1e-6 in s, or outside the grid, raises GridAlignmentError."""
+    gammas = gamma_grid.points
+    h = grid.spacing
+    s_float = 2.0 * (gammas - grid.min) / h
+    s_idx = np.rint(s_float).astype(int)
+    if np.abs(s_float - s_idx).max() > 1e-6:
+        worst = int(np.argmax(np.abs(s_float - s_idx)))
+        raise GridAlignmentError(
+            f"gamma = {gammas[worst]} is not on a half-integer multiple of "
+            f"the density grid spacing {h}")
+    if s_idx.min() < 0 or s_idx.max() > 2 * (grid.n_points - 1):
+        raise GridAlignmentError("gamma grid extends outside the density grid")
+    return s_idx
+
+
 def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
                         delta_grid: Grid1D) -> WignerGrid:
     """Wigner function of a sampled density matrix.
@@ -335,10 +356,8 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     Sampled at tau spacing 2h, each class yields W(delta) + W(delta +- pi/h)
     + ..., so a delta past the band limit pi/(2h) raises DomainError.
     """
-    v0 = rho.grid.min
     h = rho.grid.spacing
     n = rho.grid.n_points
-    gammas = gamma_grid.points
 
     band = np.pi / (2.0 * h)
     delta_max = float(np.abs(delta_grid.points).max())
@@ -349,16 +368,7 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
             "class samples tau at 2h, so W would alias with its images at "
             "delta +- pi/h")
 
-    s_float = 2.0 * (gammas - v0) / h
-    s_idx = np.rint(s_float).astype(int)
-    if np.abs(s_float - s_idx).max() > 1e-6:
-        worst = int(np.argmax(np.abs(s_float - s_idx)))
-        raise GridAlignmentError(
-            f"gamma = {gammas[worst]} is not on a half-integer multiple of "
-            f"the density grid spacing {h}")
-    if s_idx.min() < 0 or s_idx.max() > 2 * (n - 1):
-        raise GridAlignmentError("gamma grid extends outside the density grid")
-
+    s_idx = _gamma_nodes(gamma_grid, rho.grid)
     cols, col, sign = _delta_fold(delta_grid)
     values = np.empty((gamma_grid.n_points, delta_grid.n_points))
     for p in np.unique(s_idx % 2):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import radwig.fock
-from radwig import (DomainError, FockDensityMatrix, Grid1D, SchemaError,
-                    SchwingerDensityMatrix, SchwingerLabel, TruncationWarning,
-                    ValidationError, default_vbar_grid, end_to_end,
-                    load_fock_density, radial_reduce, radial_wavefunction,
-                    sector_isometry, vbar_schwinger_l0, wigner_from_density,
-                    wigner_l0_grid)
+from radwig import (DomainError, FockDensityMatrix, Grid1D,
+                    GridAlignmentError, SchemaError, SchwingerDensityMatrix,
+                    SchwingerLabel, TruncationWarning, ValidationError,
+                    default_vbar_grid, end_to_end, load_fock_density,
+                    radial_reduce, radial_wavefunction, sector_isometry,
+                    vbar_schwinger_l0, wigner_from_density, wigner_l0_grid)
 from radwig.states import _radial_rows
 from radwig.wigner import DensityMatrixV
 
@@ -81,7 +81,9 @@ def test_every_density_type_records_its_own_residual():
     assert rho_f.trace == pytest.approx(1.0, abs=1e-12)
     assert rho_f.min_eigenvalue() >= -1e-12
     w = end_to_end(rho_f, GAMMA, DELTA)
-    assert w.meta["radial_trace"] == rho_v.trace
+    # end_to_end samples the kernel on the sub-grid it records
+    assert w.meta["radial_trace"] == radial_reduce(
+        rho_f, Grid1D(*w.meta["radial_grid"])).trace
     assert w.meta["rotation_residual"] == rho_v.meta["rotation_residual"]
 
 
@@ -431,8 +433,9 @@ AGREEMENT_CASES = {
 def test_end_to_end_agrees_with_the_full_rotation(case, monkeypatch):
     # end_to_end rotates only the equal-m blocks, from B H; the route
     # through the whole, symmetrised Schwinger matrix of the dense
-    # reference must give the same W to rounding, the same kernel dtype,
-    # the same m values and the same radial trace
+    # reference, on the grid end_to_end sampled, must give the same W to
+    # rounding, the same kernel dtype, the same m values and the same
+    # radial trace
     rho = AGREEMENT_CASES[case]()
     kernels = []
 
@@ -442,12 +445,88 @@ def test_end_to_end_agrees_with_the_full_rotation(case, monkeypatch):
 
     monkeypatch.setattr(radwig.fock, "wigner_from_density", capture)
     w = end_to_end(rho, GAMMA, DELTA)
-    rho_v = radial_reduce(fock_to_schwinger(rho))
+    rho_v = radial_reduce(fock_to_schwinger(rho), kernels[0].grid)
     full = wigner_from_density(rho_v, GAMMA, DELTA)
     assert np.abs(w.values - full.values).max() <= 1e-15
     assert kernels[0].entries.dtype == rho_v.entries.dtype
     assert w.meta["m_values"] == rho_v.meta["m_values"]
     assert abs(w.meta["radial_trace"] - rho_v.trace) <= 1e-15
+
+
+def finest_reference(rho, gamma=GAMMA, delta=DELTA):
+    """W and kernel of ``rho`` on the whole default window at h_0 = 0.01."""
+    rho_v = radial_reduce(rho, default_vbar_grid())
+    return wigner_from_density(rho_v, gamma, delta), rho_v
+
+
+RULE_CASES = {
+    "dense": lambda n: dense_state(n, seed=2800 + n),
+    "real": lambda n: dense_state(n, seed=2850 + n, real=True),
+    "levels": lambda n: level_mixture(n, seed=2880 + n),
+    # all of its weight on l = n_max, the level the band margin is sized for
+    "top": lambda n: FockDensityMatrix.from_pure(n, {(n, n): 1.0}),
+}
+
+
+@pytest.mark.parametrize("n_max", [10, 30, 40])
+@pytest.mark.parametrize("kind", RULE_CASES)
+def test_end_to_end_matches_the_finest_grid(kind, n_max):
+    # end_to_end samples the kernel on every j-th point of the window
+    # (j = 4 at n_max <= 15 and 2 above, on these axes), and W stays
+    # within 1e-14 of the kernel on the whole window at h_0.  The trace,
+    # a rectangle sum, moves only by its left-edge term (j - 1) h_0
+    # rho(v_0, v_0) / 2: rho there is ~2 e^{2 v_0} times the m = 0 weight
+    rho = RULE_CASES[kind](n_max)
+    w = end_to_end(rho, GAMMA, DELTA)
+    ref, rho_v = finest_reference(rho)
+    v0, vmax, points = w.meta["radial_grid"]
+    stride = 4 if n_max <= 15 else 2
+    assert (v0, points) == (-9.5, 1350 // stride + 1)
+    assert vmax == default_vbar_grid().points[1350 // stride * stride]
+    assert np.abs(w.values - ref.values).max() <= \
+        1e-14 * np.abs(ref.values).max()
+    assert w.meta["m_values"] == rho_v.meta["m_values"]
+    assert abs(w.meta["radial_trace"] - rho_v.trace) <= \
+        stride * 0.01 * rho_v.entries[0, 0].real
+
+
+def test_the_band_margin_rejects_a_stride_that_moves_w(monkeypatch):
+    # stride 4 (h = 0.04) leaves pi/h - max|delta| = 74.5 against the
+    # 2 n_max + 1 = 61 of a dense n_max = 30 input: a margin of 13.5, where
+    # W's images still reach 1e-10.  Without the margin term the rule
+    # takes that stride and W moves; with it, stride 2 keeps W at rounding
+    rho = dense_state(30, seed=2830)
+    ref = finest_reference(rho)[0].values
+    scale = np.abs(ref).max()
+    w = end_to_end(rho, GAMMA, DELTA)
+    assert w.meta["radial_grid"][2] == 676
+    assert np.abs(w.values - ref).max() <= 1e-14 * scale
+    monkeypatch.setattr(radwig.fock, "_BAND_MARGIN", (0.0, 0.0))
+    bypassed = end_to_end(rho, GAMMA, DELTA)
+    assert bypassed.meta["radial_grid"][2] == 338
+    assert np.abs(bypassed.values - ref).max() > 1e-12 * scale
+
+
+def test_end_to_end_keeps_the_window_errors():
+    # the chooser reads gamma's nodes through the one alignment rule on the
+    # whole window, so a gamma off its nodes, or outside it, fails with
+    # the density route's own text before any kernel exists; a delta past
+    # the band of h_0 leaves stride 1, where the density route refuses it
+    rho = fock_vacuum()
+    for gamma, text in ((Grid1D(0.003, 0.003, 1),
+                         "gamma = 0.003 is not on a half-integer multiple of "
+                         "the density grid spacing 0.01"),
+                        (Grid1D(-10.0, -9.0, 3),
+                         "gamma grid extends outside the density grid")):
+        with pytest.raises(GridAlignmentError) as err:
+            end_to_end(rho, gamma, DELTA)
+        assert str(err.value) == text
+    with pytest.raises(DomainError) as err:
+        end_to_end(rho, GAMMA, Grid1D(-320.0, 320.0, 11))
+    assert str(err.value) == (
+        "|delta| = 320.0 exceeds the band limit pi/(2h) = 157.08 of the "
+        "density grid spacing h = 0.01: each parity class samples tau at "
+        "2h, so W would alias with its images at delta +- pi/h")
 
 
 def test_m_values_skip_blocks_of_rotation_rounding():

@@ -141,6 +141,24 @@ def test_one_trace_rule():
         ["grid", "entries"]
 
 
+def test_one_alignment_rule():
+    # "gamma sits on a half-integer node of the log-radius grid" is
+    # computed once: the density route and the Fock pipeline's grid
+    # chooser both take the node indices from wigner._gamma_nodes, the
+    # only code that rounds them or raises GridAlignmentError
+    calls = []
+    for path in MODULES:
+        scopes = _Scopes(path.stem)
+        scopes.visit(_parse(path))
+        calls += scopes.calls
+    assert sorted(scope for name, scope in calls
+                  if name == "_gamma_nodes") == \
+        ["fock._kernel_grid", "wigner.wigner_from_density"]
+    assert {scope for name, scope in calls
+            if name in ("GridAlignmentError", "rint")} == \
+        {"wigner._gamma_nodes"}
+
+
 def test_one_delta_fold_rule():
     # both Wigner routes fold a symmetric delta axis by the one rule, and
     # no other code in wigner builds a cos/sin table beside them; the exact

@@ -483,6 +483,31 @@ def test_fock_command_single_gamma_cell(tmp_path, capsys):
     assert "skipping delta marginal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma, points", [("-3:2:251", 338), ("0:0:1", 271)])
+def test_fock_json_records_the_sampled_radial_grid(tmp_path, gamma, points):
+    # radwig fock samples the kernel through end_to_end's one grid rule, a
+    # one-point gamma axis included (its gcd is its own node index, 1900),
+    # and the JSON meta names the sub-grid of the default window it took
+    rho_path = tmp_path / "rho.json"
+    rho_path.write_text(json.dumps(vacuum_doc()))
+    out = tmp_path / "w.json"
+    assert main(["fock", "--input", str(rho_path), "--gamma", gamma,
+                 "--format", "json", "--out", str(out),
+                 "--no-plot-script"]) == 0
+    got = read_wigner_json(out)
+    rho = radwig.load_fock_density(rho_path)
+    w = radwig.end_to_end(rho, got.gamma_grid, got.delta_grid)
+    assert got.meta["radial_grid"] == w.meta["radial_grid"]
+    v0, vmax, n = got.meta["radial_grid"]
+    assert (v0, n) == (-9.5, points)
+    assert vmax == pytest.approx(4.0, abs=0.05)
+    assert np.array_equal(got.values, w.values)
+    ref = radwig.wigner_from_density(
+        radwig.radial_reduce(rho, radwig.default_vbar_grid()),
+        got.gamma_grid, got.delta_grid).values
+    assert np.abs(got.values - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_fock_command_wide_window_emits_marginals(tmp_path):
     rho_path = tmp_path / "rho.json"
     rho_path.write_text(json.dumps(vacuum_doc()))

@@ -167,13 +167,15 @@ def test_mixture_keeps_the_scale_of_its_samples():
 def test_schwinger_density_records_its_window_trace(l):
     # psi_l(v) ~ sqrt(2) e^v as v -> -inf, so the default window [-9.5, 4]
     # misses e^{-19} = 5.6e-9 of every level's mass; the kernel records
-    # what it holds, and W carries that record
+    # what it holds and the grid it holds it on, and W carries that record
     rho = schwinger_density(l)
     assert 1.0 - rho.meta["radial_trace"] == pytest.approx(5.547e-9,
                                                             rel=1e-3)
     assert rho.meta["radial_trace"] == rho.trace
+    assert rho.meta["radial_grid"] == [-9.5, 4.0, 1351]
     w = wigner_from_density(rho, GAMMA, DELTA)
     assert w.meta["radial_trace"] == rho.meta["radial_trace"]
+    assert w.meta["radial_grid"] == rho.meta["radial_grid"]
     assert w.meta["l"] == l
 
 
