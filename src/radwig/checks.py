@@ -416,7 +416,7 @@ _REGISTRY = [
     ("displacement-trace-kernel",
      "packet elements <D^dag g|D'^dag g> equal their closed form",
      1e-12, _check_trace_kernel),
-    # rounding: 671 + 153 terms (density, ladder), sum|.| <= 2/pi: ~5.8e-14
+    # rounding: 671 + 65 terms (density, ladder), sum|.| <= 2/pi: ~5.2e-14
     ("wigner-cross-route",
      "density-matrix route equals the closed form for l = 1",
      1e-13, _check_wigner_cross_route),

@@ -41,9 +41,9 @@ from .errors import DomainError, SchemaError, ValidationError
 from .grids import Grid1D
 from .special import MAX_DEGREE, log_factorial
 from .states import SchwingerLabel, _radial_rows, default_vbar_grid
-from .wigner import (_STRIP, DensityMatrixV, WignerGrid, _DensityMatrix,
-                     _flush_tiny, _gamma_nodes, _validate_blocks,
-                     wigner_from_density)
+from .wigner import (_STRIP, DensityMatrixV, WignerGrid, _band_reach,
+                     _DensityMatrix, _flush_tiny, _gamma_nodes,
+                     _validate_blocks, wigner_from_density)
 
 __all__ = [
     "FockDensityMatrix", "SchwingerDensityMatrix", "radial_reduce",
@@ -390,11 +390,6 @@ def _equal_m_blocks(n_max: int, block):
     return blocks, [two_m for two_m, size in sizes.items() if size > floor]
 
 
-# Past B = 2l + 1, max |W_l| over gamma falls to 2^-52 of its peak within
-# x = 26 + 4.5 sqrt(l) in delta (see _kernel_grid)
-_BAND_MARGIN = (26.0, 4.5)
-
-
 def _kernel_grid(window: Grid1D, n_max: int, gamma_grid: Grid1D,
                  delta_grid: Grid1D) -> Grid1D:
     """Every j-th point of ``window`` from its left edge, for the largest
@@ -409,14 +404,10 @@ def _kernel_grid(window: Grid1D, n_max: int, gamma_grid: Grid1D,
       delta +- pi / h, so pi / h - max|delta| >= 2 n_max + 1 + margin,
       and pi / (2h) >= max|delta| (the density route's own band limit).
 
-    The margin is how far past B the tail of W_l takes to reach rounding.
-    psi_l(v) is analytic and bounded in the strip |Im v| < pi/4, so W_l
-    falls as e^{-pi x / 2} far past B: (2/pi) ln 2^52 = 23 to rounding.
-    Its degree-2l polynomial factor slows that fall near B: max|W_l| over
-    gamma in [-6, 3.5], on the density route at h = 0.005, reaches 2^-52
-    of its peak at x = 24 (l = 0), 32 (4), 42 (16), 44 (20), 53 (40) and
-    60 (64), and no later at m != 0.  The margin 26 + 4.5 sqrt(n_max)
-    lies past all of them.  On the default window and the CLI's axes that
+    The margin, 26 + 4.5 sqrt(n_max), is how far past B the tail of W_l
+    takes to reach rounding; :func:`radwig.wigner._band_reach` gives the
+    whole reach and its derivation, and the closed-form ladder takes its
+    step from the same rule.  On the default window and the CLI's axes that
     is h = 0.04 up to n_max = 15 and h = 0.02 up to 40, where W moves by
     <= 1e-14 max|W| from its h_0 = 0.01 value wherever the window holds
     W's anti-diagonals (gamma >= -3.8).  Deeper, the window's cut of
@@ -427,8 +418,7 @@ def _kernel_grid(window: Grid1D, n_max: int, gamma_grid: Grid1D,
     """
     s = _gamma_nodes(gamma_grid, window)
     delta_max = float(np.abs(delta_grid.points).max())
-    reach = max(2.0 * delta_max, delta_max + 2 * n_max + 1
-                + _BAND_MARGIN[0] + _BAND_MARGIN[1] * math.sqrt(n_max))
+    reach = max(2.0 * delta_max, _band_reach(n_max, delta_max))
     common = int(np.gcd.reduce(s))
     last = window.n_points - 1
     coarsest = min(last, int(np.pi / (window.spacing * reach)))

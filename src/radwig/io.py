@@ -106,8 +106,20 @@ def read_wigner_csv(path) -> WignerGrid:
     if len(rows) % n_delta:
         raise SchemaError("CSV rows do not form a complete gamma x delta grid")
     n_gamma = len(rows) // n_delta
-    gamma_grid = _grid_from_points(gammas[::n_delta], "gamma")
-    delta_grid = _grid_from_points(deltas[:n_delta], "delta")
+    gamma_axis, delta_axis = gammas[::n_delta], deltas[:n_delta]
+    gamma_grid = _grid_from_points(gamma_axis, "gamma")
+    delta_grid = _grid_from_points(delta_axis, "delta")
+    # every row, not only the axes read above, must hold its grid point
+    # (the repeat of gamma_axis and the tile of delta_axis, by broadcast)
+    off = ((gammas.reshape(n_gamma, n_delta) != gamma_axis[:, None])
+           | (deltas.reshape(n_gamma, n_delta) != delta_axis)).ravel()
+    if off.any():
+        i = int(np.argmax(off))
+        g, d = gamma_axis[i // n_delta], delta_axis[i % n_delta]
+        raise SchemaError(
+            f"Wigner CSV line {i + 2} holds gamma,delta = "
+            f"{float(gammas[i])!r},{float(deltas[i])!r} where the grid order "
+            f"puts {float(g)!r},{float(d)!r}")
     return WignerGrid(gamma_grid, delta_grid, w.reshape(n_gamma, n_delta))
 
 

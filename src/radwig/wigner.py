@@ -27,6 +27,15 @@ Two independent routes produce the same distribution:
   substitution eps -> 2 eps maps one form onto the other; the
   cross-route test suite is the arbiter that both agree.
 
+Both routes sample an integral over eps at a uniform step, so by Poisson
+summation each returns W plus its images one period apart in delta: pi/h
+for the density route's kernel spacing h, pi / step for the ladder.  One
+band rule sets both periods (:func:`_band_reach`): level l holds
+dilation momentum up to about 2l + 1, its tail reaches 2^-52 of its peak
+within the margin 26 + 4.5 sqrt(l) past that, and the period must clear
+max|delta| plus both.  The ladder takes its step from it, and the Fock
+pipeline its kernel stride (:func:`radwig.fock._kernel_grid`).
+
 Both routes transform only the delta >= 0 half of a symmetric axis
 (min == -max, n > 1; :func:`_delta_fold`): the cosine half of W is even
 in delta and the sine half odd, so column j < n // 2 is read at
@@ -407,20 +416,55 @@ def _log_integrand(l: int, gamma: np.ndarray, eps: np.ndarray):
     return phi, np.sign(sign, out=sign)
 
 
+# Past B = 2l + 1, max |W_l| over gamma falls to 2^-52 of its peak within
+# x = 26 + 4.5 sqrt(l) in delta (see _band_reach)
+_BAND_MARGIN = (26.0, 4.5)
+
+
+def _band_reach(l: int, delta_max: float) -> float:
+    """delta_max + 2l + 1 + 26 + 4.5 sqrt(l): the shortest period in delta
+    whose images of W, at any level up to l, stay below rounding on
+    |delta| <= delta_max (see the module notes).
+
+    A level l holds dilation momentum up to about B = 2l + 1, and the
+    margin is how far past B the tail of W_l takes to reach rounding.
+    psi_l(v) is analytic and bounded in the strip |Im v| < pi/4, so W_l
+    falls as e^{-pi x / 2} far past B: (2/pi) ln 2^52 = 23 to rounding.
+    Its degree-2l polynomial factor slows that fall near B: max|W_l| over
+    gamma in [-6, 3.5], on the density route at h = 0.005, reaches 2^-52
+    of its peak at x = 24 (l = 0), 32 (4), 42 (16), 44 (20), 53 (40) and
+    60 (64), and no later at m != 0.  The margin 26 + 4.5 sqrt(l) lies
+    past all of them.  It bounds W's images against max|W|, not each
+    gamma row against its own size: a row whose W is far below max|W|
+    (gamma >~ 2, where W ~ e^{-e^{2 gamma}}) can be off by more of its
+    own value.
+    """
+    return (delta_max + 2 * l + 1 + _BAND_MARGIN[0]
+            + _BAND_MARGIN[1] * float(np.sqrt(l)))
+
+
 def _ladder(l: int, gammas: np.ndarray, delta_max: float):
     """Node step and each gamma row's own node count.
 
-    Row i integrates over eps_k = k * step, k < counts[i].  With
-    u = e^{2(gamma+eps)}, |L_l(x)| <= (1 + x)^l and e^{-x/2} |L_l(x)| <= 1
-    bound log|psi_l(gamma+eps) psi_l(gamma-eps)| by
+    Row i integrates over eps_k = k * step, k < counts[i].  By Poisson
+    summation the trapezoid sum of the even integrand on the whole line,
+    (1/pi) step sum_k e^{-2 i eps_k delta} f(eps_k), is
+    sum_j W_l(gamma, delta + j pi / step): W itself plus its images one
+    period pi / step apart (Trefethen & Weideman, "The exponentially
+    convergent trapezoidal rule", SIAM Rev. 56, 2014).  So the step is
+    pi / _band_reach(l, delta_max): every image of W_l past its band
+    2l + 1 + 26 + 4.5 sqrt(l) stays clear of |delta| <= delta_max, the
+    same band rule the density route's stride keeps (see
+    :func:`_band_reach`).
+
+    With u = e^{2(gamma+eps)}, |L_l(x)| <= (1 + x)^l and
+    e^{-x/2} |L_l(x)| <= 1 bound log|psi_l(gamma+eps) psi_l(gamma-eps)| by
     ln 2 + 2 gamma - u/2 + l ln(1 + u), which falls for u > 2l.  A row ends
     where that bound drops 45 below the larger of its log integrand at the
     first two nodes (two, since a row on a root has phi(0) = -inf), so
-    counts[i] = ceil(end_i / step) + 1.  The step, shared by every row,
-    resolves the cosine weight and the Laguerre phase rate 4l + 2.
+    counts[i] = ceil(end_i / step) + 1.
     """
-    step = min(0.04, np.pi / (10.0 * (1.0 + 2.0 * delta_max)),
-               np.pi / (4.0 * l + 2.0 + 2.0 * delta_max))
+    step = np.pi / _band_reach(l, delta_max)
     z = np.exp(2.0 * gammas)
     phi, _ = _log_integrand(l, gammas[:, None], np.array([0.0, step]))
     # the floor less the bound's ln 2 + 2 gamma: u -> 2 (l ln(1 + u) - floor)
@@ -447,9 +491,15 @@ def wigner_l0_grid(l: int, gamma_grid: Grid1D, delta_grid: Grid1D, *,
     row's own peak, and maps it to every delta through the same prefix of
     one cosine table, over the delta >= 0 half of a symmetric axis: a
     column j < n // 2 is read at -delta_{n-1-j} (see :func:`_delta_fold`).
-    The trapezoid rule converges exponentially for this entire,
-    double-exponentially decaying integrand, so the fixed ladder matches
-    an adaptive quadrature of the same integral to ~1e-10.  A gamma below
+
+    The step is pi / (max|delta| + 2l + 1 + 26 + 4.5 sqrt(l)): by Poisson
+    summation the ladder adds to W only its images at delta + j pi / step,
+    and that period keeps them past W's band 2l + 1 and the margin, shared
+    with the density route's stride, where its tail reaches 2^-52 of its
+    peak (see :func:`_ladder` and :func:`_band_reach`).  So W holds to
+    rounding against max|W|, and matches an adaptive quadrature of the
+    same integral to ~1e-10.  ``meta`` records the step, ``ladder_step``,
+    and the longest row's node count, ``ladder_nodes``.  A gamma below
     GAMMA_GUARD raises DomainError unless ``allow_deep_tail``.
     """
     if l < 0 or l > MAX_DEGREE:
@@ -483,7 +533,8 @@ def wigner_l0_grid(l: int, gamma_grid: Grid1D, delta_grid: Grid1D, *,
         values[rows] = (2.0 / np.pi) * np.exp(peak) * step \
             * (integrand @ kernel[:m])[:, col]
     meta = {"route": "closed-form", "l": int(l),
-            "overlap_factor": OVERLAP_FACTOR}
+            "overlap_factor": OVERLAP_FACTOR, "ladder_step": float(step),
+            "ladder_nodes": int(counts.max())}
     return WignerGrid(gamma_grid, delta_grid, values, meta=meta)
 
 

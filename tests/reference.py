@@ -12,7 +12,10 @@ recurrence, log-domain assembly or quadrature.
 
 :func:`wigner_l0_rectangular` is ``radwig.wigner_l0_grid`` with one
 rectangle of nodes: every gamma row runs to the end of the deepest row's
-ladder, in one product, instead of stopping at its own cut.
+ladder, in one product, instead of stopping at its own cut.  Given
+``step=``, it runs to the same cut on nodes of that step; at half the
+library's step W's images move twice as far out, so it checks the step
+rule.
 
 :func:`dense_u_rotation` and :func:`per_block_radial_kernel` are the Fock
 pipeline's first two stages in their direct form: one dense unitary
@@ -129,12 +132,23 @@ def wigner_bessel_sum(k: int, alpha: int, gamma: float, delta: float) -> float:
         return float(pref * total)
 
 
-def wigner_l0_rectangular(l: int, gamma_grid, delta_grid) -> np.ndarray:
+def wigner_l0_rectangular(l: int, gamma_grid, delta_grid, *,
+                          step=None) -> np.ndarray:
     """Closed-form W_l values with every gamma row on the full ladder,
-    eps_k = k * step for k below the largest node count of any row."""
+    eps_k = k * step for k below the largest node count of any row.
+
+    ``step`` (default: the library's) replaces the ladder's step, and the
+    rows then run to the same cut, the deepest row's last node, on nodes
+    of the given step: ``step=`` half the library's doubles every node
+    count and moves W's images twice as far out."""
     gammas, deltas = gamma_grid.points, delta_grid.points
-    step, counts = _ladder(l, gammas, float(np.abs(deltas).max()))
-    eps = np.arange(counts.max()) * step
+    ladder_step, counts = _ladder(l, gammas, float(np.abs(deltas).max()))
+    nodes = counts.max()
+    if step is None:
+        step = ladder_step
+    else:
+        nodes = int(np.ceil((nodes - 1) * ladder_step / step - 1e-9)) + 1
+    eps = np.arange(nodes) * step
     phi, sign = _log_integrand(l, gammas[:, None], eps)
     peak = phi.max(axis=1, keepdims=True)
     integrand = sign * np.exp(phi - peak)

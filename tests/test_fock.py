@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import radwig.fock
+import radwig.wigner
 from radwig import (DomainError, FockDensityMatrix, Grid1D,
                     GridAlignmentError, SchemaError, SchwingerDensityMatrix,
                     SchwingerLabel, TruncationWarning, ValidationError,
@@ -501,7 +502,7 @@ def test_the_band_margin_rejects_a_stride_that_moves_w(monkeypatch):
     w = end_to_end(rho, GAMMA, DELTA)
     assert w.meta["radial_grid"][2] == 676
     assert np.abs(w.values - ref).max() <= 1e-14 * scale
-    monkeypatch.setattr(radwig.fock, "_BAND_MARGIN", (0.0, 0.0))
+    monkeypatch.setattr(radwig.wigner, "_BAND_MARGIN", (0.0, 0.0))
     bypassed = end_to_end(rho, GAMMA, DELTA)
     assert bypassed.meta["radial_grid"][2] == 338
     assert np.abs(bypassed.values - ref).max() > 1e-12 * scale

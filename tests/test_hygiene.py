@@ -72,11 +72,13 @@ def test_no_unused_imports(path):
 
 
 class _Scopes(ast.NodeVisitor):
-    """Dotted scope (module.Class.function) of every function definition
-    and of every call, with the called name."""
+    """Dotted scope (module.Class.function) of every function definition,
+    of every call, with the called name, and of every use of a name or
+    attribute, with the name and whether it is stored or read."""
 
     def __init__(self, module):
         self.stack, self.defs, self.calls = [module], [], []
+        self.names = []
 
     def visit_ClassDef(self, node):
         self.stack.append(node.name)
@@ -92,6 +94,15 @@ class _Scopes(ast.NodeVisitor):
         name = func.id if isinstance(func, ast.Name) else \
             getattr(func, "attr", None)
         self.calls.append((name, ".".join(self.stack)))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        self.names.append((node.id, type(node.ctx).__name__,
+                           ".".join(self.stack)))
+
+    def visit_Attribute(self, node):
+        self.names.append((node.attr, type(node.ctx).__name__,
+                           ".".join(self.stack)))
         self.generic_visit(node)
 
 
@@ -157,6 +168,27 @@ def test_one_alignment_rule():
     assert {scope for name, scope in calls
             if name in ("GridAlignmentError", "rint")} == \
         {"wigner._gamma_nodes"}
+
+
+def test_one_band_rule():
+    # W's band, 2l + 1 plus the margin where its tail reaches rounding, is
+    # stated once: _BAND_MARGIN is assigned once, read only by the one
+    # helper wigner._band_reach, and the closed-form ladder's step and the
+    # Fock pipeline's kernel stride both come from that helper
+    calls, names = [], []
+    for path in MODULES:
+        scopes = _Scopes(path.stem)
+        scopes.visit(_parse(path))
+        calls += scopes.calls
+        names += scopes.names
+    uses = [(ctx, scope) for name, ctx, scope in names
+            if name == "_BAND_MARGIN"]
+    assert [scope for ctx, scope in uses if ctx == "Store"] == ["wigner"]
+    assert {scope for ctx, scope in uses if ctx != "Store"} == \
+        {"wigner._band_reach"}
+    assert sorted(scope for name, scope in calls
+                  if name == "_band_reach") == \
+        ["fock._kernel_grid", "wigner._ladder"]
 
 
 def test_one_delta_fold_rule():

@@ -19,6 +19,7 @@ from radwig.cli import main, parse_axis
 from radwig.io import (read_wigner_csv, read_wigner_json,
                        write_marginal_csv, write_wavefunction_csv,
                        write_wigner_csv, write_wigner_json)
+from radwig.wigner import _ladder
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,23 @@ def test_wigner_csv_round_trip(tmp_path, small_grid):
     write_wigner_csv(path, small_grid)
     back = read_wigner_csv(path)
     assert back == small_grid          # exact array equality
+
+
+def test_wigner_csv_rejects_a_row_out_of_grid_order(tmp_path):
+    # the axes are read from the first block's deltas and every block's
+    # first gamma; row 8 (line 9) moved to another grid point leaves both
+    # intact, so only the check of every row sees it
+    gamma, delta = Grid1D(0.5, 1.75, 6), Grid1D(-3.5, 3.5, 5)
+    path = tmp_path / "w.csv"
+    write_wigner_csv(path, WignerGrid(gamma, delta, np.zeros((6, 5))))
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[8] == b"0.75,0.0,0.0"
+    lines[8] = b"1.75,3.5,0.0"
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(rio.SchemaError) as err:
+        read_wigner_csv(path)
+    assert str(err.value) == ("Wigner CSV line 9 holds gamma,delta = "
+                              "1.75,3.5 where the grid order puts 0.75,0.0")
 
 
 def test_wigner_json_round_trip(tmp_path, small_grid):
@@ -260,6 +278,21 @@ def test_wl_json_output(tmp_path, monkeypatch):
     write_wigner_csv(tmp_path / "ref.csv", grid)
     assert ((tmp_path / "w.plot.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_wl_json_records_the_ladder(tmp_path):
+    # the step pi / (max|delta| + 2l + 1 + 26 + 4.5 sqrt(l)) = pi / 48 at
+    # l = 4 and the longest row's node count travel beside the route
+    out = tmp_path / "w.json"
+    assert main(["wl", "--l", "4", "--gamma", "-3:2:51", "--delta",
+                 "-4:4:41", "--out", str(out), "--format", "json",
+                 "--no-plot-script"]) == 0
+    meta = read_wigner_json(out).meta
+    counts = _ladder(4, Grid1D(-3.0, 2.0, 51).points, 4.0)[1]
+    assert meta == {"s": 0.0, "hbar": 1.0, "route": "closed-form", "l": 4,
+                    "overlap_factor": 2.0 * np.pi,
+                    "ladder_step": np.pi / 48,
+                    "ladder_nodes": int(counts.max())}
 
 
 def test_wl_gamma_guard(tmp_path, capsys):

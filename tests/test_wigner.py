@@ -521,8 +521,9 @@ def test_gamma_overflow_is_a_domain_error():
         wigner_l0_grid(0, far, Grid1D(0.0, 0.0, 1))
 
 
-# the ladder step resolves the Laguerre phase rate 4l + 2, and its cut
-# bounds the true log integrand, so high levels need no looser tolerance
+# the ladder step keeps W's images past its band 2l + 1 and the margin,
+# and its cut bounds the true log integrand, so high levels need no
+# looser tolerance
 @pytest.mark.parametrize("l", [24, 32, 48, 64])
 def test_high_level_ladder_matches_density_route(l):
     w_dens = wigner_from_density(schwinger_density(l), GAMMA, DELTA)
@@ -544,7 +545,7 @@ def test_strip_ladder_matches_rectangle(l, window):
 
 
 def test_strip_ladder_evaluates_no_rectangle(monkeypatch):
-    # a row near gamma = 2 needs ~100 nodes where one at -12 needs ~2,400;
+    # a row near gamma = 2 needs ~12 nodes where one at -12 needs ~270;
     # the full rectangle would be rows x nodes x 2 points psi(gamma +- eps)
     gamma = Grid1D(-12.0, 2.2, 701)
     delta = Grid1D(-26.0, 26.0, 1041)
@@ -559,6 +560,42 @@ def test_strip_ladder_evaluates_no_rectangle(monkeypatch):
     monkeypatch.setattr(radwig.wigner, "_radial_rows", counted)
     wigner_l0_grid(1, gamma, delta, allow_deep_tail=True)
     assert 0 < sum(points) <= 0.6 * gamma.n_points * nodes * 2
+
+
+# the step puts W's images pi / step apart in delta, past its band and the
+# margin where its tail reaches rounding; the half-step reference moves
+# them twice as far out, so the two agree to rounding only if the step's
+# own images are already below it.  The wide and deep windows keep their
+# extents (which set the step and the deepest cut) and take every 5th
+# gamma row and delta column
+RULE_WINDOWS = {
+    "default": (Grid1D(-3.0, 2.0, 251), Grid1D(-4.0, 4.0, 321)),
+    "wide": (Grid1D(-12.0, 2.0, 141), Grid1D(-26.0, 26.0, 209)),
+    "deep": (Grid1D(-32.0, 6.0, 77), Grid1D(-8.0, 8.0, 81)),
+}
+
+
+@pytest.mark.parametrize("window", list(RULE_WINDOWS))
+@pytest.mark.parametrize("l", [0, 1, 4, 16, 32, 64])
+def test_ladder_step_matches_the_half_step(l, window):
+    gamma, delta = RULE_WINDOWS[window]
+    w = wigner_l0_grid(l, gamma, delta, allow_deep_tail=True)
+    step = w.meta["ladder_step"]
+    assert step == np.pi / (delta.max + 2 * l + 1 + 26.0 + 4.5 * np.sqrt(l))
+    ref = wigner_l0_rectangular(l, gamma, delta, step=step / 2)
+    assert np.abs(w.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_the_band_margin_keeps_the_ladder_off_w(monkeypatch):
+    # with the margin, W_4 on the default window holds to rounding at step
+    # pi / 48 (test above); without it the step pi / 13 puts W's images at
+    # delta +- 13, inside the tail of its band 2l + 1 = 9, and W moves
+    gamma, delta = RULE_WINDOWS["default"]
+    ref = wigner_l0_rectangular(4, gamma, delta, step=np.pi / 96)
+    monkeypatch.setattr(radwig.wigner, "_BAND_MARGIN", (0.0, 0.0))
+    bypassed = wigner_l0_grid(4, gamma, delta)
+    assert bypassed.meta["ladder_step"] == np.pi / 13
+    assert np.abs(bypassed.values - ref).max() > 1e-12 * np.abs(ref).max()
 
 
 def test_deep_gamma_point_value_bessel_oracle():
