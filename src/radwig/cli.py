@@ -173,7 +173,7 @@ def cmd_check(args) -> int:
               "all_pass": all(r.passed for r in results)}
     if args.json_report:
         with open(args.json_report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(report, fh, indent=2, allow_nan=False)
             fh.write("\n")
     return EXIT_OK if report["all_pass"] else EXIT_NUMERICAL
 

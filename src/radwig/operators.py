@@ -111,11 +111,13 @@ def apply_pr(psi) -> np.ndarray:
     raise BasisMismatchError(f"cannot apply Pr to {type(psi).__name__}")
 
 
-def _displace(grid: Grid1D, samples: np.ndarray, lam: float, mu: float) -> np.ndarray:
+def _displace(grid: Grid1D, samples: np.ndarray, lam, mu: float) -> np.ndarray:
     """D(lam, mu) along the last axis of a (..., n) stack of samples.
 
     One band-limited shift psi(vbar) -> psi(vbar + mu) of every row, then
-    the phase exp(i lam (vbar + mu/2)).  Raises TruncationError with the
+    the phase exp(i lam (vbar + mu/2)).  An array lam of shape (k,) takes
+    the k phases of that one shift, giving shape (k, ..., n); a scalar
+    lam gives the stack's own shape.  Raises TruncationError with the
     lost mass of the worst row.
     """
     v = grid.points
@@ -129,6 +131,7 @@ def _displace(grid: Grid1D, samples: np.ndarray, lam: float, mu: float) -> np.nd
                 "probability across the grid edge", lost_mass=lost)
 
     shifted = np.fft.ifft(np.exp(1j * _wavenumbers(grid) * mu) * np.fft.fft(samples))
+    lam = np.reshape(lam, np.shape(lam) + (1,) * samples.ndim)
     return np.exp(1j * lam * (v + mu / 2.0)) * shifted
 
 

@@ -42,7 +42,14 @@ direct form of the adjoint product <D^dag g|D'^dag g> that the
 ``radwig.s_smooth`` done by scipy's separable ``gaussian_filter``, with the
 same kernel radius (10 standard deviations) and zero padding, instead of
 the library's two matrix products.
+
+:func:`laguerre_explicit` is L_n^a(x) as the explicit sum in
+``fractions.Fraction`` arithmetic, the rational form of the integer sum
+that the ``laguerre-recurrence`` invariant takes.
 """
+
+import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -242,3 +249,11 @@ def gaussian_filter_reference(w, s: float) -> np.ndarray:
     sigma = np.sqrt(-s / 2.0)
     pix = (sigma / w.gamma_grid.spacing, sigma / w.delta_grid.spacing)
     return gaussian_filter(w.values, sigma=pix, mode="constant", truncate=10.0)
+
+
+def laguerre_explicit(n: int, a: int, x: float) -> Fraction:
+    """L_n^a(x) = sum_j (-1)^j C(n + a, n - j) x^j / j!, exact in
+    rationals at the float x."""
+    xq = Fraction(x)
+    return sum((-1) ** j * math.comb(n + a, n - j) * xq ** j
+               / math.factorial(j) for j in range(n + 1))

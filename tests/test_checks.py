@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import radwig.checks
-from radwig.checks import (_PACKET_WIDTH, _packet_kernel, _trace_kernel_terms,
+from radwig import laguerre_assoc
+from radwig.checks import (_PACKET_WIDTH, _check_laguerre_recurrence,
+                           _laguerre_draws, _packet_kernel, _trace_kernel_terms,
                            _trace_packets, available_invariants, run_invariants)
-from reference import trace_kernel_sandwich
+from reference import laguerre_explicit, trace_kernel_sandwich
 
 
 def test_registry_names_are_stable():
@@ -53,6 +57,37 @@ def test_wigner_negativity_obeys_tolerance_scale(monkeypatch):
     _zero_tolerances(monkeypatch)
     failing, = run_invariants(["wigner-negativity"])
     assert not failing.passed
+
+
+def test_integer_laguerre_oracle_matches_the_rational_sum():
+    # the invariant's own 200 draws, each against the Fraction sum: the
+    # worst relative error is the same float, bit for bit
+    worst = 0.0
+    for (n, alpha), xs in _laguerre_draws(
+            20210, (2, 21), [0.0, 1.0, 2.0, 3.0], (0.0, 50.0)).items():
+        values = laguerre_assoc(n, alpha, xs).value
+        for x, value in zip(xs.tolist(), values.tolist()):
+            exact = laguerre_explicit(n, int(alpha), x)
+            worst = max(worst, abs(float((Fraction(value) - exact) / exact)))
+    assert 0.0 < worst <= 1e-13
+    assert _check_laguerre_recurrence() == worst
+
+
+def test_laguerre_recurrence_fails_on_one_coefficient_off_by_one(monkeypatch):
+    # the constant term of one degree only, 2! L_2^0(x) = x^2 - 4x + 2,
+    # raised by one: L_2 moves by 1/2, 5.7e-3 of it at the worst draw
+    coefficients = radwig.checks._laguerre_coefficients
+
+    def off_by_one(n, a):
+        c = coefficients(n, a)
+        if (n, a) == (2, 0):
+            c[0] += 1
+        return c
+
+    monkeypatch.setattr(radwig.checks, "_laguerre_coefficients", off_by_one)
+    res, = run_invariants(["laguerre-recurrence"])
+    assert not res.passed
+    assert res.measured > 1e-3
 
 
 @pytest.mark.parametrize("lam0, mu0", [(0.7, 0.2), (0.7, 0.6)])
@@ -110,9 +145,9 @@ def test_trace_kernel_normalisation_follows_from_the_closed_form():
                                           rel=1e-13)
 
 
-def test_trace_kernel_shifts_the_stack_once_per_point(monkeypatch):
-    # per mu: the left factor and one shift of the packet stack for each
-    # of the 27 points, so 56 forward FFTs
+def test_trace_kernel_shifts_the_stack_once_per_mu(monkeypatch):
+    # per (lam0, mu0): the left factor and one shift of the packet stack
+    # for each of the 9 distinct mu' of the 27 points, so 20 forward FFTs
     fft = np.fft.fft
     calls = []
 
@@ -123,4 +158,4 @@ def test_trace_kernel_shifts_the_stack_once_per_point(monkeypatch):
     monkeypatch.setattr(np.fft, "fft", counting_fft)
     res, = run_invariants(["displacement-trace-kernel"])
     assert res.passed
-    assert len(calls) <= 56
+    assert len(calls) <= 20

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import radwig
+import radwig.checks
 from radwig.cli import _build_parser
 
 MODULES = sorted(Path(radwig.__file__).parent.glob("*.py"))
@@ -212,6 +213,29 @@ def test_one_delta_fold_rule():
     checks = (Path(radwig.__file__).parent / "checks.py").read_text(
         encoding="utf-8")
     assert "_delta_fold" not in checks
+
+
+def test_every_invariant_states_its_model():
+    # each radwig check entry has its one-line error model as a comment on
+    # the line directly above it, so no tolerance lands without a model;
+    # the exact oracles run in integers, with no fractions import
+    path = Path(radwig.__file__).parent / "checks.py"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    tree = _parse(path)
+    registry, = [node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] ==
+                 ["_REGISTRY"]]
+    assert len(registry.elts) == len(radwig.checks._REGISTRY)
+    for entry in registry.elts:
+        above = lines[entry.lineno - 2].strip()
+        assert above.startswith("# "), \
+            f"{entry.elts[0].value} has no model comment above it"
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules.update(node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module)
+    assert "fractions" not in modules
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

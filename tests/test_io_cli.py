@@ -724,5 +724,27 @@ def test_check_forced_failure(capsys, monkeypatch):
     assert "FAIL laguerre-derivative" in capsys.readouterr().out
 
 
+def test_check_report_is_strict_json_when_a_measurement_is_infinite(
+        tmp_path, capsys, monkeypatch):
+    # with no negative W, wigner-negativity measures inf: the report
+    # writes it as null, and the FAIL line and exit code stand
+    def nonnegative(l, gamma, delta, **kwargs):
+        w = wigner_l0_grid(l, gamma, delta, **kwargs)
+        return WignerGrid(gamma, delta, np.abs(w.values), meta=w.meta)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    monkeypatch.setattr(radwig.checks, "wigner_l0_grid", nonnegative)
+    report = tmp_path / "r.json"
+    rc = main(["check", "--only", "wigner-negativity", "--json", str(report)])
+    assert rc == 1
+    assert "FAIL wigner-negativity: measured=inf" in capsys.readouterr().out
+    doc = json.loads(report.read_text(), parse_constant=reject)
+    assert doc["all_pass"] is False
+    result, = doc["results"]
+    assert result["measured"] is None and result["pass"] is False
+
+
 def test_check_unknown_invariant():
     assert main(["check", "--only", "no-such-invariant"]) == 2

@@ -207,6 +207,36 @@ def test_stacked_displacement_identity():
     assert np.abs(_displace(grid, stack, 0.0, 0.0) - stack).max() <= 1e-15
 
 
+LAMS = np.array([-2.5 * np.pi, -1.2, 0.0, 0.7, 3.0])
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.35, -0.8])
+@pytest.mark.parametrize("rows", ["stack", "row"])
+def test_array_lambda_displacement_stacks_the_scalar_calls(mu, rows):
+    # one shift of the samples, then one phase per lam: bitwise the stack
+    # of scalar calls, with lam's axis in front
+    grid = Grid1D(-10.0, 10.0, 2001)
+    stack = np.array([s.samples for s in _stack(grid)])
+    samples = stack if rows == "stack" else stack[1]
+    out = _displace(grid, samples, LAMS, mu)
+    assert out.shape == (LAMS.size, *samples.shape)
+    expected = np.stack([_displace(grid, samples, lam, mu) for lam in LAMS])
+    assert np.array_equal(out, expected)
+
+
+def test_array_lambda_displacement_raises_the_scalar_error():
+    grid = Grid1D(-10.0, 10.0, 2001)
+    edge = np.pi ** -0.25 * np.exp(-(grid.points + 6.5) ** 2 / 2)
+    stack = np.array([s.samples for s in _stack(grid)] + [edge])
+    with pytest.raises(TruncationError) as scalar:
+        _displace(grid, stack, 0.7, 2.0)
+    with pytest.raises(TruncationError) as array:
+        _displace(grid, stack, LAMS, 2.0)
+    assert array.value.lost_mass > 1e-8
+    assert array.value.lost_mass == scalar.value.lost_mass
+    assert str(array.value) == str(scalar.value)
+
+
 # ----------------------------------------------------- momentum transform
 
 def test_momentum_transform_vacuum_gaussian_pair():
