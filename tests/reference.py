@@ -21,6 +21,9 @@ rule.
 pipeline's first two stages in their direct form: one dense unitary
 U rho U^dag over every sector, and one complex ``basis.T @ block @ basis``
 update per angular momentum m, with basis rows from :func:`scipy_psi`.
+U is assembled from :func:`sector_isometry_exact`, the sector blocks from
+exact integer polynomials, so it shares no arithmetic with the library's
+float recursion.
 :func:`fock_to_schwinger` wraps the first as a ``SchwingerDensityMatrix``,
 the whole angular-momentum matrix that ``radwig.radial_reduce`` never
 forms from a Fock input.
@@ -50,6 +53,7 @@ that the ``laguerre-recurrence`` invariant takes.
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -58,7 +62,7 @@ from scipy.ndimage import gaussian_filter
 from scipy.special import eval_genlaguerre, gammaln
 
 from radwig import (AccuracyError, SchwingerDensityMatrix, WavefunctionV,
-                    apply_displacement, laguerre_assoc, sector_isometry)
+                    apply_displacement, laguerre_assoc)
 from radwig.wigner import _ladder, _log_integrand
 
 
@@ -174,9 +178,50 @@ def scipy_psi(k, alpha, v):
     return (-1.0) ** k * np.sign(lag) * np.exp(log_abs)
 
 
+def sector_isometry_exact(total: int, n_max: int) -> np.ndarray:
+    """``radwig.sector_isometry`` from exact integer coefficients, each
+    entry rounded once.
+
+    Expanding the cartesian creation monomial in circular modes,
+    a_x^dag = (A_+^dag + A_-^dag)/sqrt(2) and
+    a_y^dag = -i (A_+^dag - A_-^dag)/sqrt(2), the coefficient c_p of
+    u^{n_+} w^{n_-} in P_{n_x, n_y} = (u + w)^{n_x} (u - w)^{n_y} carries
+    the whole combinatorial content: the entry is
+    (-i)^{n_y} c_p sqrt(n_+! n_-! / (n_x! n_y! 2^total)).  The c_p are
+    integers past 2^53 at large totals, where their signs cancel, so they
+    are kept exact in Python ints, and so is the square of each entry;
+    the float square root of its rounding is within an ulp or so.
+    Column to column, P_{n_x+1, n_y-1} = P_{n_x, n_y} (u + w) / (u - w):
+    one exact synthetic division and one multiplication.
+    """
+    nx0 = max(0, total - n_max)
+    ny0 = total - nx0
+    # coefficient of u^p (w = 1) in (1 + u)^nx0 (u - 1)^ny0
+    poly = [sum(math.comb(nx0, j) * math.comb(ny0, p - j) * (-1) ** (ny0 - p + j)
+                for j in range(max(0, p - ny0), min(nx0, p) + 1))
+            for p in range(total + 1)]
+    cols = [poly]
+    for _ in range(nx0, min(total, n_max)):
+        # q = P / (u - 1) has q_i = -S_i, with S the prefix sums of P;
+        # then (u + 1) q has coefficient q_{i-1} + q_i
+        sums = list(accumulate(poly))
+        poly = [-(a + b) for a, b in zip([0] + sums[:-1], sums)]
+        cols.append(poly)
+    fact = [math.factorial(k) for k in range(total + 1)]
+    out = np.empty((total + 1, len(cols)), dtype=complex)
+    for col, poly in enumerate(cols):
+        nx = nx0 + col
+        ny = total - nx
+        scale = fact[nx] * fact[ny] << total
+        for p, c in enumerate(poly):
+            square = Fraction(c * c * fact[p] * fact[total - p], scale)
+            out[p, col] = (-1j) ** ny * math.copysign(math.sqrt(square), c)
+    return out
+
+
 def dense_u_rotation(rho) -> np.ndarray:
     """Schwinger entries U rho U^dag of a FockDensityMatrix, U assembled
-    densely from the sector isometries, then symmetrised."""
+    densely from :func:`sector_isometry_exact`, then symmetrised."""
     n_max = rho.n_max
     dim_s = (2 * n_max + 1) * (2 * n_max + 2) // 2
     u = np.zeros((dim_s, (n_max + 1) ** 2), dtype=complex)
@@ -184,7 +229,7 @@ def dense_u_rotation(rho) -> np.ndarray:
         rows = [total * (total + 1) // 2 + p for p in range(total + 1)]
         cols = [nx * (n_max + 1) + (total - nx)
                 for nx in range(max(0, total - n_max), min(total, n_max) + 1)]
-        u[np.ix_(rows, cols)] = sector_isometry(total, n_max)
+        u[np.ix_(rows, cols)] = sector_isometry_exact(total, n_max)
     entries = u @ rho.entries @ u.conj().T
     return 0.5 * (entries + entries.conj().T)
 

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +51,33 @@ def test_full_registry_passes():
     failing = [r.name for r in results if not r.passed]
     assert not failing, f"invariants out of tolerance: {failing}"
     assert {r.name for r in results} == set(available_invariants())
+
+
+# each entry's measured value at the last change that moved it, and the
+# class of its model line: how far the value may move before it fails
+CHECK_VALUES = json.loads(
+    (Path(__file__).parent / "check_values.json").read_text(encoding="utf-8"))
+
+
+def test_check_values_match_their_ledger():
+    # a window, truncation or depth value is deterministic: within 1e-6
+    # relative.  A rounding value is a maximum of rounding errors, which
+    # moves with the BLAS thread count: at most 10x its ledger value.
+    # wigner-bound is exactly 0.  A change that moves a value updates the
+    # ledger and says why.
+    moved = {}
+    for r in run_invariants():
+        entry = CHECK_VALUES[r.name]
+        value = entry["value"]
+        if entry["model"] == "rounding":
+            held = r.measured <= 10.0 * value
+        elif entry["model"] == "exact":
+            held = r.measured == value
+        else:
+            held = abs(r.measured - value) <= 1e-6 * abs(value)
+        if not held:
+            moved[r.name] = (r.measured, value)
+    assert not moved, f"values off their ledger (measured, ledger): {moved}"
 
 
 def test_wigner_negativity_obeys_tolerance_scale(monkeypatch):

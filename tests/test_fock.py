@@ -18,7 +18,7 @@ from radwig.states import _radial_rows
 from radwig.wigner import DensityMatrixV
 
 from reference import (fock_to_schwinger, per_block_radial_kernel, scipy_psi,
-                       wigner_two_sided)
+                       sector_isometry_exact, wigner_two_sided)
 
 GAMMA = Grid1D(-3.0, 2.0, 126)
 DELTA = Grid1D(-4.0, 4.0, 81)
@@ -43,7 +43,15 @@ def test_sector_isometry_columns_orthonormal():
         for total in range(2 * n_max + 1):
             u = sector_isometry(total, n_max)
             gram = u.conj().T @ u
-            assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-13
+            assert np.abs(gram - np.eye(gram.shape[0])).max() < 2e-14
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 3, 10, 40])
+def test_sector_isometry_matches_exact_integer_blocks(n_max):
+    # the float recursion against the exact-integer expansion, at every total
+    for total in range(2 * n_max + 1):
+        got = sector_isometry(total, n_max)
+        assert np.abs(got - sector_isometry_exact(total, n_max)).max() < 2e-14
 
 
 def test_sector_isometry_rejects_total_outside_cutoff():
@@ -562,14 +570,15 @@ def test_end_to_end_never_forms_the_schwinger_matrix():
 
 
 def test_end_to_end_checks_the_rotated_trace(monkeypatch):
-    # an isometry scaled by 1 + 1e-6 keeps every block Hermitian but moves
-    # the trace of its sector; the pipeline's trace check must catch it
-    isometry = radwig.fock.sector_isometry
+    # a sector block scaled by 1 + 1e-6 keeps every block Hermitian but
+    # moves the trace of its sector; the pipeline's trace check must catch it
+    build = radwig.fock._sector_blocks
 
-    def scaled(total, n_max):
-        return isometry(total, n_max) * (1.0 + 1e-6 * (total == 1))
+    def scaled(n_max, last):
+        return [b * (1.0 + 1e-6 * (total == 1))
+                for total, b in enumerate(build(n_max, last))]
 
-    monkeypatch.setattr(radwig.fock, "sector_isometry", scaled)
+    monkeypatch.setattr(radwig.fock, "_sector_blocks", scaled)
     with pytest.raises(ValidationError, match="Schwinger density matrix trace"):
         end_to_end(dense_state(4, seed=2440), GAMMA, DELTA)
 

@@ -5,6 +5,7 @@ command-line options the parser has."""
 import argparse
 import ast
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -215,10 +216,9 @@ def test_one_delta_fold_rule():
     assert "_delta_fold" not in checks
 
 
-def test_every_invariant_states_its_model():
-    # each radwig check entry has its one-line error model as a comment on
-    # the line directly above it, so no tolerance lands without a model;
-    # the exact oracles run in integers, with no fractions import
+def _registry_models():
+    """(name, the source line directly above its entry) for every entry of
+    ``checks._REGISTRY``, and the parsed ``checks.py``."""
     path = Path(radwig.__file__).parent / "checks.py"
     lines = path.read_text(encoding="utf-8").splitlines()
     tree = _parse(path)
@@ -226,16 +226,37 @@ def test_every_invariant_states_its_model():
                  if isinstance(node, ast.Assign)
                  and [getattr(t, "id", None) for t in node.targets] ==
                  ["_REGISTRY"]]
-    assert len(registry.elts) == len(radwig.checks._REGISTRY)
-    for entry in registry.elts:
-        above = lines[entry.lineno - 2].strip()
-        assert above.startswith("# "), \
-            f"{entry.elts[0].value} has no model comment above it"
+    return [(entry.elts[0].value, lines[entry.lineno - 2].strip())
+            for entry in registry.elts], tree
+
+
+def test_every_invariant_states_its_model():
+    # each radwig check entry has its one-line error model as a comment on
+    # the line directly above it, so no tolerance lands without a model;
+    # the exact oracles run in integers, with no fractions import
+    models, tree = _registry_models()
+    assert len(models) == len(radwig.checks._REGISTRY)
+    for name, above in models:
+        assert above.startswith("# "), f"{name} has no model comment above it"
     modules = {alias.name for node in ast.walk(tree)
                if isinstance(node, ast.Import) for alias in node.names}
     modules.update(node.module for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) and node.module)
     assert "fractions" not in modules
+
+
+def test_check_ledger_holds_the_registry():
+    # tests/check_values.json has exactly the registry's names, and each
+    # entry whose model line opens with its class carries that class
+    ledger = json.loads((Path(__file__).parent / "check_values.json")
+                        .read_text(encoding="utf-8"))
+    assert list(ledger) == radwig.checks.available_invariants()
+    for name, above in _registry_models()[0]:
+        assert ledger[name]["model"] in ("window", "truncation", "rounding",
+                                         "depth", "exact")
+        opening = above.split()[1].rstrip(":")
+        if opening in ("window", "truncation", "rounding"):
+            assert ledger[name]["model"] == opening, name
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

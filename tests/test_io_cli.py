@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -141,10 +142,11 @@ def test_json_bytes_match_json_dumps(tmp_path, shape):
     assert back == grid and back.meta == grid.meta
 
 
-def _run_python(*args, check=True):
-    """Run a fresh interpreter that imports this radwig checkout."""
+def _run_python(*args, check=True, env_vars=None):
+    """Run a fresh interpreter that imports this radwig checkout, with
+    ``env_vars`` added to its environment."""
     src = os.path.dirname(os.path.dirname(radwig.__file__))
-    env = dict(os.environ)
+    env = dict(os.environ, **(env_vars or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, check=check,
@@ -500,6 +502,50 @@ def test_fock_command_matches_wl(tmp_path, capsys):
     # the map window is too narrow for faithful marginals: skipped, warned
     assert not (tmp_path / "wf_marginal_gamma.csv").exists()
     assert "skipping" in capsys.readouterr().err
+
+
+def dense_fock_doc(n_max, seed, rank=3):
+    """Fock input of a seeded low-rank mixed state, every entry nonzero."""
+    rng = np.random.default_rng(seed)
+    dim = (n_max + 1) ** 2
+    nx, ny = np.divmod(np.arange(dim), n_max + 1)
+    vecs = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    vecs *= np.exp(-(nx + ny) / (0.5 * n_max))[:, None]
+    rho = (vecs * rng.dirichlet(np.ones(rank))) @ vecs.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    rho /= np.trace(rho).real
+    return {"n_max": n_max, "entries": [
+        {"nx": i // (n_max + 1), "ny": i % (n_max + 1),
+         "nxp": j // (n_max + 1), "nyp": j % (n_max + 1),
+         "re": float(rho[i, j].real), "im": float(rho[i, j].imag)}
+        for i in range(dim) for j in range(dim)]}
+
+
+@pytest.mark.parametrize("command", ["fock", "wl"])
+def test_output_bytes_are_fixed_at_a_blas_thread_count(tmp_path, command):
+    # identical inputs at one BLAS thread count give identical bytes;
+    # between 1 and 2 threads BLAS splits its large products differently,
+    # and W agrees to rounding
+    if command == "fock":
+        rho_path = tmp_path / "rho.json"
+        rho_path.write_text(json.dumps(dense_fock_doc(10, seed=1901)))
+        args = ["fock", "--input", str(rho_path)]
+    else:
+        args = ["wl", "--l", "32", "--gamma", "-12:2:351",
+                "--delta", "-26:26:521", "--allow-wide-gamma"]
+    values = {}
+    for threads in ("1", "2"):
+        digests = set()
+        for run in range(2):
+            out = tmp_path / f"w{threads}_{run}.csv"
+            _run_python("-m", "radwig.cli", *args, "--no-plot-script",
+                        "--out", str(out),
+                        env_vars={"OPENBLAS_NUM_THREADS": threads})
+            digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert len(digests) == 1
+        values[threads] = read_wigner_csv(out).values
+    scale = np.abs(values["1"]).max()
+    assert np.abs(values["1"] - values["2"]).max() <= 1e-15 * scale
 
 
 def test_fock_command_single_gamma_cell(tmp_path, capsys):
