@@ -36,6 +36,12 @@ recurrence.
 form: every anti-diagonal slice over both signs of tau, one complex
 exponential kernel, no Hermitian fold.
 
+:func:`fold_slices_loop` is the density route's folded gather one
+anti-diagonal at a time, by fancy indexing, instead of the library's one
+strided view of the flat kernel; :func:`wigner_from_density_loop` is the
+whole density route on it, the same transform in the same order, so
+both must match the library to the bit.
+
 :func:`trace_kernel_sandwich` is the displacement trace kernel's matrix
 element <g|D(lam, mu) D^dag(lam', mu')|g> as a per-packet sandwich, the
 direct form of the adjoint product <D^dag g|D'^dag g> that the
@@ -44,7 +50,8 @@ direct form of the adjoint product <D^dag g|D'^dag g> that the
 :func:`gaussian_filter_reference` is the ordering-lowering smoothing of
 ``radwig.s_smooth`` done by scipy's separable ``gaussian_filter``, with the
 same kernel radius (10 standard deviations) and zero padding, instead of
-the library's two matrix products.
+the library's two matrix products.  :func:`s_smooth_dense` is those two
+products taken whole, (A @ W) @ B^T, zeros off the band included.
 
 :func:`laguerre_explicit` is L_n^a(x) as the explicit sum in
 ``fractions.Fraction`` arithmetic, the rational form of the integer sum
@@ -63,7 +70,8 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from radwig import (AccuracyError, SchwingerDensityMatrix, WavefunctionV,
                     apply_displacement, laguerre_assoc)
-from radwig.wigner import _ladder, _log_integrand
+from radwig.wigner import (_delta_fold, _flush_tiny, _gamma_nodes,
+                           _gaussian_matrix, _ladder, _log_integrand)
 
 
 def wigner_l0_closed(l: int, gamma: float, delta: float) -> float:
@@ -274,6 +282,42 @@ def wigner_two_sided(rho, gamma_grid, delta_grid) -> np.ndarray:
     return (h / np.pi) * (gather @ np.exp(-1j * np.outer(tau, delta_grid.points)))
 
 
+def fold_slices_loop(entries, s) -> np.ndarray:
+    """The slices of the kernel ``entries`` through the anti-diagonals
+    s[k], all of one parity p, folded onto tau = p, p + 2, ...: row k holds
+    entries[a, b] + entries[b, a]^* at column (a - b) // 2 for every a >= b
+    with a + b = s[k], and 0 elsewhere; one fancy index per row."""
+    n = entries.shape[0]
+    gather = np.zeros((len(s), (n - s[0] % 2 + 1) // 2), dtype=entries.dtype)
+    for k, sk in enumerate(s):
+        a = np.arange((sk + 1) // 2, min(n - 1, sk) + 1)
+        b = sk - a
+        gather[k, (a - b) // 2] = entries[a, b] + entries[b, a].conj()
+    return gather
+
+
+def wigner_from_density_loop(rho, gamma_grid, delta_grid) -> np.ndarray:
+    """W of ``radwig.wigner_from_density``, its slices gathered by
+    :func:`fold_slices_loop`: the same halving, flush, tables and products
+    in the same order."""
+    h, n = rho.grid.spacing, rho.grid.n_points
+    s_idx = _gamma_nodes(gamma_grid, rho.grid)
+    cols, col, sign = _delta_fold(delta_grid)
+    values = np.empty((gamma_grid.n_points, delta_grid.n_points))
+    for p in np.unique(s_idx % 2):
+        rows = np.flatnonzero(s_idx % 2 == p)
+        gather = fold_slices_loop(rho.entries, s_idx[rows])
+        if p == 0:
+            gather[:, 0] *= 0.5
+        _flush_tiny(gather)
+        arg = np.outer(np.arange(p, n, 2) * h, cols)
+        w = (gather.real @ np.cos(arg))[:, col]
+        if np.iscomplexobj(gather):
+            w += sign * (gather.imag @ np.sin(arg))[:, col]
+        values[rows] = (h / np.pi) * w
+    return values
+
+
 def trace_kernel_sandwich(grid, packets, lam, mu, lam_p, mu_p) -> complex:
     """sum_g <g| D(lam, mu) D^dag(lam', mu') |g> h over the rows g of
     ``packets``: the trace-kernel element in its direct form, two
@@ -294,6 +338,16 @@ def gaussian_filter_reference(w, s: float) -> np.ndarray:
     sigma = np.sqrt(-s / 2.0)
     pix = (sigma / w.gamma_grid.spacing, sigma / w.delta_grid.spacing)
     return gaussian_filter(w.values, sigma=pix, mode="constant", truncate=10.0)
+
+
+def s_smooth_dense(w, s: float) -> np.ndarray:
+    """Values of a WignerGrid smoothed to ordering s by the dense products
+    (A @ W) @ B^T of the library's smoothing matrices, every entry of A
+    and B taken, the zeros off their bands included."""
+    sigma = np.sqrt(-s / 2.0)
+    a, _ = _gaussian_matrix(w.gamma_grid, sigma)
+    b, _ = _gaussian_matrix(w.delta_grid, sigma)
+    return (a @ w.values) @ b.T
 
 
 def laguerre_explicit(n: int, a: int, x: float) -> Fraction:

@@ -287,6 +287,23 @@ def test_floating_point_state_is_never_set(path):
     assert "seterr" not in calls, f"{path.name} calls seterr"
 
 
+def test_strided_views_are_read_only():
+    # a writable view with overlapping strides would let a later in-place
+    # op change one kernel entry through several cells at once, silently:
+    # every as_strided call in the package passes writeable=False
+    calls = [(path.name, node) for path in MODULES
+             for node in ast.walk(_parse(path)) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             == "as_strided"]
+    assert calls
+    writable = [f"{name}:{node.lineno}" for name, node in calls
+                if not any(kw.arg == "writeable"
+                           and isinstance(kw.value, ast.Constant)
+                           and kw.value.value is False
+                           for kw in node.keywords)]
+    assert not writable, f"as_strided without writeable=False at {writable}"
+
+
 LAGUERRE_NAMES = {"laguerre_assoc", "_scaled_recurrence"}
 
 

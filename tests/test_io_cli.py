@@ -219,7 +219,7 @@ def test_wl_degenerate_single_cell(tmp_path):
     assert value == pytest.approx(0.268032, abs=1e-6)
 
 
-def test_wl_deterministic_across_runs_and_threads(tmp_path):
+def test_wl_deterministic_across_runs(tmp_path):
     args = ["wl", "--l", "2", "--gamma", "-2:1:61", "--delta", "-3:3:49"]
     paths = [tmp_path / f"w{i}.csv" for i in range(2)]
     assert main(args + ["--out", str(paths[0])]) == 0

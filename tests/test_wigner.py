@@ -19,10 +19,11 @@ from radwig import (DensityMatrixV, DomainError, Grid1D, GridAlignmentError,
                     wigner_l0_grid)
 import radwig.wigner
 from radwig.checks import _husimi_exact
-from radwig.wigner import _FLUSH, _gaussian_matrix, _ladder
-from reference import (gaussian_filter_reference, wigner_bessel_sum,
-                       wigner_l0_closed, wigner_l0_rectangular,
-                       wigner_two_sided)
+from radwig.wigner import _FLUSH, _fold_slices, _gaussian_matrix, _ladder
+from reference import (fold_slices_loop, gaussian_filter_reference,
+                       s_smooth_dense, wigner_bessel_sum,
+                       wigner_from_density_loop, wigner_l0_closed,
+                       wigner_l0_rectangular, wigner_two_sided)
 
 GAMMA = Grid1D(-3.0, 2.0, 126)
 DELTA = Grid1D(-4.0, 4.0, 81)
@@ -110,6 +111,30 @@ def test_validation_over_diagonal_blocks_counts_across_them():
         _validate_blocks([a, b], label=lambda r, c: f"<{r}|{c}>")
     with pytest.raises(ValidationError, match="trace 0.5 deviates"):
         _validate_blocks([a])
+
+
+def test_non_finite_entries_are_named_before_hermiticity():
+    # finiteness is read off each strip's largest |entry|, yet a
+    # non-finite entry past a Hermiticity violation still raises as such:
+    # nan in the last row strip, +inf (with its mirror) off the diagonal
+    # of a later block, and a nan imaginary part
+    from radwig.wigner import _validate_blocks, validate_density_matrix
+    rho = np.eye(300) / 300
+    rho[5, 200] = 3e-3
+    rho[299, 298] = np.nan
+    with pytest.raises(ValidationError, match="entries must be finite"):
+        validate_density_matrix(rho)
+    a = np.diag([0.5, 0.5]).astype(complex)
+    a[0, 1] = 1e-3
+    b = np.eye(3, dtype=complex) / 3
+    b[0, 2] = b[2, 0] = np.inf
+    with pytest.raises(ValidationError, match="entries must be finite"):
+        _validate_blocks([a, b])
+    rho = np.eye(300, dtype=complex) / 300
+    rho[5, 200] = 3e-3
+    rho[250, 10] = complex(1e-3, np.nan)
+    with pytest.raises(ValidationError, match="entries must be finite"):
+        validate_density_matrix(rho)
 
 
 def test_density_matrix_mixture_is_psd():
@@ -255,11 +280,14 @@ def test_folded_route_matches_two_sided_and_exact(boosted_rho, gamma):
         boosted_rho.meta["hermiticity_residual"] <= 1e-10
 
 
-def _random_density(n, seed):
+def _random_density(n, seed, real=False):
     """Hermitian, unit-trace, otherwise random entries on an n-point grid:
-    every anti-diagonal, both parities and both corners carry weight."""
+    every anti-diagonal, both parities and both corners carry weight;
+    float64 (real symmetric) when ``real``."""
     rng = np.random.default_rng(seed)
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = rng.normal(size=(n, n))
+    if not real:
+        m = m + 1j * rng.normal(size=(n, n))
     m = m + m.conj().T
     grid = Grid1D(-1.0, 1.0, n)
     return DensityMatrixV(grid, m / (np.trace(m).real * grid.spacing))
@@ -279,6 +307,53 @@ def test_parity_split_matches_two_sided(gamma):
     ref = wigner_two_sided(rho, gamma, delta)
     assert np.abs(ref.imag).max() <= 1e-13 * np.abs(ref.real).max()
     assert np.abs(w.values - ref.real).max() <= 1e-14 * np.abs(ref.real).max()
+
+
+def _anti_diagonal_runs(n):
+    """Anti-diagonal index runs s_0, s_0 + c, ... inside [0, 2(n - 1)] for
+    steps c = 1..4, one from the first anti-diagonal and one to the last,
+    and the one-point runs on the first, middle and last."""
+    last = 2 * (n - 1)
+    runs = [np.array([0]), np.array([n - 1]), np.array([last])]
+    for c in range(1, 5):
+        count = last // c + 1
+        runs += [c * np.arange(count), last - c * np.arange(count)[::-1]]
+    return runs
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 41])
+def test_fold_slices_match_the_loop_gather_bitwise(n, real):
+    # one strided view of the flat kernel against one fancy index per
+    # anti-diagonal: the same sums, to the bit, in both parity classes,
+    # on the first (s = 0) and last (s = 2(n - 1)) anti-diagonals, where
+    # the view meets the ends of the kernel's buffer
+    rng = np.random.default_rng(n)
+    entries = rng.normal(size=(n, n))
+    if not real:
+        entries = entries + 1j * rng.normal(size=(n, n))
+    for run in _anti_diagonal_runs(n):
+        for p in np.unique(run % 2):
+            s = run[run % 2 == p]
+            got = _fold_slices(entries, s)
+            assert got.dtype == entries.dtype
+            assert got.tobytes() == fold_slices_loop(entries, s).tobytes()
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 40, 41])
+def test_density_route_matches_the_loop_gather_bitwise(n, real):
+    # gamma steps of h/2 to 2h (anti-diagonal steps 1 to 4), from the
+    # first and to the last anti-diagonal, and one-point gamma axes
+    rho = _random_density(n, seed=n, real=real)
+    v0, h = rho.grid.min, rho.grid.spacing
+    band = np.pi / (2.0 * h)
+    delta = Grid1D(-0.9 * band, 0.9 * band, 17)
+    for run in _anti_diagonal_runs(n):
+        gamma = Grid1D(v0 + 0.5 * h * run[0], v0 + 0.5 * h * run[-1], run.size)
+        w = wigner_from_density(rho, gamma, delta)
+        assert w.values.tobytes() == \
+            wigner_from_density_loop(rho, gamma, delta).tobytes()
 
 
 def test_density_route_matches_closed_form():
@@ -911,6 +986,27 @@ def test_s_smooth_memory_does_not_grow_with_the_kernel():
                                       rel=1e-9)
 
 
+@pytest.mark.parametrize("make, s", [
+    (lambda levels: _anisotropic_grid(), -2e-6),
+    (lambda levels: WignerGrid(Grid1D(0.0, 0.04, 5), Grid1D(0.0, 0.04, 5),
+                               np.arange(25.0).reshape(5, 5)), -2e7),
+    (lambda levels: _anisotropic_grid(), -1.0),
+    (lambda levels: levels[1], -1.0)],
+    ids=["radius-0", "radius-past-the-grid", "anisotropic", "wide"])
+def test_s_smooth_matches_the_dense_product(make, s, wide_levels):
+    # the banded blocks leave out only zeros of A and B, so Q moves from
+    # the dense (A @ W) @ B^T by reassociation alone: sigma_pix < 0.05
+    # (radius 0, A = B = I), a radius past n - 1 (the band is the whole
+    # matrix), the anisotropic grid's 233 (all of gamma) and 71, and the
+    # wide window's 354 and 141
+    w = make(wide_levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        q = s_smooth(w, s)
+    ref = s_smooth_dense(w, s)
+    assert np.abs(q.values - ref).max() <= 4e-15 * np.abs(ref).max()
+
+
 def test_gaussian_tail_sum_is_closed_form():
     # spacing 0.01: a kernel radius of 3.2e6 samples at s = -2e7 and 3.2e8
     # at s = -2e11; the normalising sum must not walk either tail
@@ -919,7 +1015,7 @@ def test_gaussian_tail_sum_is_closed_form():
     x = np.arange(-int(10.0 * pix + 0.5), int(10.0 * pix + 0.5) + 1)
     direct = np.exp(-0.5 / (pix * pix) * np.subtract.outer(
         np.arange(5), np.arange(5)) ** 2) / np.exp(-0.5 / (pix * pix) * x ** 2).sum()
-    a = _gaussian_matrix(axis, np.sqrt(1e7))
+    a, _ = _gaussian_matrix(axis, np.sqrt(1e7))
     assert np.abs(a / direct - 1.0).max() <= 1e-15
     w = WignerGrid(axis, axis, np.ones((5, 5)))
     with warnings.catch_warnings():
