@@ -12,10 +12,11 @@ radial-eigenfunction producer of :mod:`radwig.states`.  The result
 feeds straight into :func:`radwig.wigner.wigner_from_density`.
 
 :func:`radial_reduce` is that chain up to the kernel, on the grid it is
-given, and :func:`end_to_end` adds the Wigner function.  From a Fock
-matrix it rotates only the equal-m blocks, from the half-rotated rows,
-so the angle trace never pays for the coherences it removes; a
-:class:`SchwingerDensityMatrix` gives its stored blocks instead.
+given, and :func:`end_to_end` adds the Wigner function.  A
+:class:`SchwingerDensityMatrix` stores only the equal-m blocks, since
+the radial Wigner function cannot see the rest; a Fock matrix is
+rotated into it one such block at a time, from the half-rotated rows,
+and both then take one path to the kernel.
 
 :func:`end_to_end` reads its log-radius grid as a window and a finest
 spacing h_0, and samples the kernel on every j-th point of it, for the
@@ -34,6 +35,7 @@ chain holds to rounding at every cutoff up to ``MAX_FOCK_CUTOFF``.
 import json
 import math
 import numbers
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -90,6 +92,16 @@ class FockDensityMatrix(_DensityMatrix):
         vec = vec / norm
         return cls(n_max, np.outer(vec, vec.conj()))
 
+    def _angular(self):
+        """Its rotated equal-m blocks as a :class:`SchwingerDensityMatrix`,
+        and their residual as the kernel's ``rotation_residual``."""
+        left, sectors = _rotated_rows(self)
+        rotated = SchwingerDensityMatrix(self.n_max, {
+            two_m: _rotated_block(left, sectors, self.n_max, two_m)
+            for two_m in range(-2 * self.n_max, 2 * self.n_max + 1)})
+        return rotated, {
+            "rotation_residual": rotated.meta["hermiticity_residual"]}
+
 
 def _check_cutoff(n_max, limit: int) -> int:
     """``n_max`` as an int, checked before anything of its size exists."""
@@ -106,74 +118,76 @@ def _fock_index(n_max: int, nx: int, ny: int) -> int:
     return nx * (n_max + 1) + ny
 
 
-def _schwinger_index(n_max: int, label: SchwingerLabel) -> int:
-    total = label.n_plus + label.n_minus
-    if total > 2 * n_max:
-        raise DomainError(f"label {label} outside cutoff 2l <= {2 * n_max}")
-    return _schwinger_flat(total, label.n_plus)
-
-
-def _schwinger_dim(n_max: int) -> int:
-    return (2 * n_max + 1) * (2 * n_max + 2) // 2
-
-
 def _schwinger_flat(total: int, n_plus: int) -> int:
     return total * (total + 1) // 2 + n_plus
 
 
-def _schwinger_sector(index: int) -> tuple[int, int]:
-    """(total, n_plus) of the label stored at flat Schwinger ``index``."""
-    total = (math.isqrt(8 * index + 1) - 1) // 2
-    return total, index - _schwinger_flat(total, 0)
+def _block_size(n_max: int, two_m: int) -> int:
+    """Levels k = l - |m| = 0..size-1 of the signed 2m within 2l <= 2 n_max."""
+    return (2 * n_max - abs(two_m)) // 2 + 1
 
 
-def _schwinger_label(index: int) -> SchwingerLabel:
-    total, n_plus = _schwinger_sector(index)
-    return SchwingerLabel.from_occupations(n_plus, total - n_plus)
+class SchwingerDensityMatrix:
+    """Angular-momentum density matrix, stored as its equal-m blocks C_m.
 
-
-def _schwinger_pair(row: int, col: int) -> str:
-    bra, ket = _schwinger_label(row), _schwinger_label(col)
-    return f"(l={bra.l}, m={bra.m}; l'={ket.l}, m'={ket.m})"
-
-
-class SchwingerDensityMatrix(_DensityMatrix):
-    """Density matrix over angular-momentum labels (l, m).
-
-    The angular-momentum input of :func:`radial_reduce`, which reads its
-    stored equal-m blocks; a Fock input is rotated there block by block,
-    never into this full matrix.  Labels are stored through the circular
-    occupations (n_plus, n_minus) with n_plus + n_minus <= 2 n_max,
-    flattened sector by sector; the exact half-integer (l, m) of each
-    index is available via ``labels``, and a Hermiticity error names the
-    pair by both labels.
+    ``blocks`` maps each signed 2m, an integer in [-2 n_max, 2 n_max], to
+    C_m over k = l - |m| = 0..(2 n_max - |2m|) // 2: entry [k, k'] is
+    <l, m| rho |l', m>.  An omitted m is zero.  The m != m' coherences are
+    not stored, because the radial Wigner function cannot see them, so a
+    full matrix whose only Hermiticity error lies in one is not rejected.
+    The blocks are stored and validated in the order 2m = 0, -1, +1, -2,
+    ..., by one call of the one validator: each is finite and Hermitian to
+    1e-10 of the largest entry (a violation names both (l, m) labels), and
+    their traces sum to 1 within 1e-10; the residual goes in
+    ``meta["hermiticity_residual"]``.
     ``n_max`` is an integer in [0, ``special.MAX_DEGREE``], the largest
     cutoff whose radial rows :func:`radial_reduce` can expand.
     """
 
-    def __init__(self, n_max: int, entries):
-        n_max = _check_cutoff(n_max, MAX_DEGREE)
-        super().__init__(entries, _schwinger_dim(n_max), label=_schwinger_pair,
-                         what="Schwinger density matrix")
-        self.n_max = n_max
+    def __init__(self, n_max: int, blocks: dict):
+        self.n_max = n_max = _check_cutoff(n_max, MAX_DEGREE)
+        what = "Schwinger density matrix"
+        order = sorted(range(-2 * n_max, 2 * n_max + 1), key=abs)
+        if blocks.keys() - set(order):
+            raise ValidationError(
+                f"{what} block keys {blocks.keys() - set(order)} are not "
+                f"integers 2m in [{-2 * n_max}, {2 * n_max}]")
+        self.blocks = {}
+        for two_m in [two_m for two_m in order if two_m in blocks]:
+            block = np.asarray(blocks[two_m], dtype=complex
+                               if np.iscomplexobj(blocks[two_m]) else float)
+            if block.shape != (_block_size(n_max, two_m),) * 2:
+                raise ValidationError(
+                    f"{what} block 2m = {two_m} shape {block.shape} does not "
+                    f"match dimension {_block_size(n_max, two_m)}")
+            self.blocks[two_m] = block
 
-    @property
-    def labels(self) -> list:
-        return [_schwinger_label(i) for i in range(_schwinger_dim(self.n_max))]
+        def label(row, col):
+            # (2m, k) of every row, counted across the blocks in order
+            rows = [(two_m, k) for two_m, block in self.blocks.items()
+                    for k in range(len(block))]
+            (m, k), (mp, kp) = rows[row], rows[col]
+            return (f"(l={Fraction(2 * k + abs(m), 2)}, m={Fraction(m, 2)}; "
+                    f"l'={Fraction(2 * kp + abs(mp), 2)}, m'={Fraction(mp, 2)})")
 
-    def index(self, label: SchwingerLabel) -> int:
-        return _schwinger_index(self.n_max, label)
-
-    def coefficient(self, bra: SchwingerLabel, ket: SchwingerLabel) -> complex:
-        """C_{lm;l'm'} = <bra| rho |ket>."""
-        return complex(self.entries[self.index(bra), self.index(ket)])
+        self.meta = {"hermiticity_residual": _validate_blocks(
+            list(self.blocks.values()), label=label, what=what)}
 
     @classmethod
     def pure(cls, label: SchwingerLabel, n_max: int) -> "SchwingerDensityMatrix":
-        dim = _schwinger_dim(_check_cutoff(n_max, MAX_DEGREE))
-        vec = np.zeros(dim, dtype=complex)
-        vec[_schwinger_index(n_max, label)] = 1.0
-        return cls(n_max, np.outer(vec, vec.conj()))
+        """|label><label|: one block, with a single unit entry."""
+        n_max = _check_cutoff(n_max, MAX_DEGREE)
+        if label.n_plus + label.n_minus > 2 * n_max:
+            raise DomainError(f"label {label} outside cutoff 2l <= {2 * n_max}")
+        two_m = label.n_plus - label.n_minus
+        block = np.zeros((_block_size(n_max, two_m),) * 2)
+        k = min(label.n_plus, label.n_minus)
+        block[k, k] = 1.0
+        return cls(n_max, {two_m: block})
+
+    def _angular(self):
+        """Itself, and no kernel metadata (see radial_reduce)."""
+        return self, {}
 
 
 def sector_isometry(total: int, n_max: int) -> np.ndarray:
@@ -242,7 +256,7 @@ def _rotated_rows(rho: FockDensityMatrix):
     """
     n_max, e = rho.n_max, rho.entries
     blocks = _sector_blocks(n_max, 2 * n_max)
-    left = np.empty((_schwinger_dim(n_max), len(e)), dtype=complex)
+    left = np.empty((_schwinger_flat(len(blocks), 0), len(e)), dtype=complex)
     for t, b in enumerate(blocks):
         sector = _sector_slice(t, n_max)
         s = _schwinger_flat(t, 0)
@@ -251,14 +265,15 @@ def _rotated_rows(rho: FockDensityMatrix):
     return left, blocks
 
 
-def _rotated_block(left, blocks, n_max, idx) -> np.ndarray:
-    """(B H B^dag)[idx, idx] from the rows B H: column j is (B H)[idx] on
-    the Fock columns of sector T, times conj(B_T[n_plus]), where (T, n_plus)
-    is label idx[j]."""
-    rows = left[idx]
-    out = np.empty((len(idx), len(idx)), dtype=complex)
-    for j, i in enumerate(idx):
-        t, n_plus = _schwinger_sector(i)
+def _rotated_block(left, blocks, n_max, two_m) -> np.ndarray:
+    """C_m = (B H B^dag)[m, m] from the rows B H: column k is (B H)[m] on
+    the Fock columns of sector T = |2m| + 2k, times conj(B_T[n_plus]), with
+    n_plus = k + max(2m, 0) the row of the label (2m, k) in its sector."""
+    labels = [(abs(two_m) + 2 * k, k + max(two_m, 0))
+              for k in range(_block_size(n_max, two_m))]
+    rows = left[[_schwinger_flat(t, n_plus) for t, n_plus in labels]]
+    out = np.empty((len(labels), len(labels)), dtype=complex)
+    for j, (t, n_plus) in enumerate(labels):
         out[:, j] = rows[:, _sector_slice(t, n_max)] @ blocks[t][n_plus].conj()
     return out
 
@@ -277,21 +292,20 @@ def radial_reduce(rho: FockDensityMatrix | SchwingerDensityMatrix,
     their rows and enter through one block C_{+m} + C_{-m} per alpha,
     each C_m read as its exactly Hermitian part (C_m + C_m^dag) / 2.
 
-    A :class:`SchwingerDensityMatrix` gives its stored blocks.  A
-    :class:`FockDensityMatrix` is rotated by the sector blocks B_T of
-    :func:`sector_isometry`, built by one float recursion to within
-    2.8e-16 of the exact blocks, but only where the angle trace keeps it:
-    each column of C_m = (B H)[m] B[m]^dag is contracted from the rows
-    B H of the Hermitian part H of the input, on the Fock columns of its
-    label's sector only.  The rows are freed before the radial products,
-    so the Schwinger matrix B H B^dag (57 MB at n_max = 30) is never
-    formed.  C_{-m} and C_{+m} come from products of one shape, so
-    a real input's imaginary parts cancel between them.  The rotated
-    blocks meet the checks of :class:`SchwingerDensityMatrix` through the
-    one validator: every C_m is finite and Hermitian to 1e-10 of the
-    largest entry (a violation names both (l, m) labels), and their traces
-    sum to 1 within 1e-10.  Their Hermiticity residual, the rotation's own
-    rounding, goes in ``meta["rotation_residual"]``.
+    Both inputs take one path, through the equal-m blocks C_m of a
+    :class:`SchwingerDensityMatrix`, validated by its constructor; it
+    stores no m != m' coherence, since the angle trace removes them.  A
+    :class:`FockDensityMatrix` is first rotated into that type by the
+    sector blocks B_T of :func:`sector_isometry`, built by one float
+    recursion to within 2.8e-16 of the exact blocks, but only where the
+    angle trace keeps it: each column of C_m = (B H)[m] B[m]^dag is
+    contracted from the rows B H of the Hermitian part H of the input, on
+    the Fock columns of its label's sector only.  The rows are freed
+    before the radial products, so the full Schwinger matrix B H B^dag
+    (57 MB at n_max = 30) is never formed.  C_{-m} and C_{+m} come from
+    products of one shape, so a real input's imaginary parts cancel
+    between them.  The rotated blocks' Hermiticity residual, the
+    rotation's own rounding, goes in ``meta["rotation_residual"]``.
 
     The basis rows of every alpha are exponentiated from the log-domain
     producer straight into one real matrix Phi (N rows x grid points;
@@ -307,31 +321,15 @@ def radial_reduce(rho: FockDensityMatrix | SchwingerDensityMatrix,
     kernel is float64.
     The first product is symmetric and the second antisymmetric, so each
     forms only the upper triangle, one column strip at a time, and the
-    lower one is mirrored from it.  The sum over m runs over every label
-    the input cutoff admits, skipping all-zero blocks; the signed m of
-    every block above rounding, ascending, goes in ``meta["m_values"]``.
+    lower one is mirrored from it.  The sum over m runs over every stored
+    block, skipping all-zero ones; the signed m of every block above
+    rounding, ascending, goes in ``meta["m_values"]``.
     The kernel keeps its samples: :class:`radwig.wigner.DensityMatrixV`
     records their trace as ``meta["radial_trace"]`` and raises if the
     grid's window loses more than 1e-8 of it.
     """
-    if isinstance(rho, FockDensityMatrix):
-        left, isometries = _rotated_rows(rho)
-        rotated, labels = [], []
-
-        def block(idx):
-            rotated.append(_rotated_block(left, isometries, rho.n_max, idx))
-            labels.extend(idx)
-            return rotated[-1]
-
-        blocks, two_ms = _equal_m_blocks(rho.n_max, block)
-        del left
-        meta = {"rotation_residual": _validate_blocks(
-            rotated, what="Schwinger density matrix",
-            label=lambda r, c: _schwinger_pair(labels[r], labels[c]))}
-    else:
-        blocks, two_ms = _equal_m_blocks(
-            rho.n_max, lambda idx: rho.entries[np.ix_(idx, idx)])
-        meta = {}
+    rho, meta = rho._angular()
+    blocks, two_ms = _equal_m_blocks(rho)
 
     if grid is None:
         grid = default_vbar_grid()
@@ -375,20 +373,17 @@ def radial_reduce(rho: FockDensityMatrix | SchwingerDensityMatrix,
     return out
 
 
-def _equal_m_blocks(n_max: int, block):
-    """The blocks the angle trace keeps: C_m = block(idx) over the stored
-    indices of the labels of every signed m, read as its Hermitian part
-    and summed with -m's.  Returns (alpha, C_{+m} + C_{-m}) for every
-    alpha = |2m| with a nonzero block, and the signed 2m of each C_m above
-    the rotation's rounding, (2 n_max + 1) eps times the largest entry."""
+def _equal_m_blocks(rho: SchwingerDensityMatrix):
+    """The blocks the angle trace keeps: every stored C_m, read as its
+    Hermitian part and summed with -m's.  Returns (alpha, C_{+m} + C_{-m})
+    for every alpha = |2m| with a nonzero block, and the signed 2m of each
+    C_m above the rotation's rounding, (2 n_max + 1) eps times the largest
+    entry."""
     blocks, sizes = [], {}
-    for alpha in range(2 * n_max + 1):
-        # labels of m = +-alpha/2 in stored order: k = l - |m| at total
-        # 2k + alpha
+    for alpha in range(2 * rho.n_max + 1):
         parts = []
-        for two_m in sorted({-alpha, alpha}):
-            part = block([_schwinger_flat(alpha + 2 * k, k + max(two_m, 0))
-                          for k in range((2 * n_max - alpha) // 2 + 1)])
+        for two_m in sorted(rho.blocks.keys() & {-alpha, alpha}):
+            part = rho.blocks[two_m]
             part = 0.5 * (part + part.conj().T)
             size = np.abs(part).max()
             if size != 0.0:
@@ -396,7 +391,7 @@ def _equal_m_blocks(n_max: int, block):
                 parts.append(part)
         if parts:
             blocks.append((alpha, sum(parts)))
-    floor = (2 * n_max + 1) * np.finfo(float).eps * max(sizes.values())
+    floor = (2 * rho.n_max + 1) * np.finfo(float).eps * max(sizes.values())
     return blocks, [two_m for two_m, size in sizes.items() if size > floor]
 
 

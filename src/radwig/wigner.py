@@ -123,7 +123,8 @@ def _validate_blocks(blocks, *, spacing: float = 1.0, trace_tol: float = 1e-10,
     diagonal blocks are ``blocks``, without forming it; ``label`` counts
     rows and columns across the blocks in order."""
     # rho - rho^dagger one row strip at a time, so no temporary has the
-    # full size (a 1891^2 complex Schwinger matrix, n_max 30, is 57 MB).
+    # full size (a Fock matrix at its cutoff 40 is 1681^2 complex entries,
+    # 45 MB, and a complex 1351^2 kernel on the default window 29 MB).
     # |rho_ij - rho_ji^*| is symmetric in (i, j), so the strip starting at
     # row a needs only the columns j >= a: they still hold the first
     # occurrence, in row-major order, of every deviation.  The strips'

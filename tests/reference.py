@@ -8,7 +8,9 @@ for that row, so there is one cut rule.
 
 :func:`wigner_bessel_sum` is the third, independent route: W_{l,m} as a
 finite sum of Bessel functions K_nu in mpmath, with no Laguerre
-recurrence, log-domain assembly or quadrature.
+recurrence, log-domain assembly or quadrature.  Given a second level, it
+is W of the radial coherence between the two, so it checks every entry
+of an equal-m block C_m, not only the diagonal.
 
 :func:`wigner_l0_rectangular` is ``radwig.wigner_l0_grid`` with one
 rectangle of nodes: every gamma row runs to the end of the deepest row's
@@ -20,13 +22,13 @@ rule.
 :func:`dense_u_rotation` and :func:`per_block_radial_kernel` are the Fock
 pipeline's first two stages in their direct form: one dense unitary
 U rho U^dag over every sector, and one complex ``basis.T @ block @ basis``
-update per angular momentum m, with basis rows from :func:`scipy_psi`.
+update per stored block C_m, with basis rows from :func:`scipy_psi`.
 U is assembled from :func:`sector_isometry_exact`, the sector blocks from
 exact integer polynomials, so it shares no arithmetic with the library's
-float recursion.
-:func:`fock_to_schwinger` wraps the first as a ``SchwingerDensityMatrix``,
-the whole angular-momentum matrix that ``radwig.radial_reduce`` never
-forms from a Fock input.
+float recursion.  The dense matrix is the whole angular-momentum matrix,
+m != m' coherences included, that ``radwig.SchwingerDensityMatrix`` does
+not store; :func:`schwinger_index` gives the row of a label in it, and
+:func:`fock_to_schwinger` slices its equal-m blocks out into that type.
 
 :func:`scipy_psi` assembles the rescaled radial eigenfunction psi_k(v)
 from scipy's Laguerre values and log-gamma, independent of the library's
@@ -68,8 +70,8 @@ from scipy.integrate import quad
 from scipy.ndimage import gaussian_filter
 from scipy.special import eval_genlaguerre, gammaln
 
-from radwig import (AccuracyError, SchwingerDensityMatrix, WavefunctionV,
-                    apply_displacement, laguerre_assoc)
+from radwig import (AccuracyError, SchwingerDensityMatrix, SchwingerLabel,
+                    WavefunctionV, apply_displacement, laguerre_assoc)
 from radwig.wigner import (_delta_fold, _flush_tiny, _gamma_nodes,
                            _gaussian_matrix, _ladder, _log_integrand)
 
@@ -105,50 +107,69 @@ def wigner_l0_closed(l: int, gamma: float, delta: float) -> float:
     return float((4.0 * np.exp(2.0 * gamma) / np.pi) * result[0])
 
 
-def wigner_bessel_sum(k: int, alpha: int, gamma: float, delta: float) -> float:
-    """W of the oscillator level k = l - |m|, alpha = 2|m| at one point, as
-    a finite sum of Bessel functions in mpmath.
+def wigner_bessel_sum(k: int, alpha: int, gamma: float, delta: float,
+                      k2: int | None = None) -> complex:
+    """W_{k k2 alpha} of the radial coherence between the oscillator
+    levels k and k2 (default k) = l - |m| at alpha = 2|m|, at one point,
+    as a finite sum of Bessel functions in mpmath.
 
-    Expanding both Laguerre factors of the closed form as
-    L_k^alpha(x) = sum_j c_j x^j, c_j = (-1)^j C(k + alpha, k - j) / j!,
-    and integrating term by term with
-    integral dt e^{nu t - z cosh t} = 2 K_nu(z) gives, with z = e^{2 gamma},
+    It is W of the log-radius kernel psi_k(v) psi_k2(v'); a block C_m
+    contributes sum_{k, k2} C_m[k, k2] W_{k k2 alpha}.  Expanding both
+    Laguerre factors of the closed form as L_k^alpha(x) = sum_j c_j x^j,
+    c_j = (-1)^j C(k + alpha, k - j) / j! (c'_j for k2), and integrating
+    term by term with integral dt e^{nu t - z cosh t} = 2 K_nu(z) gives,
+    with z = e^{2 gamma},
 
-        W = (2 k! / (pi (k + alpha)!)) z^{alpha + 1}
-            sum_{i,j} c_i c_j z^{i+j} K_{i-j-i delta}(z).
+        W = (2 / pi) sqrt(k! k2! / ((k + alpha)! (k2 + alpha)!))
+            (-1)^{k + k2} z^{alpha + 1}
+            sum_{i,j} c_i c'_j z^{i+j} K_{i-j-i delta}(z).
 
     K_{-nu} = K_nu and, for real z, K_{n + i delta} is the conjugate of
-    K_{n - i delta}, so only n = 0..k are needed; they follow from two
-    ``besselk`` calls by the upward recurrence
-    K_{nu+1} = K_{nu-1} + (2 nu / z) K_nu.  The terms cancel badly at large
-    k and z, so a 30-digit probe first finds the largest term, |K_n|
-    included, and the sum runs at 30 digits past it: about 1e-30 absolute.
+    K_{n - i delta}, so only n = 0..max(k, k2) are needed; they follow
+    from two ``besselk`` calls by the upward recurrence
+    K_{nu+1} = K_{nu-1} + (2 nu / z) K_nu.  W_{k2 k alpha} is the
+    conjugate of W_{k k2 alpha}, and W_{k k alpha} is real: its imaginary
+    part is exactly 0.  The terms cancel badly at large k and z, so a
+    30-digit probe first finds the largest term, |K_n| included, and the
+    sum runs at 30 digits past it: about 1e-30 absolute.
     """
+    if k2 is None:
+        k2 = k
+    top = max(k, k2)
+
     def parts():
         z = mpmath.exp(2 * mpmath.mpf(gamma))
         nu = mpmath.mpc(0, -delta)
         bessel = [mpmath.besselk(nu, z), mpmath.besselk(nu + 1, z)]
-        for n in range(1, k):
+        for n in range(1, top):
             bessel.append(bessel[n - 1] + 2 * (nu + n) / z * bessel[n])
-        a = [(-1) ** j * mpmath.binomial(k + alpha, k - j) * z ** j
-             / mpmath.factorial(j) for j in range(k + 1)]
-        pref = (2 * mpmath.factorial(k) * z ** (alpha + 1)
-                / (mpmath.pi * mpmath.factorial(k + alpha)))
-        return bessel[:k + 1], a, pref
+        a, b = ([(-1) ** j * mpmath.binomial(level + alpha, level - j) * z ** j
+                 / mpmath.factorial(j) for j in range(level + 1)]
+                for level in (k, k2))
+        norm = mpmath.sqrt(mpmath.factorial(k) * mpmath.factorial(k2))
+        pref = ((-1) ** (k + k2) * 2 * norm * z ** (alpha + 1)
+                / (mpmath.pi * mpmath.sqrt(mpmath.factorial(k + alpha)
+                                           * mpmath.factorial(k2 + alpha))))
+        # K_{-i delta}(z) is real: drop the rounding of its imaginary part
+        return [mpmath.re(bessel[0])] + bessel[1:top + 1], a, b, pref
 
     with mpmath.workdps(30):
-        bessel, a, pref = parts()
-        largest = pref * max(abs(a[i] * a[j] * bessel[abs(i - j)])
-                             for i in range(k + 1) for j in range(k + 1))
+        bessel, a, b, pref = parts()
+        largest = abs(pref) * max(abs(a[i] * b[j] * bessel[abs(i - j)])
+                                  for i in range(k + 1) for j in range(k2 + 1))
         dps = 30 + max(0, int(mpmath.ceil(mpmath.log10(largest))))
     with mpmath.workdps(dps):
-        bessel, a, pref = parts()
-        # the (i, j) and (j, i) terms are conjugates: group by d = i - j
-        total = mpmath.mpf(0)
-        for d in range(k + 1):
-            pairs = mpmath.fsum(a[i] * a[i - d] for i in range(d, k + 1))
-            total += (1 if d == 0 else 2) * pairs * mpmath.re(bessel[d])
-        return float(pref * total)
+        bessel, a, b, pref = parts()
+        # group by d = |i - j|: K_{d - i delta} where i - j = d, and its
+        # conjugate where j - i = d
+        total = mpmath.mpc(0)
+        for d in range(top + 1):
+            plus = mpmath.fsum(a[i] * b[i - d]
+                               for i in range(d, min(k, k2 + d) + 1))
+            minus = mpmath.fsum(b[j] * a[j - d]
+                                for j in range(d, min(k2, k + d) + 1)) if d else 0
+            total += plus * bessel[d] + minus * mpmath.conj(bessel[d])
+        return complex(pref * total)
 
 
 def wigner_l0_rectangular(l: int, gamma_grid, delta_grid, *,
@@ -227,6 +248,13 @@ def sector_isometry_exact(total: int, n_max: int) -> np.ndarray:
     return out
 
 
+def schwinger_index(label) -> int:
+    """Row of the SchwingerLabel ``label`` in :func:`dense_u_rotation`:
+    sector by sector in the total n_plus + n_minus, then by n_plus."""
+    total = label.n_plus + label.n_minus
+    return total * (total + 1) // 2 + label.n_plus
+
+
 def dense_u_rotation(rho) -> np.ndarray:
     """Schwinger entries U rho U^dag of a FockDensityMatrix, U assembled
     densely from :func:`sector_isometry_exact`, then symmetrised."""
@@ -243,25 +271,27 @@ def dense_u_rotation(rho) -> np.ndarray:
 
 
 def fock_to_schwinger(rho):
-    """The FockDensityMatrix ``rho`` in angular-momentum labels, as a
-    SchwingerDensityMatrix of :func:`dense_u_rotation`."""
-    return SchwingerDensityMatrix(rho.n_max, dense_u_rotation(rho))
+    """The FockDensityMatrix ``rho`` in angular-momentum labels: the
+    SchwingerDensityMatrix of the equal-m blocks of
+    :func:`dense_u_rotation`."""
+    entries = dense_u_rotation(rho)
+    blocks = {}
+    for two_m in range(-2 * rho.n_max, 2 * rho.n_max + 1):
+        idx = [schwinger_index(SchwingerLabel.from_occupations(
+                   k + max(two_m, 0), k + max(-two_m, 0)))
+               for k in range((2 * rho.n_max - abs(two_m)) // 2 + 1)]
+        blocks[two_m] = entries[np.ix_(idx, idx)]
+    return SchwingerDensityMatrix(rho.n_max, blocks)
 
 
 def per_block_radial_kernel(rho_s, grid) -> np.ndarray:
-    """Radial kernel of a SchwingerDensityMatrix on ``grid``, one m block
-    at a time."""
+    """Radial kernel of a SchwingerDensityMatrix on ``grid``, one stored
+    block C_m at a time."""
     v = grid.points
-    labels = rho_s.labels
-    by_m = {}
-    for idx, lab in enumerate(labels):
-        by_m.setdefault(lab.n_plus - lab.n_minus, []).append(idx)
     kernel = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-    for idx in by_m.values():
-        block = rho_s.entries[np.ix_(idx, idx)]
-        basis = np.array([scipy_psi(min(labels[i].n_plus, labels[i].n_minus),
-                                    abs(labels[i].n_plus - labels[i].n_minus), v)
-                          for i in idx])
+    for two_m, block in rho_s.blocks.items():
+        basis = np.array([scipy_psi(k, abs(two_m), v)
+                          for k in range(len(block))])
         kernel += basis.T @ block @ basis
     return kernel
 

@@ -17,8 +17,10 @@ from radwig import (DomainError, FockDensityMatrix, Grid1D,
 from radwig.states import _radial_rows
 from radwig.wigner import DensityMatrixV
 
-from reference import (fock_to_schwinger, per_block_radial_kernel, scipy_psi,
-                       sector_isometry_exact, wigner_two_sided)
+from reference import (dense_u_rotation, fock_to_schwinger,
+                       per_block_radial_kernel, schwinger_index, scipy_psi,
+                       sector_isometry_exact, wigner_bessel_sum,
+                       wigner_two_sided)
 
 GAMMA = Grid1D(-3.0, 2.0, 126)
 DELTA = Grid1D(-4.0, 4.0, 81)
@@ -160,21 +162,21 @@ def test_recurrence_rows_match_radial_wavefunction():
 
 
 def test_vacuum_maps_to_vacuum():
-    rho_s = fock_to_schwinger(fock_vacuum())
-    lab00 = SchwingerLabel(0, 0)
-    assert rho_s.coefficient(lab00, lab00) == pytest.approx(1.0)
-    assert np.abs(rho_s.entries).sum() == pytest.approx(1.0, abs=1e-12)
+    entries = dense_u_rotation(fock_vacuum())
+    i = schwinger_index(SchwingerLabel(0, 0))
+    assert entries[i, i] == pytest.approx(1.0)
+    assert np.abs(entries).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_x_quantum_splits_evenly():
     rho = FockDensityMatrix.from_pure(1, {(1, 0): 1.0})
-    rho_s = fock_to_schwinger(rho)
+    entries = dense_u_rotation(rho)
     plus = SchwingerLabel("1/2", "1/2")    # (n+, n-) = (1, 0)
     minus = SchwingerLabel("1/2", "-1/2")  # (n+, n-) = (0, 1)
     for bra in (plus, minus):
         for ket in (plus, minus):
-            assert abs(rho_s.coefficient(bra, ket)) == pytest.approx(0.5,
-                                                                     abs=1e-12)
+            assert abs(entries[schwinger_index(bra), schwinger_index(ket)]) \
+                == pytest.approx(0.5, abs=1e-12)
 
 
 def test_rotation_preserves_trace_and_spectrum():
@@ -185,10 +187,10 @@ def test_rotation_preserves_trace_and_spectrum():
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
     rho_f = FockDensityMatrix(n_max, rho)
-    rho_s = fock_to_schwinger(rho_f)
-    assert np.trace(rho_s.entries).real == pytest.approx(1.0, abs=1e-10)
+    entries = dense_u_rotation(rho_f)
+    assert np.trace(entries).real == pytest.approx(1.0, abs=1e-10)
     ev_f = np.sort(np.linalg.eigvalsh(rho_f.entries))
-    ev_s = np.sort(np.linalg.eigvalsh(rho_s.entries))[-ev_f.size:]
+    ev_s = np.sort(np.linalg.eigvalsh(entries))[-ev_f.size:]
     assert np.abs(ev_f - ev_s).max() < 1e-10
 
 
@@ -196,10 +198,10 @@ def test_schwinger_pure_state_in_two_quanta_sector():
     # (|2,0> + |0,2>)/sqrt(2) in cartesian occupations is the l=1, m=0 level
     rho = FockDensityMatrix.from_pure(
         2, {(2, 0): 1.0 / np.sqrt(2.0), (0, 2): 1.0 / np.sqrt(2.0)})
-    rho_s = fock_to_schwinger(rho)
-    lab = SchwingerLabel(1, 0)
-    assert rho_s.coefficient(lab, lab) == pytest.approx(1.0, abs=1e-12)
-    off = np.abs(rho_s.entries).sum() - abs(rho_s.coefficient(lab, lab))
+    entries = dense_u_rotation(rho)
+    i = schwinger_index(SchwingerLabel(1, 0))
+    assert entries[i, i] == pytest.approx(1.0, abs=1e-12)
+    off = np.abs(entries).sum() - abs(entries[i, i])
     assert off < 1e-12
 
 
@@ -215,15 +217,8 @@ def test_radial_reduce_single_level_outer_product():
 
 
 def test_radial_reduce_diagonal_mixture():
-    n_max = 2
-    dim = (2 * n_max + 1) * (2 * n_max + 2) // 2
-    entries = np.zeros((dim, dim), dtype=complex)
-    weights = [0.5, 0.3, 0.2]
-    tmp = SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max)
-    for w, l in zip(weights, (0, 1, 2)):
-        lab = SchwingerLabel(l, 0)
-        entries[tmp.index(lab), tmp.index(lab)] = w
-    rho_s = SchwingerDensityMatrix(n_max, entries)
+    # l = 0, 1, 2 at m = 0 are k = 0, 1, 2 of the one block C_0
+    rho_s = SchwingerDensityMatrix(2, {0: np.diag([0.5, 0.3, 0.2])})
     rho_v = radial_reduce(rho_s)
     assert rho_v.trace == pytest.approx(1.0, abs=1e-8)
     assert rho_v.min_eigenvalue() >= -1e-8
@@ -235,18 +230,15 @@ def test_radial_reduce_of_a_level_mixture_is_real():
     # every m = 0 block is real, so the kernel is float64, and its W is
     # the complex route's on the same kernel cast to complex, bitwise
     n_max = 10
-    tmp = SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max)
-    entries = np.zeros_like(tmp.entries)
     weights = np.random.default_rng(10).dirichlet(np.ones(n_max + 1))
-    for w, l in zip(weights, range(n_max + 1)):
-        i = tmp.index(SchwingerLabel(l, 0))
-        entries[i, i] = w
-    rho_v = radial_reduce(SchwingerDensityMatrix(n_max, entries))
+    rho_v = radial_reduce(SchwingerDensityMatrix(
+        n_max, {0: np.diag(weights).astype(complex)}))
     assert rho_v.entries.dtype == np.float64
     cast = DensityMatrixV(rho_v.grid, rho_v.entries.astype(complex))
     assert np.array_equal(wigner_from_density(rho_v, GAMMA, DELTA).values,
                           wigner_from_density(cast, GAMMA, DELTA).values)
-    assert radial_reduce(tmp).entries.dtype == np.float64
+    pure = SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max)
+    assert radial_reduce(pure).entries.dtype == np.float64
 
 
 @pytest.mark.parametrize("n_max", [4, 10, 20, 40])
@@ -263,17 +255,20 @@ def test_radial_reduce_takes_the_hermitian_part_of_each_block():
     # Hermitian; the Hermitian part of each block drops it, so the kernel
     # stays float64 and W is the clean mixture's, bitwise
     n_max = 6
-    tmp = SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max)
     labels = [SchwingerLabel(l, 0) for l in range(n_max + 1)] + [
         SchwingerLabel(2, 1), SchwingerLabel(2, -1),
         SchwingerLabel(Fraction(5, 2), Fraction(-3, 2))]
     weights = np.random.default_rng(23).dirichlet(np.ones(len(labels)))
-    clean = np.zeros_like(tmp.entries)
+    clean = {}
     for w, lab in zip(weights, labels):
-        clean[tmp.index(lab), tmp.index(lab)] = w
-    noisy = clean + 1e-14j * (clean != 0)
-    kernels = [radial_reduce(SchwingerDensityMatrix(n_max, e))
-               for e in (clean, noisy)]
+        two_m = lab.n_plus - lab.n_minus
+        block = clean.setdefault(two_m, np.zeros(
+            ((2 * n_max - abs(two_m)) // 2 + 1,) * 2, dtype=complex))
+        k = min(lab.n_plus, lab.n_minus)
+        block[k, k] = w
+    noisy = {two_m: b + 1e-14j * (b != 0) for two_m, b in clean.items()}
+    kernels = [radial_reduce(SchwingerDensityMatrix(n_max, blocks))
+               for blocks in (clean, noisy)]
     assert kernels[1].entries.dtype == np.float64
     assert kernels[1].meta["m_values"] == kernels[0].meta["m_values"]
     assert np.array_equal(wigner_from_density(kernels[1], GAMMA, DELTA).values,
@@ -283,13 +278,9 @@ def test_radial_reduce_takes_the_hermitian_part_of_each_block():
 def test_radial_reduce_cross_sector_coherence():
     # (|l=0,m=0> + |l=1,m=0>)/sqrt(2) keeps its m=0 coherence through the
     # angular trace
-    n_max = 2
-    dim = (2 * n_max + 1) * (2 * n_max + 2) // 2
-    vec = np.zeros(dim, dtype=complex)
-    tmp = SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max)
-    vec[tmp.index(SchwingerLabel(0, 0))] = 1 / np.sqrt(2)
-    vec[tmp.index(SchwingerLabel(1, 0))] = 1 / np.sqrt(2)
-    rho_s = SchwingerDensityMatrix(n_max, np.outer(vec, vec.conj()))
+    # l = 0 and 1 at m = 0 are k = 0 and 1 of the block C_0 at n_max = 2
+    vec = np.array([1, 1, 0], dtype=complex) / np.sqrt(2)
+    rho_s = SchwingerDensityMatrix(2, {0: np.outer(vec, vec.conj())})
     grid = Grid1D(-9.5, 4.0, 676)
     rho_v = radial_reduce(rho_s, grid)
     w = (vbar_schwinger_l0(0, grid.points)
@@ -301,15 +292,13 @@ def signed_blocks_state(n_max, two_ms, seed):
     """Schwinger state with unequal complex PSD blocks at each signed 2m
     of ``two_ms``, and zeros everywhere else."""
     rng = np.random.default_rng(seed)
-    labels = SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max).labels
-    entries = np.zeros((len(labels), len(labels)), dtype=complex)
+    blocks = {}
     for weight, two_m in zip(rng.dirichlet(np.ones(len(two_ms))), two_ms):
-        idx = [i for i, lab in enumerate(labels)
-               if lab.n_plus - lab.n_minus == two_m]
-        g = rng.normal(size=(len(idx),) * 2) + 1j * rng.normal(size=(len(idx),) * 2)
+        size = (2 * n_max - abs(two_m)) // 2 + 1
+        g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         block = g @ g.conj().T
-        entries[np.ix_(idx, idx)] = weight * block / np.trace(block).real
-    return SchwingerDensityMatrix(n_max, entries)
+        blocks[two_m] = weight * block / np.trace(block).real
+    return SchwingerDensityMatrix(n_max, blocks)
 
 
 @pytest.mark.parametrize("two_m", [2, 3], ids=["m=1", "m=3/2"])
@@ -330,6 +319,59 @@ def test_radial_reduce_lists_a_one_sided_m():
     assert rho_v.meta["m_values"] == [-1.5]
     assert np.abs(rho_v.entries - per_block_radial_kernel(rho_s, grid)
                   ).max() < 1e-12
+
+
+@pytest.mark.parametrize("alpha, n_max", [(0, 3), (1, 3), (2, 3), (5, 4)])
+def test_radial_reduce_matches_bessel_sum_on_every_coherence(alpha, n_max):
+    # random complex Hermitian blocks C_{-m} and C_{+m}, m = alpha / 2 (half
+    # an integer at odd alpha), through radial_reduce and the density route
+    # on the default window.  W is sum_{k, k'} C[k, k'] W_{k k' alpha} with
+    # C = C_{-m} + C_{+m}, each W_{k k' alpha} from the Bessel sum, which
+    # shares no code with the radial rows, the gather or the transform;
+    # W_{k' k alpha} is the conjugate of W_{k k' alpha}.  A transposed
+    # block flips Im C against the odd-in-delta Im W_{k k' alpha}.  Every
+    # block holds at least two levels, so k != k' at every alpha
+    rng = np.random.default_rng(3300 + alpha)
+    two_ms = sorted({-alpha, alpha})
+    size = (2 * n_max - alpha) // 2 + 1
+    blocks = {}
+    for weight, two_m in zip(rng.dirichlet(np.ones(len(two_ms))), two_ms):
+        g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        block = g @ g.conj().T
+        blocks[two_m] = weight * block / np.trace(block).real
+    gamma, delta = Grid1D(-2.0, 1.5, 8), Grid1D(-8.0, 8.0, 5)
+    rho_v = radial_reduce(SchwingerDensityMatrix(n_max, blocks))
+    assert rho_v.meta["m_values"] == [two_m / 2 for two_m in two_ms]
+    w = wigner_from_density(rho_v, gamma, delta).values
+    c = sum(blocks.values())
+    # one delta per gamma row, 8 points per alpha, 32 in all
+    for i, g in enumerate(gamma.points):
+        j = (i + alpha) % delta.n_points
+        ref = 0.0
+        for k in range(size):
+            ref += c[k, k].real * wigner_bessel_sum(
+                k, alpha, g, delta.points[j]).real
+            for k2 in range(k + 1, size):
+                ref += 2.0 * (c[k, k2] * wigner_bessel_sum(
+                    k, alpha, g, delta.points[j], k2=k2)).real
+        assert abs(w[i, j] - ref) <= 1e-12 + 1e-10 * abs(ref), (g, j)
+
+
+@pytest.mark.parametrize("l, m", [(64, 0), (32, 32), (64, -64)])
+def test_pure_level_at_the_largest_cutoff_stays_small(l, m):
+    # the whole angular-momentum matrix at n_max = 64 would be 8385^2
+    # complex entries (1.12 GB); the level's one block and the 1351^2
+    # kernel are all that is built
+    tracemalloc.start()
+    try:
+        rho_v = radial_reduce(
+            SchwingerDensityMatrix.pure(SchwingerLabel(l, m), 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert abs(rho_v.meta["radial_trace"] - 1.0) <= 1e-8
+    assert rho_v.meta["m_values"] == [m]
 
 
 def test_radial_reduce_builds_one_row_block_per_abs_m(monkeypatch):
@@ -408,10 +450,9 @@ def test_end_to_end_matches_unflushed_dense_reference(n_max):
         DensityMatrixV(grid, per_block_radial_kernel(rho_s, grid)),
         GAMMA, DELTA).real
     assert np.abs(w.values - ref).max() <= 1e-14 * np.abs(ref).max()
-    m = np.array([(lab.n_plus - lab.n_minus) / 2 for lab in rho_s.labels])
     assert w.meta["m_values"] == [
-        float(mu) for mu in np.unique(m)
-        if np.abs(rho_s.entries[np.ix_(m == mu, m == mu)]).max() > 0]
+        two_m / 2 for two_m, block in sorted(rho_s.blocks.items())
+        if np.abs(block).max() > 0]
 
 
 def level_mixture(n_max, seed):
@@ -421,7 +462,8 @@ def level_mixture(n_max, seed):
     for l, p in enumerate(weights):
         vec = np.zeros((n_max + 1) ** 2, dtype=complex)
         nx = np.arange(max(0, 2 * l - n_max), min(2 * l, n_max) + 1)
-        vec[nx * (n_max + 1) + 2 * l - nx] = sector_isometry(2 * l, n_max)[l].conj()
+        vec[nx * (n_max + 1) + 2 * l - nx] = \
+            sector_isometry_exact(2 * l, n_max)[l].conj()
         entries = entries + p * np.outer(vec, vec.conj())
     return FockDensityMatrix(n_max, entries)
 
@@ -647,13 +689,14 @@ def test_fock_matrix_rejects_bad_cutoff(n_max):
 @pytest.mark.parametrize("n_max", CUTOFF_CASES + [65])
 def test_schwinger_matrix_rejects_bad_cutoff(n_max):
     with pytest.raises(DomainError, match="n_max must be an integer"):
-        SchwingerDensityMatrix(n_max, np.eye(1))
+        SchwingerDensityMatrix(n_max, {0: np.eye(1)})
     with pytest.raises(DomainError, match="n_max must be an integer"):
         SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), n_max)
 
 
 def test_cutoff_is_checked_before_allocation():
-    # n_max = 100 would be a 20301^2 complex Schwinger matrix (6.6 GB)
+    # n_max = 100 would be a 10201^2 complex Fock matrix (1.7 GB); the
+    # Schwinger type's largest block there is only 101^2
     tracemalloc.start()
     try:
         for make in (lambda: SchwingerDensityMatrix.pure(SchwingerLabel(0, 0), 100),
@@ -679,34 +722,47 @@ def test_schwinger_pure_rejects_label_outside_cutoff():
 
 
 def test_schwinger_matrix_validation():
-    dim = 6                                   # n_max = 1: 2l <= 2
-    good = np.zeros((dim, dim), dtype=complex)
-    good[0, 0] = 1.0
+    # n_max = 1: C_0 holds l = 0, 1 and every other 2m one level
+    good = {0: np.diag([1.0, 0.0]).astype(complex), 1: np.zeros((1, 1))}
     assert SchwingerDensityMatrix(1, good).n_max == 1
-    bad = good.copy()
-    bad[1, 1] = np.nan
+    bad = good | {1: np.array([[np.nan]])}
     with pytest.raises(ValidationError, match="finite"):
         SchwingerDensityMatrix(1, bad)
-    bad = good.copy()
-    bad[0, 2] = 0.5
+    bad = good | {0: np.array([[1.0, 0.5], [0.0, 0.0]])}
     with pytest.raises(ValidationError, match="Hermiticity"):
         SchwingerDensityMatrix(1, bad)
+    for key in (3, -3, 0.5, "0"):
+        with pytest.raises(ValidationError, match=r"keys \{.*\} are not "
+                                                  r"integers 2m in \[-2, 2\]"):
+            SchwingerDensityMatrix(1, good | {key: np.zeros((1, 1))})
+    with pytest.raises(ValidationError,
+                       match=r"block 2m = -1 shape \(2, 2\) does not match "
+                             r"dimension 1"):
+        SchwingerDensityMatrix(1, good | {-1: np.zeros((2, 2))})
 
 
 def test_schwinger_matrix_validation_names_both_labels():
-    # stored index 0 is (l, m) = (0, 0) and index 2 is (1/2, 1/2)
-    good = np.zeros((6, 6), dtype=complex)
-    good[0, 0] = 1.0
-    bad = good.copy()
-    bad[0, 2] = 0.5
+    # rows of C_0 are k = l = 0, 1; the one row of C_{1/2} is (1/2, 1/2)
+    good = {0: np.diag([1.0, 0.0]).astype(complex), 1: np.zeros((1, 1))}
+    bad = good | {0: np.array([[1.0, 0.5], [0.0, 0.0]])}
     with pytest.raises(ValidationError,
-                       match=r"entry \(l=0, m=0; l'=1/2, m'=1/2\) = "):
+                       match=r"entry \(l=0, m=0; l'=1, m'=0\) = "):
         SchwingerDensityMatrix(1, bad)
-    bad = good.copy()
-    bad[2, 2] = 0.7e-10j
+    bad = good | {1: np.array([[0.7e-10j]])}
     with pytest.raises(ValidationError,
                        match=r"entry \(l=1/2, m=1/2; l'=1/2, m'=1/2\) = 7e-11j"):
         SchwingerDensityMatrix(1, bad)
+
+
+def test_schwinger_matrix_keeps_its_blocks_in_m_order():
+    # blocks are stored, and validated, in the order 2m = 0, -1, +1, ...;
+    # real blocks stay float64, as in every density type
+    rho = SchwingerDensityMatrix(1, {1: np.zeros((1, 1), dtype=complex),
+                                     -2: [[0]], 0: np.diag([1.0, 0.0])})
+    assert list(rho.blocks) == [0, 1, -2]
+    assert [b.dtype for b in rho.blocks.values()] == \
+        [np.float64, np.complex128, np.float64]
+    assert rho.meta["hermiticity_residual"] == 0.0
 
 
 # ---------------------------------------------------------- JSON input

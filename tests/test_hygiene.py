@@ -120,11 +120,12 @@ def test_one_density_matrix_contract():
     assert [scope for name, scope in calls
             if name == "validate_density_matrix"] == \
         ["wigner._DensityMatrix.__init__"]
-    # the one rule, over diagonal blocks: the pipeline checks the equal-m
-    # blocks it rotates without forming the Schwinger matrix
+    # the one rule, over diagonal blocks: the angular-momentum type checks
+    # the equal-m blocks it stores, a Fock input's rotated ones included
     assert sorted(scope for name, scope in calls
                   if name == "_validate_blocks") == \
-        ["fock.radial_reduce", "wigner.validate_density_matrix"]
+        ["fock.SchwingerDensityMatrix.__init__",
+         "wigner.validate_density_matrix"]
     for method in ("trace", "min_eigenvalue"):
         assert [d for d in defs if d.rsplit(".", 1)[1] == method] == \
             [f"wigner._DensityMatrix.{method}"]
