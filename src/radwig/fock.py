@@ -45,7 +45,7 @@ from .grids import Grid1D
 from .special import MAX_DEGREE
 from .states import SchwingerLabel, _radial_rows, default_vbar_grid
 from .wigner import (_STRIP, DensityMatrixV, WignerGrid, _band_reach,
-                     _DensityMatrix, _flush_tiny, _gamma_nodes,
+                     _DensityMatrix, _flush_tiny, _gamma_nodes, _stored,
                      _validate_blocks, wigner_from_density)
 
 __all__ = [
@@ -135,11 +135,11 @@ class SchwingerDensityMatrix:
     <l, m| rho |l', m>.  An omitted m is zero.  The m != m' coherences are
     not stored, because the radial Wigner function cannot see them, so a
     full matrix whose only Hermiticity error lies in one is not rejected.
-    The blocks are stored and validated in the order 2m = 0, -1, +1, -2,
-    ..., by one call of the one validator: each is finite and Hermitian to
-    1e-10 of the largest entry (a violation names both (l, m) labels), and
-    their traces sum to 1 within 1e-10; the residual goes in
-    ``meta["hermiticity_residual"]``.
+    The blocks are stored, float64 when real and complex128 otherwise, and
+    validated in the order 2m = 0, -1, +1, -2, ..., by one call of the one
+    validator: each is finite and Hermitian to 1e-10 of the largest entry
+    (a violation names both (l, m) labels), and their traces sum to 1
+    within 1e-10; the residual goes in ``meta["hermiticity_residual"]``.
     ``n_max`` is an integer in [0, ``special.MAX_DEGREE``], the largest
     cutoff whose radial rows :func:`radial_reduce` can expand.
     """
@@ -152,15 +152,10 @@ class SchwingerDensityMatrix:
             raise ValidationError(
                 f"{what} block keys {blocks.keys() - set(order)} are not "
                 f"integers 2m in [{-2 * n_max}, {2 * n_max}]")
-        self.blocks = {}
-        for two_m in [two_m for two_m in order if two_m in blocks]:
-            block = np.asarray(blocks[two_m], dtype=complex
-                               if np.iscomplexobj(blocks[two_m]) else float)
-            if block.shape != (_block_size(n_max, two_m),) * 2:
-                raise ValidationError(
-                    f"{what} block 2m = {two_m} shape {block.shape} does not "
-                    f"match dimension {_block_size(n_max, two_m)}")
-            self.blocks[two_m] = block
+        self.blocks = {
+            two_m: _stored(blocks[two_m], _block_size(n_max, two_m),
+                           f"{what} block 2m = {two_m}")
+            for two_m in order if two_m in blocks}
 
         def label(row, col):
             # (2m, k) of every row, counted across the blocks in order
@@ -170,8 +165,9 @@ class SchwingerDensityMatrix:
             return (f"(l={Fraction(2 * k + abs(m), 2)}, m={Fraction(m, 2)}; "
                     f"l'={Fraction(2 * kp + abs(mp), 2)}, m'={Fraction(mp, 2)})")
 
-        self.meta = {"hermiticity_residual": _validate_blocks(
-            list(self.blocks.values()), label=label, what=what)}
+        residual, _ = _validate_blocks(list(self.blocks.values()),
+                                       label=label, what=what)
+        self.meta = {"hermiticity_residual": residual}
 
     @classmethod
     def pure(cls, label: SchwingerLabel, n_max: int) -> "SchwingerDensityMatrix":

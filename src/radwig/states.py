@@ -49,6 +49,20 @@ def default_vbar_grid() -> Grid1D:
     return Grid1D(-9.5, 4.0, 1351)
 
 
+def _accept_samples(state, norm_tol, meta) -> None:
+    """The checks every state makes of its own samples: they are finite,
+    and, unless ``norm_tol`` is None, ``state.norm()`` is within
+    ``norm_tol`` of 1; ``state.meta`` is a copy of ``meta``."""
+    if not np.all(np.isfinite(state.samples)):
+        raise ValidationError("wavefunction samples must be finite")
+    state.meta = dict(meta) if meta else {}
+    if norm_tol is not None:
+        n = state.norm()
+        if abs(n - 1.0) > norm_tol:
+            raise ValidationError(
+                f"state norm {n} deviates from 1 by more than {norm_tol}")
+
+
 class WavefunctionV:
     """Complex state samples over a uniform log-radius grid.
 
@@ -62,16 +76,9 @@ class WavefunctionV:
         if samples.shape != (grid.n_points,):
             raise ValidationError(
                 f"samples shape {samples.shape} does not match grid length {grid.n_points}")
-        if not np.all(np.isfinite(samples)):
-            raise ValidationError("wavefunction samples must be finite")
         self.grid = grid
         self.samples = samples
-        self.meta = dict(meta) if meta else {}
-        if norm_tol is not None:
-            n = self.norm()
-            if abs(n - 1.0) > norm_tol:
-                raise ValidationError(
-                    f"state norm {n} deviates from 1 by more than {norm_tol}")
+        _accept_samples(self, norm_tol, meta)
 
     def norm(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.spacing)
@@ -95,16 +102,9 @@ class WavefunctionR:
             raise DomainError("radii must be strictly positive")
         if np.any(np.diff(r) <= 0):
             raise ValidationError("radii must be strictly increasing")
-        if not np.all(np.isfinite(samples)):
-            raise ValidationError("wavefunction samples must be finite")
         self.r = r
         self.samples = samples
-        self.meta = dict(meta) if meta else {}
-        if norm_tol is not None:
-            n = self.norm()
-            if abs(n - 1.0) > norm_tol:
-                raise ValidationError(
-                    f"state norm {n} deviates from 1 by more than {norm_tol}")
+        _accept_samples(self, norm_tol, meta)
 
     def norm(self) -> float:
         return float(np.trapezoid(self.r * np.abs(self.samples) ** 2, self.r))

@@ -39,7 +39,7 @@ max|delta| plus both.  The ladder takes its step from it, and the Fock
 pipeline its kernel stride (:func:`radwig.fock._kernel_grid`).
 
 Both routes transform only the delta >= 0 half of a symmetric axis
-(min == -max, n > 1; :func:`_delta_fold`): the cosine half of W is even
+(min == -max; :func:`_delta_fold`): the cosine half of W is even
 in delta and the sine half odd, so column j < n // 2 is read at
 -delta_{n-1-j}, within linspace rounding (<= 7.1e-15 at |delta| <= 27)
 of delta_j, and W of a real state is exactly even.
@@ -74,8 +74,7 @@ from .states import (WavefunctionV, _radial_rows, default_vbar_grid,
 __all__ = [
     "DensityMatrixV", "WignerGrid", "wigner_from_density", "wigner_l0_grid",
     "marginal_position", "marginal_momentum", "overlap", "s_smooth",
-    "schwinger_density", "validate_density_matrix", "GAMMA_GUARD",
-    "OVERLAP_FACTOR", "WIGNER_LOWER_BOUND",
+    "schwinger_density", "GAMMA_GUARD", "OVERLAP_FACTOR", "WIGNER_LOWER_BOUND",
 ]
 
 # 2 pi * integral W1 W2 = trace(rho1 rho2); fixed by the purity oracle.
@@ -86,7 +85,6 @@ WIGNER_LOWER_BOUND = -1.0 / np.pi
 _LOG_CUTOFF = 45.0          # integrand ignored below peak * e^{-45}
 
 _SMOOTH_TRUNCATE = 10.0     # smoothing kernel radius in standard deviations
-_TAIL_BLOCK = 16384         # longest kernel tail summed sample by sample
 
 # rows per strip where an n x n matrix is processed strip by strip to keep
 # its temporaries small
@@ -102,26 +100,31 @@ _FLUSH = np.sqrt(np.finfo(float).tiny)
 GAMMA_GUARD = -6.0
 
 
-def validate_density_matrix(entries: np.ndarray, *, spacing: float = 1.0,
-                            trace_tol: float = 1e-10, label=None,
-                            what: str = "density matrix"):
-    """Check that ``entries`` is finite, Hermitian and of unit trace.
-
-    Hermiticity holds to 1e-10 of the largest entry magnitude; the trace
-    is sum(diagonal) * spacing and must be within ``trace_tol`` of 1.
-    The worst violating pair is named in the error, through
-    ``label(row, col)`` when given.  Raises ValidationError, else returns
-    the Hermiticity residual max |rho - rho^dagger| (the one such check).
-    """
-    return _validate_blocks([entries], spacing=spacing, trace_tol=trace_tol,
-                            label=label, what=what)
+def _stored(entries, dim: int, name: str) -> np.ndarray:
+    """``entries`` as stored by every density type: float64 when real,
+    else complex128.  A shape other than (dim, dim) raises
+    ValidationError naming ``name``."""
+    entries = np.asarray(
+        entries, dtype=complex if np.iscomplexobj(entries) else float)
+    if entries.shape != (dim, dim):
+        raise ValidationError(
+            f"{name} shape {entries.shape} does not match dimension {dim}")
+    return entries
 
 
 def _validate_blocks(blocks, *, spacing: float = 1.0, trace_tol: float = 1e-10,
                      label=None, what: str = "density matrix"):
-    """:func:`validate_density_matrix` of the block-diagonal matrix whose
-    diagonal blocks are ``blocks``, without forming it; ``label`` counts
-    rows and columns across the blocks in order."""
+    """Check that the block-diagonal matrix whose diagonal blocks are
+    ``blocks`` is finite, Hermitian and of unit trace, without forming it:
+    the one validator of every density type.
+
+    Hermiticity holds to 1e-10 of the largest entry magnitude; the trace
+    is sum(diagonal) * spacing and must be within ``trace_tol`` of 1.
+    The worst violating pair is named in the error by its row and column
+    counted across the blocks in order, through ``label(row, col)`` when
+    given.  Raises ValidationError, else returns the Hermiticity residual
+    max |rho - rho^dagger| and the trace.
+    """
     # rho - rho^dagger one row strip at a time, so no temporary has the
     # full size (a Fock matrix at its cutoff 40 is 1681^2 complex entries,
     # 45 MB, and a complex 1351^2 kernel on the default window 29 MB).
@@ -158,7 +161,7 @@ def _validate_blocks(blocks, *, spacing: float = 1.0, trace_tol: float = 1e-10,
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError(
             f"{what} trace {tr} deviates from 1 by more than {trace_tol}")
-    return worst
+    return worst, tr
 
 
 def _flush_tiny(a: np.ndarray) -> np.ndarray:
@@ -196,32 +199,27 @@ def _flush_tiny(a: np.ndarray) -> np.ndarray:
 class _DensityMatrix:
     """A validated density matrix, the one contract of every basis.
 
-    Real input is stored as float64 and anything else as complex128.
-    Construction checks the ``(dim, dim)`` shape and runs
-    :func:`validate_density_matrix`.  Hermiticity is measured, not imposed:
-    the entries are stored as given, their residual in
-    ``meta["hermiticity_residual"]``; ``trace`` and :meth:`min_eigenvalue`
+    Construction stores the entries by :func:`_stored`, checking the
+    ``(dim, dim)`` shape, and runs :func:`_validate_blocks` on them as one
+    block.  Hermiticity is measured, not imposed: the entries are stored
+    as given, their residual in ``meta["hermiticity_residual"]``;
+    ``trace`` (the validator's own measurement) and :meth:`min_eigenvalue`
     are scaled by ``spacing``, which is 1 in a discrete basis.
     """
 
     def __init__(self, entries, dim: int, *, spacing: float = 1.0,
                  trace_tol: float = 1e-10, label=None,
                  what: str = "density matrix"):
-        entries = np.asarray(
-            entries, dtype=complex if np.iscomplexobj(entries) else float)
-        if entries.shape != (dim, dim):
-            raise ValidationError(
-                f"{what} entries shape {entries.shape} does not match "
-                f"dimension {dim}")
-        self.meta = {"hermiticity_residual": validate_density_matrix(
-            entries, spacing=spacing, trace_tol=trace_tol, label=label,
-            what=what)}
-        self.entries = entries
+        self.entries = _stored(entries, dim, f"{what} entries")
+        residual, self._trace = _validate_blocks(
+            [self.entries], spacing=spacing, trace_tol=trace_tol,
+            label=label, what=what)
+        self.meta = {"hermiticity_residual": residual}
         self._spacing = spacing
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.entries).real) * self._spacing
+        return self._trace
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue in the trace normalisation (PSD check)."""
@@ -324,7 +322,7 @@ def _delta_fold(delta_grid: Grid1D):
     points = delta_grid.points
     n = points.size
     j = np.arange(n)
-    if n == 1 or delta_grid.min != -delta_grid.max:
+    if delta_grid.min != -delta_grid.max:
         return points, j, np.ones(n)
     return (points[n // 2:], np.maximum(j, n - 1 - j) - n // 2,
             np.where(j < n // 2, -1.0, 1.0))
@@ -669,9 +667,11 @@ def _gaussian_matrix(grid: Grid1D, sigma: float):
     on column i; columns past the window are dropped (zero padding).
     Only the at most 2n - 1 samples that land on the grid are kept, so
     every entry more than r = min(radius, n - 1) from the diagonal is
-    exactly 0; the tails past them enter the normalising sum only, summed
-    directly up to a fixed length and past it in the Poisson-summation
-    closed form, exact to double there.  The Toeplitz matrix is a strided
+    exactly 0; the tails past them enter the normalising sum only.  That
+    sum is of the kept samples when r = radius, and otherwise the
+    Poisson-summation closed form of the full-line sum,
+    pix sqrt(2 pi) (1 + 2 sum_{k >= 1} e^{-2 pi^2 pix^2 k^2}), within
+    1e-15 of the direct sum to the radius.  The Toeplitz matrix is a strided
     view of the zero-padded kernel, so building it costs O(n) memory for
     any sigma.
     """
@@ -680,19 +680,16 @@ def _gaussian_matrix(grid: Grid1D, sigma: float):
     radius = int(_SMOOTH_TRUNCATE * pix + 0.5)
     r = min(radius, n - 1)
 
-    def samples(start, stop):
-        x = np.arange(start, stop)
-        return np.exp(-0.5 / (pix * pix) * x ** 2)
-
-    kernel = samples(-r, r + 1)
-    if radius - r > _TAIL_BLOCK:
-        # sigma_pix > 1638: by Poisson summation the full-line sum is
-        # pix sqrt(2 pi) (1 + 2 sum_k e^{-2 pi^2 pix^2 k^2}), whose k >= 1
-        # terms underflow, and the samples past the radius are below
-        # e^{-50} of it
-        total = pix * np.sqrt(2.0 * np.pi)
+    kernel = np.exp(-0.5 / (pix * pix) * np.arange(-r, r + 1) ** 2)
+    if r == radius:
+        total = kernel.sum()
     else:
-        total = kernel.sum() + 2.0 * samples(r + 1, radius + 1).sum()
+        # by Poisson summation the full-line sum; the samples past the
+        # radius are below e^{-50} of it, and the terms k > 1.5 / pix
+        # below e^{-44}
+        k = np.arange(1, int(1.5 / pix) + 2)
+        total = pix * np.sqrt(2.0 * np.pi) * (
+            1.0 + 2.0 * np.exp(-2.0 * (np.pi * pix * k) ** 2).sum())
     kernel /= total
     padded = np.zeros(2 * n - 1)
     padded[n - 1 - r:n + r] = kernel

@@ -60,6 +60,7 @@ products taken whole, (A @ W) @ B^T, zeros off the band included.
 that the ``laguerre-recurrence`` invariant takes.
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -107,6 +108,18 @@ def wigner_l0_closed(l: int, gamma: float, delta: float) -> float:
     return float((4.0 * np.exp(2.0 * gamma) / np.pi) * result[0])
 
 
+@functools.lru_cache(maxsize=256)
+def _bessel_pair(gamma: float, delta: float, dps: int):
+    """K_{-i delta}(z) and K_{1 - i delta}(z), z = e^{2 gamma}, at ``dps``
+    digits: everything they depend on is in the key, so every (k, k2,
+    alpha) of :func:`wigner_bessel_sum` at one point and one working
+    precision shares the same two ``besselk`` values."""
+    with mpmath.workdps(dps):
+        z = mpmath.exp(2 * mpmath.mpf(gamma))
+        nu = mpmath.mpc(0, -delta)
+        return mpmath.besselk(nu, z), mpmath.besselk(nu + 1, z)
+
+
 def wigner_bessel_sum(k: int, alpha: int, gamma: float, delta: float,
                       k2: int | None = None) -> complex:
     """W_{k k2 alpha} of the radial coherence between the oscillator
@@ -126,7 +139,8 @@ def wigner_bessel_sum(k: int, alpha: int, gamma: float, delta: float,
 
     K_{-nu} = K_nu and, for real z, K_{n + i delta} is the conjugate of
     K_{n - i delta}, so only n = 0..max(k, k2) are needed; they follow
-    from two ``besselk`` calls by the upward recurrence
+    from two ``besselk`` calls (:func:`_bessel_pair`, shared by every call
+    at the same point and precision) by the upward recurrence
     K_{nu+1} = K_{nu-1} + (2 nu / z) K_nu.  W_{k2 k alpha} is the
     conjugate of W_{k k2 alpha}, and W_{k k alpha} is real: its imaginary
     part is exactly 0.  The terms cancel badly at large k and z, so a
@@ -137,10 +151,10 @@ def wigner_bessel_sum(k: int, alpha: int, gamma: float, delta: float,
         k2 = k
     top = max(k, k2)
 
-    def parts():
+    def parts(dps):
         z = mpmath.exp(2 * mpmath.mpf(gamma))
         nu = mpmath.mpc(0, -delta)
-        bessel = [mpmath.besselk(nu, z), mpmath.besselk(nu + 1, z)]
+        bessel = list(_bessel_pair(gamma, delta, dps))
         for n in range(1, top):
             bessel.append(bessel[n - 1] + 2 * (nu + n) / z * bessel[n])
         a, b = ([(-1) ** j * mpmath.binomial(level + alpha, level - j) * z ** j
@@ -154,12 +168,12 @@ def wigner_bessel_sum(k: int, alpha: int, gamma: float, delta: float,
         return [mpmath.re(bessel[0])] + bessel[1:top + 1], a, b, pref
 
     with mpmath.workdps(30):
-        bessel, a, b, pref = parts()
+        bessel, a, b, pref = parts(30)
         largest = abs(pref) * max(abs(a[i] * b[j] * bessel[abs(i - j)])
                                   for i in range(k + 1) for j in range(k2 + 1))
         dps = 30 + max(0, int(mpmath.ceil(mpmath.log10(largest))))
     with mpmath.workdps(dps):
-        bessel, a, b, pref = parts()
+        bessel, a, b, pref = parts(dps)
         # group by d = |i - j|: K_{d - i delta} where i - j = d, and its
         # conjugate where j - i = d
         total = mpmath.mpc(0)

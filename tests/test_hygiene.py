@@ -109,23 +109,31 @@ class _Scopes(ast.NodeVisitor):
 
 
 def test_one_density_matrix_contract():
-    # every density type is validated by one base constructor, which also
-    # owns trace and min_eigenvalue: a second copy of the contract fails here
+    # every density type is stored by one rule and validated by one
+    # validator, which alone measures the trace; the one base constructor
+    # owns trace and min_eigenvalue: a second copy of the contract fails
+    # here
     defs, calls = [], []
     for path in MODULES:
         scopes = _Scopes(path.stem)
         scopes.visit(_parse(path))
         defs += scopes.defs
         calls += scopes.calls
-    assert [scope for name, scope in calls
-            if name == "validate_density_matrix"] == \
-        ["wigner._DensityMatrix.__init__"]
-    # the one rule, over diagonal blocks: the angular-momentum type checks
-    # the equal-m blocks it stores, a Fock input's rotated ones included
-    assert sorted(scope for name, scope in calls
-                  if name == "_validate_blocks") == \
-        ["fock.SchwingerDensityMatrix.__init__",
-         "wigner.validate_density_matrix"]
+    # the storage rule, float64 when real and complex128 otherwise, is
+    # written once
+    assert sum(path.read_text(encoding="utf-8").count(
+        "complex if np.iscomplexobj(") for path in MODULES) == 1
+    # the one rule, over diagonal blocks: the base checks its entries as
+    # one block, and the angular-momentum type the equal-m blocks it
+    # stores, a Fock input's rotated ones included
+    for helper in ("_stored", "_validate_blocks"):
+        assert sorted(scope for name, scope in calls if name == helper) == \
+            ["fock.SchwingerDensityMatrix.__init__",
+             "wigner._DensityMatrix.__init__"]
+    assert [scope for name, scope in calls if name == "trace"] == \
+        ["wigner._validate_blocks"]
+    assert [d for d in defs if d.rsplit(".", 1)[1] == "_validate_blocks"] == \
+        ["wigner._validate_blocks"]
     for method in ("trace", "min_eigenvalue"):
         assert [d for d in defs if d.rsplit(".", 1)[1] == method] == \
             [f"wigner._DensityMatrix.{method}"]
@@ -147,8 +155,7 @@ def test_one_trace_rule():
             fock_names = {getattr(n, "attr", getattr(n, "id", getattr(
                 n, "arg", None))) for n in ast.walk(tree)}
     assert sorted(scope for name, scope in calls if name == "norm") == [
-        "fock.FockDensityMatrix.from_pure", "states.WavefunctionR.__init__",
-        "states.WavefunctionV.__init__"]
+        "fock.FockDensityMatrix.from_pure", "states._accept_samples"]
     assert not fock_names & {"trace", "trace_tol", "warn", "warnings",
                              "TruncationWarning"}
     assert list(inspect.signature(radwig.DensityMatrixV).parameters) == \

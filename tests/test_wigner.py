@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 import warnings
@@ -52,58 +53,59 @@ def test_density_matrix_validation():
 
 
 def test_validate_density_matrix_leaves_real_input_intact():
-    from radwig.wigner import validate_density_matrix
+    from radwig.wigner import _validate_blocks
     good = np.array([[0.5, 0.1], [0.1, 0.5]])
-    validate_density_matrix(good)
+    _validate_blocks([good])
     assert np.array_equal(good, [[0.5, 0.1], [0.1, 0.5]])
     bad = np.array([[0.5, 0.1], [0.3, 0.5]])
     with pytest.raises(ValidationError, match=r"entry \(0, 1\) = 0.1"):
-        validate_density_matrix(bad)
+        _validate_blocks([bad])
     assert np.array_equal(bad, [[0.5, 0.1], [0.3, 0.5]])
 
 
 def test_validate_density_matrix_names_worst_pair_past_first_strip():
     # the Hermiticity check runs in row strips: the worst pair, its first
     # occurrence and the scale must come out as from the whole matrix
-    from radwig.wigner import validate_density_matrix
+    from radwig.wigner import _validate_blocks
     rho = np.eye(300, dtype=complex) / 300
     rho[5, 200] = 3e-3
     rho[250, 7] = 1e-3j
     with pytest.raises(ValidationError, match=r"entry \(5, 200\) = \(0.003"):
-        validate_density_matrix(rho)
+        _validate_blocks([rho])
     rho[200, 5] = 3e-3
     with pytest.raises(ValidationError, match=r"entry \(7, 250\) = 0j"):
-        validate_density_matrix(rho)
+        _validate_blocks([rho])
     rho[7, 250] = -1e-3j
-    validate_density_matrix(rho)
+    _validate_blocks([rho])
 
 
 def test_validate_density_matrix_scans_each_pair_once():
     # a strip starting at row a reads only the columns >= a: the residual
     # is still the full-matrix maximum, bit for bit, and a worst pair
     # below the diagonal past the first strip is named by its mirror
-    from radwig.wigner import validate_density_matrix
+    from radwig.wigner import _validate_blocks
     rng = np.random.default_rng(3)
     rho = np.eye(300, dtype=complex) / 300
     rho += 1e-12 * (rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape))
-    residual = validate_density_matrix(rho, trace_tol=1e-6)
+    residual, trace = _validate_blocks([rho], trace_tol=1e-6)
     assert residual == np.abs(rho - rho.conj().T).max()
+    assert trace == float(np.trace(rho).real)
     rho[280, 150] = 2e-3
     with pytest.raises(ValidationError, match=r"entry \(150, 280\) = \("):
-        validate_density_matrix(rho, trace_tol=1e-6)
+        _validate_blocks([rho], trace_tol=1e-6)
 
 
 def test_validation_over_diagonal_blocks_counts_across_them():
     # the blocks of a block-diagonal matrix: one residual, one trace and
     # one scale over all of them, the worst pair named by its row and
     # column in the whole matrix
-    from radwig.wigner import _validate_blocks, validate_density_matrix
+    from radwig.wigner import _validate_blocks
     a = np.diag([0.25, 0.25]).astype(complex)
     b = np.diag([0.25, 0.125, 0.125]).astype(complex)
     b[0, 2] = 1e-12j
     whole = np.zeros((5, 5), dtype=complex)
     whole[:2, :2], whole[2:, 2:] = a, b
-    assert _validate_blocks([a, b]) == validate_density_matrix(whole) == 1e-12
+    assert _validate_blocks([a, b]) == _validate_blocks([whole]) == (1e-12, 1.0)
     b[2, 1] = 3e-3
     with pytest.raises(ValidationError, match=r"entry \(3, 4\) = 0j"):
         _validate_blocks([a, b])
@@ -118,12 +120,12 @@ def test_non_finite_entries_are_named_before_hermiticity():
     # non-finite entry past a Hermiticity violation still raises as such:
     # nan in the last row strip, +inf (with its mirror) off the diagonal
     # of a later block, and a nan imaginary part
-    from radwig.wigner import _validate_blocks, validate_density_matrix
+    from radwig.wigner import _validate_blocks
     rho = np.eye(300) / 300
     rho[5, 200] = 3e-3
     rho[299, 298] = np.nan
     with pytest.raises(ValidationError, match="entries must be finite"):
-        validate_density_matrix(rho)
+        _validate_blocks([rho])
     a = np.diag([0.5, 0.5]).astype(complex)
     a[0, 1] = 1e-3
     b = np.eye(3, dtype=complex) / 3
@@ -134,7 +136,7 @@ def test_non_finite_entries_are_named_before_hermiticity():
     rho[5, 200] = 3e-3
     rho[250, 10] = complex(1e-3, np.nan)
     with pytest.raises(ValidationError, match="entries must be finite"):
-        validate_density_matrix(rho)
+        _validate_blocks([rho])
 
 
 def test_density_matrix_mixture_is_psd():
@@ -1023,6 +1025,23 @@ def test_gaussian_tail_sum_is_closed_form():
         start = time.perf_counter()
         s_smooth(w, -2e11)
         assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("pix", [0.15, 0.16, 0.7, 3.0, 40.0, 1638.0, 1639.0,
+                                 1700.0])
+def test_gaussian_normaliser_matches_the_direct_sum(pix):
+    # a kernel that overhangs a two-point window is normalised by the
+    # Poisson-summation closed form of its full-line sum, which must match
+    # the direct sum of every sample to the radius, on both sides of
+    # sigma_pix ~ 1638.5, where the tail past the window reaches 16384
+    # samples
+    axis = Grid1D(0.0, 1.0, 2)
+    radius = int(10.0 * pix + 0.5)
+    x = np.arange(-radius, radius + 1)
+    direct = math.fsum(np.exp(-0.5 / (pix * pix) * x ** 2))
+    a, r = _gaussian_matrix(axis, pix)
+    assert r == 1 < radius
+    assert abs(a[0, 0] * direct - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("l", [0, 1, 2])
