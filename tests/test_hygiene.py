@@ -75,12 +75,13 @@ def test_no_unused_imports(path):
 
 class _Scopes(ast.NodeVisitor):
     """Dotted scope (module.Class.function) of every function definition,
-    of every call, with the called name, and of every use of a name or
-    attribute, with the name and whether it is stored or read."""
+    of every call, with the called name, of every use of a name or
+    attribute, with the name and whether it is stored or read, and of
+    every attribute, with the source of the object it is read from."""
 
     def __init__(self, module):
         self.stack, self.defs, self.calls = [module], [], []
-        self.names = []
+        self.names, self.attrs = [], []
 
     def visit_ClassDef(self, node):
         self.stack.append(node.name)
@@ -104,6 +105,8 @@ class _Scopes(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         self.names.append((node.attr, type(node.ctx).__name__,
+                           ".".join(self.stack)))
+        self.attrs.append((ast.unparse(node.value), node.attr,
                            ".".join(self.stack)))
         self.generic_visit(node)
 
@@ -160,6 +163,35 @@ def test_one_trace_rule():
                              "TruncationWarning"}
     assert list(inspect.signature(radwig.DensityMatrixV).parameters) == \
         ["grid", "entries"]
+
+
+def test_one_trapezoid_rule():
+    # every grid integral (totals, marginals, overlap, edge strips) takes
+    # its weights from Grid1D, which builds them once; numpy's trapezoid
+    # is left to the state norm and expectation values, whose values
+    # radwig check pins
+    defs, calls, attrs = [], [], []
+    for path in MODULES:
+        scopes = _Scopes(path.stem)
+        scopes.visit(_parse(path))
+        defs += scopes.defs
+        calls += scopes.calls
+        attrs += scopes.attrs
+    assert sorted(scope for value, attr, scope in attrs
+                  if (value, attr) == ("np", "trapezoid")) == \
+        ["operators.expectation", "operators.expectation",
+         "states.WavefunctionR.norm"]
+    assert [d for d in defs if d.rsplit(".", 1)[1] == "weights"] == \
+        ["grids.Grid1D.weights"]
+    assert {scope for value, attr, scope in attrs
+            if attr in ("weights", "_weights")} == \
+        {"grids.Grid1D.weights", "grids.Grid1D.trapezoid", "wigner.overlap"}
+    # read through the one-point guard alone
+    assert {scope for value, attr, scope in attrs if attr == "_weights"} == \
+        {"grids.Grid1D.weights"}
+    assert [scope for name, scope in calls if name == "diff"
+            and scope.startswith(("grids.", "wigner."))] == \
+        ["grids.Grid1D.__post_init__"]
 
 
 def test_one_alignment_rule():

@@ -548,6 +548,37 @@ def test_output_bytes_are_fixed_at_a_blas_thread_count(tmp_path, command):
     assert np.abs(values["1"] - values["2"]).max() <= 1e-15 * scale
 
 
+def test_marginal_bytes_are_fixed_at_a_blas_thread_count(tmp_path):
+    # a marginal is one BLAS product of W with the trapezoid weights: its
+    # bytes repeat at one thread count, and between 1 and 2 threads, where
+    # BLAS may split the product of the 701 x 1041 window, it agrees with
+    # itself to rounding
+    script = (
+        "import sys; from radwig import Grid1D, wigner_l0_grid, "
+        "marginal_momentum, marginal_position; from radwig import io; "
+        "g, d = Grid1D(-12.0, 2.0, 701), Grid1D(-26.0, 26.0, 1041); "
+        "w = wigner_l0_grid(1, g, d, allow_deep_tail=True); "
+        "io.write_marginal_csv(sys.argv[1], 'gamma', g.points, "
+        "marginal_position(w)); "
+        "io.write_marginal_csv(sys.argv[2], 'delta', d.points, "
+        "marginal_momentum(w))")
+    values = {}
+    for threads in ("1", "2"):
+        digests = set()
+        for run in range(2):
+            outs = [tmp_path / f"m{threads}_{run}_{axis}.csv"
+                    for axis in ("gamma", "delta")]
+            _run_python("-c", script, *map(str, outs),
+                        env_vars={"OPENBLAS_NUM_THREADS": threads})
+            digests.add(tuple(hashlib.sha256(out.read_bytes()).hexdigest()
+                              for out in outs))
+        assert len(digests) == 1
+        values[threads] = [np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+                           for out in outs]
+    for one, two in zip(values["1"], values["2"]):
+        assert np.abs(one - two).max() <= 1e-15 * np.abs(one).max()
+
+
 def test_fock_command_single_gamma_cell(tmp_path, capsys):
     rho_path = tmp_path / "rho.json"
     rho_path.write_text(json.dumps(vacuum_doc()))

@@ -1103,6 +1103,63 @@ def test_s_smooth_vacuum_against_analytic_convolution(vacuum_rho):
     assert np.abs(q.values - oracle).max() < 1e-6
 
 
+# ------------------------------------------------- trapezoid weights
+
+_DEFAULT_WINDOW = (Grid1D(-3.0, 2.0, 251), Grid1D(-4.0, 4.0, 321))
+
+
+def _trapezoid_case(case, wide_levels):
+    """(grid, values, axis) for one accuracy case of Grid1D.trapezoid."""
+    if case == "1d":
+        gamma, delta = _DEFAULT_WINDOW
+        return gamma, vbar_schwinger_l0(2, gamma.points) ** 2, -1
+    if case.startswith("two-point"):
+        axis = int(case[-1])
+        values = np.random.default_rng(35).uniform(0.5, 1.5, (2, 5))
+        return Grid1D(0.5, 1.5, 2), np.moveaxis(values, 0, axis), axis
+    window, axis = case.rsplit("-", 1)
+    w = (wide_levels[1] if window == "wide"
+         else wigner_l0_grid(2, *_DEFAULT_WINDOW))
+    return (w.delta_grid, w.gamma_grid)[int(axis) == 0], w.values, int(axis)
+
+
+@pytest.mark.parametrize("case", ["1d", "two-point-0", "two-point-1",
+                                  "default-0", "default-1", "wide-0",
+                                  "wide-1"])
+def test_trapezoid_matches_numpy(case, wide_levels):
+    # one product with the grid's weights sums the terms of np.trapezoid
+    # grouped per sample, so the two differ by rounding alone
+    grid, values, axis = _trapezoid_case(case, wide_levels)
+    ref = np.trapezoid(values, grid.points, axis=axis)
+    got = grid.trapezoid(values, axis=axis)
+    assert np.shape(got) == np.shape(ref)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("integral, bound", [
+    (lambda w: w.total(), 0.05),
+    (marginal_position, 0.05),
+    (marginal_momentum, 0.05),
+    (lambda w: overlap(w, w), 0.05),
+    (lambda w: s_smooth(w, -1.0), 2.25),
+], ids=["total", "marginal_position", "marginal_momentum", "overlap",
+        "s_smooth"])
+def test_integrals_make_no_w_sized_temporary(integral, bound, wide_levels):
+    # each integral is a product with the trapezoid weights, so none of
+    # them copies W; smoothing holds its two W-sized outputs, A @ W and Q
+    w = wide_levels[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        integral(w)
+        tracemalloc.start()
+        try:
+            integral(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= bound * w.values.nbytes
+
+
 # ------------------------------------------------------- WignerGrid
 
 def test_wigner_grid_validation():
