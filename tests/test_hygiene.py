@@ -77,11 +77,25 @@ class _Scopes(ast.NodeVisitor):
     """Dotted scope (module.Class.function) of every function definition,
     of every call, with the called name, of every use of a name or
     attribute, with the name and whether it is stored or read, and of
-    every attribute, with the source of the object it is read from."""
+    every attribute, with the source of the object it is read from.  The
+    calls inside the body of a ``for`` loop are also kept in ``looped``."""
 
     def __init__(self, module):
         self.stack, self.defs, self.calls = [module], [], []
         self.names, self.attrs = [], []
+        self.loops, self.looped = 0, []
+
+    def visit_For(self, node):
+        # the target and the iterable are evaluated once, and so is the
+        # else clause
+        self.visit(node.target)
+        self.visit(node.iter)
+        self.loops += 1
+        for stmt in node.body:
+            self.visit(stmt)
+        self.loops -= 1
+        for stmt in node.orelse:
+            self.visit(stmt)
 
     def visit_ClassDef(self, node):
         self.stack.append(node.name)
@@ -97,6 +111,8 @@ class _Scopes(ast.NodeVisitor):
         name = func.id if isinstance(func, ast.Name) else \
             getattr(func, "attr", None)
         self.calls.append((name, ".".join(self.stack)))
+        if self.loops:
+            self.looped.append(self.calls[-1])
         self.generic_visit(node)
 
     def visit_Name(self, node):
@@ -254,6 +270,17 @@ def test_one_delta_fold_rule():
     checks = (Path(radwig.__file__).parent / "checks.py").read_text(
         encoding="utf-8")
     assert "_delta_fold" not in checks
+
+
+def test_momentum_phases_are_formed_by_strips():
+    # momentum_transform forms its phase matrix e^{-i P vbar} one strip of
+    # momenta at a time: its one outer product sits in a for body, so the
+    # whole matrix cannot come back unseen
+    scopes = _Scopes("operators")
+    scopes.visit(_parse(Path(radwig.__file__).parent / "operators.py"))
+    outer = ("outer", "operators.momentum_transform")
+    assert [call for call in scopes.calls if call[0] == "outer"] == [outer]
+    assert outer in scopes.looped
 
 
 def _registry_models():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -8,7 +10,7 @@ from radwig import (BasisMismatchError, DomainError, Grid1D, SchwingerLabel, Tru
                     apply_pr, dilaton_coherent, dilaton_vacuum, expectation,
                     momentum_transform, radial_wavefunction,
                     vbar_schwinger_l0)
-from radwig.operators import _displace
+from radwig.operators import _PHASE_STRIP, _displace
 
 SQRT2 = np.sqrt(2.0)
 
@@ -261,6 +263,49 @@ def test_momentum_transform_parseval():
     p = Grid1D(-12.0, 12.0, 2401)
     out = momentum_transform(psi, p)
     assert np.sum(np.abs(out) ** 2) * p.spacing == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("n_samples, p", [
+    (2001, Grid1D(0.7, 0.7, 1)),
+    (5801, Grid1D(-26.3, 26.3, 1041)),
+    (5801, Grid1D(-3.0, 3.0, 12)),
+    (70001, Grid1D(-3.0, 3.0, 7)),
+], ids=["one-momentum", "partial-last-strip", "lone-last-momentum",
+        "two-momenta-per-strip"])
+def test_momentum_transform_matches_the_whole_phase_matrix(n_samples, p):
+    # each strip's rows are the whole matrix's rows: a lone momentum, a
+    # last strip shorter than the others (1041 = 94 * 11 + 7 at 11 rows
+    # per strip), a last strip of one momentum (12 = 11 + 1), taken with
+    # the one before it, and strips of the minimum two rows past 2^16
+    # samples, where one row alone exceeds the budget
+    rows = max(2, _PHASE_STRIP // n_samples)
+    assert p.n_points == 1 or p.n_points % rows != 0
+    assert (rows == 2) == (n_samples > _PHASE_STRIP // 2)
+    psi = dilaton_coherent(0.4 - 0.3j, Grid1D(-10.0, 10.0, n_samples))
+    v = psi.grid.points
+    ref = np.exp(-1j * np.outer(p.points, v)) @ psi.samples \
+        * (psi.grid.spacing / np.sqrt(2.0 * np.pi))
+    out = momentum_transform(psi, p)
+    assert out.shape == ref.shape
+    # measured: 0 in every case, bitwise equal
+    assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_momentum_transform_memory_is_a_few_strips():
+    # the whole 1041 x 5801 phase matrix would be 96.6 MB of complex
+    # phases, with a 193 MB peak while it is formed; a 1 MB strip at a
+    # time peaks at 2.06 MB
+    grid = Grid1D(-24.0, 5.0, 5801)
+    psi = WavefunctionV(grid, vbar_schwinger_l0(0, grid.points))
+    p = Grid1D(-26.3, 26.3, 1041)
+    momentum_transform(psi, p)
+    tracemalloc.start()
+    try:
+        momentum_transform(psi, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 # ----------------------------------------------------------- expectation
